@@ -6,8 +6,7 @@ every identity involved."""
 from .grading import PiBDegree, ROC2Degree, standard_degrees, degree_add
 from .point import OutsideSupportedSubring
 from .projective import (Ambient, ProjClass, ambient, class_Q, class_chi_Q,
-                         gen_cw, gen_cxw, gen_zeta0, gen_zeta1, proj_tau,
-                         set_corrupt_rule)
+                         gen_cw, gen_cxw, gen_zeta0, gen_zeta1, proj_tau)
 from .bundles import (BundleSum, BundleInvariants, ContextViolation,
                       LineBundleSpec, bundle_invariants, euler_closed_form,
                       euler_line, euler_product, euler_type_block,
@@ -24,7 +23,6 @@ __all__ = [
     "OutsideSupportedSubring",
     "Ambient", "ProjClass", "ambient", "class_Q", "class_chi_Q",
     "gen_cw", "gen_cxw", "gen_zeta0", "gen_zeta1", "proj_tau",
-    "set_corrupt_rule",
     "BundleSum", "BundleInvariants", "ContextViolation", "LineBundleSpec",
     "bundle_invariants", "euler_closed_form", "euler_line", "euler_product",
     "euler_type_block", "parse_bundles",

@@ -162,6 +162,26 @@ def bundle_invariants(bs: BundleSum) -> BundleInvariants:
     m = p + q - n
     m0 = p - n0
     m1 = q - n1
+    return BundleInvariants(
+        p=p, q=q, n=n, n_by_family=dict(counts), d_by_family=dict(degs),
+        n0=n0, n1=n1, Delta=Delta, Delta0=Delta0, Delta1=Delta1,
+        m=m, m0=m0, m1=m1, ell=n - n0 - n1, k0=n - n0, k1=n - n1,
+        eps=Delta0 % 2,
+        DeltaMin=min(Delta0, Delta1), DeltaMax=max(Delta0, Delta1),
+        context_violations=_violations(p, q, n, n0, n1),
+    )
+
+
+def context_violations(bs: BundleSum) -> tuple:
+    """The closed-form hypotheses the sum violates, as bundle_invariants
+    reports them, without computing the other invariants."""
+    p, q = bs.ambient
+    n0 = sum(b.family in ("I", "II") for b in bs.bundles)
+    n1 = sum(b.family in ("II", "III") for b in bs.bundles)
+    return _violations(p, q, bs.n, n0, n1)
+
+
+def _violations(p: int, q: int, n: int, n0: int, n1: int) -> tuple:
     violations = []
     if not n < p + q:
         violations.append(f"n < p + q fails ({n} >= {p + q})")
@@ -173,14 +193,7 @@ def bundle_invariants(bs: BundleSum) -> BundleInvariants:
         violations.append(f"n - p <= n1 fails ({n - p} > {n1})")
     if not n1 <= n:
         violations.append(f"n1 <= n fails ({n1} > {n})")
-    return BundleInvariants(
-        p=p, q=q, n=n, n_by_family=dict(counts), d_by_family=dict(degs),
-        n0=n0, n1=n1, Delta=Delta, Delta0=Delta0, Delta1=Delta1,
-        m=m, m0=m0, m1=m1, ell=n - n0 - n1, k0=n - n0, k1=n - n1,
-        eps=Delta0 % 2,
-        DeltaMin=min(Delta0, Delta1), DeltaMax=max(Delta0, Delta1),
-        context_violations=tuple(violations),
-    )
+    return tuple(violations)
 
 
 def beta(k: int) -> int:

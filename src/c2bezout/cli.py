@@ -178,13 +178,7 @@ def cmd_verify(args) -> int:
     if args.include_negative_degrees:
         cfg.include_negative_degrees = True
     groups = tuple(args.groups.split(",")) if args.groups else None
-    if args.corrupt_rule:
-        pj.set_corrupt_rule(True)
-    try:
-        report = vf.run_verify(cfg, groups=groups)
-    finally:
-        if args.corrupt_rule:
-            pj.set_corrupt_rule(False)
+    report = vf.run_verify(cfg, groups=groups)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -239,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--include-negative-degrees", action="store_true")
     sp.add_argument("--groups", help="comma-separated check groups to run")
-    sp.add_argument("--corrupt-rule", action="store_true",
-                    help=argparse.SUPPRESS)  # soundness test hook
     add_fmt(sp)
     sp.set_defaults(fn=cmd_verify)
     return ap

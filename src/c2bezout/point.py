@@ -8,8 +8,10 @@ which is everything the Euler-class and Bezout calculations touch.  kappa
 is not a basis symbol; it normalizes to 2 - g.  Products are closed in
 this span; transfers of odd iota powers are refused rather than modeled.
 
-Elements are dicts mapping symbol keys to integer coefficients.  Symbol
-keys:
+Elements are dicts mapping symbol keys to integer coefficients.  Classes
+and caches hold them frozen instead: a tuple of (symbol, coefficient)
+pairs in sorted symbol order, which `p_freeze` makes.  Every function
+here reads either form and returns a fresh dict.  Symbol keys:
 
     ('1',)          the unit
     ('g',)          the free orbit class, g = tau(1), g^2 = 2g
@@ -22,10 +24,17 @@ keys:
 
 from __future__ import annotations
 
+import os
+
 from .grading import ROC2Degree
 
 Sym = tuple
 Terms = dict
+Coeff = tuple  # frozen Terms: ((symbol, coefficient), ...) in symbol order
+
+# entries per cache: the symbol-product table here, and each ambient's
+# reduction, basis and class caches in projective
+CACHE_LIMIT = int(os.environ.get("C2BEZOUT_CACHE_SIZE", "2000000"))
 
 S_ONE: Sym = ("1",)
 S_G: Sym = ("g",)
@@ -35,22 +44,27 @@ class OutsideSupportedSubring(ArithmeticError):
     """Raised for elements in the unmodeled odd fourth-quadrant sector."""
 
 
-def sym_degree(s: Sym) -> ROC2Degree:
+def sym_ranks(s: Sym) -> tuple:
+    """(trivial rank, sign rank) of the symbol's degree a + b sigma."""
     kind = s[0]
     if kind in ("1", "g"):
-        return ROC2Degree(0, 0)
+        return (0, 0)
     if kind == "e":
-        return ROC2Degree(0, s[1])
+        return (0, s[1])
     if kind == "xi":
-        return ROC2Degree(-2 * s[1], 2 * s[1])
+        return (-2 * s[1], 2 * s[1])
     if kind == "exi":
         m, n = s[1], s[2]
-        return ROC2Degree(-2 * n, m + 2 * n)
+        return (-2 * n, m + 2 * n)
     if kind == "eik":
-        return ROC2Degree(0, -s[1])
+        return (0, -s[1])
     if kind == "tin":
-        return ROC2Degree(2 * s[1], -2 * s[1])
+        return (2 * s[1], -2 * s[1])
     raise ValueError(f"unknown symbol {s}")
+
+
+def sym_degree(s: Sym) -> ROC2Degree:
+    return ROC2Degree(*sym_ranks(s))
 
 
 def _put(out: Terms, s: Sym, c: int) -> None:
@@ -70,9 +84,18 @@ def _put(out: Terms, s: Sym, c: int) -> None:
         out.pop(s, None)
 
 
-def normalized(terms: Terms) -> Terms:
+def _pairs(a: Terms | Coeff):
+    return a.items() if type(a) is dict else a
+
+
+def p_freeze(a: Terms) -> Coeff:
+    """The frozen form of a normalized element (every p_* result is)."""
+    return tuple(a.items()) if len(a) == 1 else tuple(sorted(a.items()))
+
+
+def normalized(terms: Terms | Coeff) -> Terms:
     out: Terms = {}
-    for s, c in terms.items():
+    for s, c in _pairs(terms):
         _put(out, s, c)
     return out
 
@@ -105,17 +128,21 @@ def p_one_minus_kappa() -> Terms:
     return {S_ONE: -1, S_G: 1}
 
 
-def p_add(a: Terms, b: Terms) -> Terms:
+def p_add(a: Terms | Coeff, b: Terms | Coeff) -> Terms:
     out = dict(a)
-    for s, c in b.items():
+    for s, c in _pairs(b):
         _put(out, s, c)
     return out
 
 
-def p_scale(a: Terms, n: int) -> Terms:
+def p_scale(a: Terms | Coeff, n: int) -> Terms:
     out: Terms = {}
-    for s, c in a.items():
-        _put(out, s, n * c)
+    for s, c in _pairs(a):
+        c *= n
+        if s[0] == "exi":
+            c %= 2
+        if c:
+            out[s] = c
     return out
 
 
@@ -174,13 +201,37 @@ def _mul_sym(a: Sym, b: Sym):
     raise AssertionError(f"unhandled symbol product {a} * {b}")
 
 
-def p_mul(a: Terms, b: Terms) -> Terms:
+# (a, b) -> ((symbol, coefficient, torsion), ...): the product of two
+# symbols as _mul_sym gives it, reduced mod 2 where the symbol is 2-torsion
+_PRODUCTS: dict = {}
+
+
+def _product_entry(a: Sym, b: Sym) -> tuple:
+    prod: Terms = {}
+    for s, c in _mul_sym(a, b):
+        _put(prod, s, c)
+    entry = tuple((s, c, s[0] == "exi") for s, c in prod.items())
+    if len(_PRODUCTS) >= CACHE_LIMIT:
+        _PRODUCTS.clear()
+    _PRODUCTS[(a, b)] = entry
+    return entry
+
+
+def p_mul(a: Terms | Coeff, b: Terms | Coeff) -> Terms:
     out: Terms = {}
-    for sa, ca in a.items():
-        for sb, cb in b.items():
-            for s, c in _mul_sym(sa, sb):
-                _put(out, s, ca * cb * c)
-    return out
+    get = out.get
+    if type(b) is dict:
+        b = b.items()
+    for sa, ca in (a.items() if type(a) is dict else a):
+        for sb, cb in b:
+            entry = _PRODUCTS.get((sa, sb))
+            if entry is None:
+                entry = _product_entry(sa, sb)
+            n = ca * cb
+            for s, c, torsion in entry:
+                v = get(s, 0) + n * c
+                out[s] = v % 2 if torsion else v
+    return {s: c for s, c in out.items() if c}
 
 
 def _tau_iota(j: int):
@@ -205,10 +256,10 @@ def p_tau(laurent: dict) -> Terms:
     return out
 
 
-def p_rho(a: Terms) -> dict:
+def p_rho(a: Terms | Coeff) -> dict:
     """Restriction to the nonequivariant point, as {iota_exponent: coeff}."""
     out: dict = {}
-    for s, c in a.items():
+    for s, c in _pairs(a):
         kind = s[0]
         if kind == "1":
             e, v = 0, 1
@@ -228,11 +279,11 @@ def p_rho(a: Terms) -> dict:
     return out
 
 
-def p_fixed(a: Terms) -> int:
+def p_fixed(a: Terms | Coeff) -> int:
     """Fixed-point value.  The target is Z concentrated in degree 0, so
     only the symbols with trivial fixed grading contribute."""
     total = 0
-    for s, c in a.items():
+    for s, c in _pairs(a):
         kind = s[0]
         if kind == "1":
             total += c
@@ -244,8 +295,8 @@ def p_fixed(a: Terms) -> int:
     return total
 
 
-def p_degrees(a: Terms) -> set:
-    return {sym_degree(s) for s in a}
+def p_degrees(a: Terms | Coeff) -> set:
+    return {sym_degree(s) for s, _ in _pairs(a)}
 
 
 def p_is_homogeneous(a: Terms) -> bool:
@@ -326,8 +377,6 @@ def p_text(a: Terms, latex: bool = False) -> str:
     return out
 
 
-def p_json(a: Terms) -> list:
-    out = []
-    for s in sorted(a, key=lambda s: (s[0], s[1:])):
-        out.append({"symbol": s[0], "params": list(s[1:]), "coeff": a[s]})
-    return out
+def p_json(a: Terms | Coeff) -> list:
+    return [{"symbol": s[0], "params": list(s[1:]), "coeff": c}
+            for s, c in sorted(_pairs(a))]

@@ -1,9 +1,13 @@
 """The extended-graded cohomology ring of a finite projective space.
 
-Classes are stored in canonical basis coordinates: a dict mapping normal
-monomials (z0, z1, cw, ccw) -- exponents of zeta0, zeta1, c_w, c_xw -- to
-point-ring coefficients.  The reducer rewrites an arbitrary product of
-generators (and divided classes) into this form using the ring relations
+Classes are stored in canonical basis coordinates: a tuple of (normal
+monomial, coefficient) pairs in monomial order, where a monomial
+(z0, z1, cw, ccw) lists the exponents of zeta0, zeta1, c_w, c_xw and the
+coefficient is a frozen point-ring element (`point.p_freeze`).  Terms
+are immutable, so classes and caches share them instead of copying.
+
+The reducer rewrites an arbitrary product of generators (and divided
+classes) into this form using the ring relations
 
     zeta0 zeta1 = xi
     zeta1 c_xw = (1-kappa) zeta0 c_w + e^2     (and its mirror)
@@ -16,9 +20,6 @@ assumed.
 """
 
 from __future__ import annotations
-
-import os
-import threading
 
 from . import point as pt
 from .grading import PiBDegree, GradingError
@@ -37,29 +38,21 @@ class KernelError(RuntimeError):
     """A normal form the rewrite system should never produce."""
 
 
-# Test hook: when enabled, one rewrite rule is deliberately perturbed so
-# the verification harness can demonstrate it is not vacuous.  Toggling
-# drops all cached spaces; classes built beforehand keep their stale
-# ambient and cannot be mixed with fresh ones.
-_corrupt_rule = False
-_lock = threading.Lock()
-
-
-def set_corrupt_rule(enabled: bool) -> None:
-    global _corrupt_rule
-    with _lock:
-        if _corrupt_rule != enabled:
-            _corrupt_rule = enabled
-            _AMBIENTS.clear()
+ONE: pt.Coeff = ((pt.S_ONE, 1),)  # the unit coefficient, frozen
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
 
-def mono_degree_pib(m: Mono) -> PiBDegree:
+def mono_ranks(m: Mono) -> tuple:
+    """(total, fixed0, fixed1) ranks of the monomial's degree."""
     z0, z1, cw, ccw = m
-    return PiBDegree(2 * (cw + ccw), 2 * (cw - z0), 2 * (ccw - z1))
+    return (2 * (cw + ccw), 2 * (cw - z0), 2 * (ccw - z1))
+
+
+def mono_degree_pib(m: Mono) -> PiBDegree:
+    return PiBDegree(*mono_ranks(m))
 
 
 def mono_coset(m: Mono) -> int:
@@ -73,32 +66,44 @@ def mono_rho(m: Mono) -> tuple:
     return (2 * z0 + 2 * ccw, -z0 + z1 + cw - ccw, cw + ccw)
 
 
-_CACHE_LIMIT = int(os.environ.get("C2BEZOUT_CACHE_SIZE", "2000000"))
+_CACHE_LIMIT = pt.CACHE_LIMIT
 
 
 class Ambient:
     """The projective space of lines in C^p + (C^sigma)^q, p + q > 0.
 
-    Holds the per-space reduction and basis caches.  Reads are safe from
-    multiple threads; concurrent inserts are idempotent (the value for a
-    key is deterministic), so no locking is needed around the dicts.
+    Holds the per-space caches: reductions of raw monomials, bases of
+    cosets, and the memo of standard and Schubert classes.  They hold
+    terms, never classes, so an ambient is freed as soon as it is dropped.
+    Reads are safe from multiple threads; concurrent inserts are
+    idempotent (the value for a key is deterministic), so no locking is
+    needed around the dicts.
+
+    `tensor_e2` is the coefficient of e^2 in the tensor relation.  Any
+    value but 1 gives a deliberately wrong ring, for the soundness check
+    of the verification harness; `ambient()` never returns such a space.
     """
 
-    def __init__(self, p: int, q: int):
+    def __init__(self, p: int, q: int, tensor_e2: int = 1):
         if p < 0 or q < 0 or p + q <= 0:
             raise ValueError(f"invalid ambient ({p},{q})")
         self.p = p
         self.q = q
+        self._e2 = pt.p_freeze(pt.p_sym(("e", 2), tensor_e2))
         self._reduce: dict = {}
         self._basis: dict = {}
         self._basis_sets: dict = {}
+        self._memo: dict = {}
 
     def __repr__(self) -> str:
         return f"Ambient({self.p},{self.q})"
 
-    def _cache_guard(self) -> None:
-        if len(self._reduce) > _CACHE_LIMIT:
-            self._reduce.clear()
+    def memo(self, key, build) -> "ProjClass":
+        """The class memoised under key, made by build() on a miss."""
+        terms = self._memo.get(key)
+        if terms is None:
+            terms = _remember(self._memo, key, build().terms)
+        return ProjClass(self, terms)
 
     # -- normal monomial predicate ---------------------------------------
 
@@ -125,98 +130,89 @@ class Ambient:
 
     # -- reduction --------------------------------------------------------
 
-    def reduce_mono(self, m: Mono) -> dict:
-        """Basis coordinates {normal_mono: point_terms} of a raw monomial."""
+    def reduce_mono(self, m: Mono) -> tuple:
+        """Basis coordinates ((normal_mono, coeff), ...) of a raw monomial."""
         cached = self._reduce.get(m)
         if cached is not None:
             return cached
         out = self._reduce_uncached(m, 0)
-        self._cache_guard()
+        if len(self._reduce) > _CACHE_LIMIT:
+            self._reduce.clear()
         return out
 
-    def _reduce_uncached(self, m: Mono, depth: int) -> dict:
+    def _reduce_uncached(self, m: Mono, depth: int) -> tuple:
         if depth > 64 + 4 * sum(abs(e) for e in m):
             raise KernelError(f"reduction of {m} did not terminate")
         cached = self._reduce.get(m)
         if cached is not None:
             return cached
         out = self._reduce_step(m, depth)
-        # every rewrite is degree-honest; check once per monomial
-        want = mono_degree_pib(m)
-        for mono, coeff in out.items():
-            base = mono_degree_pib(mono)
-            for s in coeff:
-                if base + pt.sym_degree(s).to_pib() != want:
+        # every rewrite is degree-honest; check once per monomial.  A point
+        # symbol of degree a + b sigma has ranks (a + b, a, a).
+        want = mono_ranks(m)
+        for mono, coeff in out:
+            t, f0, f1 = mono_ranks(mono)
+            for s, _ in coeff:
+                a, b = pt.sym_ranks(s)
+                if (t + a + b, f0 + a, f1 + a) != want:
                     raise KernelError(
                         f"degree drift reducing {m}: term {mono} carries {s}")
         self._reduce[m] = out
         return out
 
     def _rec(self, m: Mono, coeff: pt.Terms, depth: int, acc: dict) -> None:
-        for mono, c in self._reduce_uncached(m, depth + 1).items():
-            prod = pt.p_mul(coeff, c)
-            if not prod:
-                continue
-            cur = acc.get(mono)
-            acc[mono] = pt.p_add(cur, prod) if cur is not None else prod
+        _add_scaled(acc, self._reduce_uncached(m, depth + 1), coeff)
 
-    def _reduce_step(self, m: Mono, depth: int) -> dict:
+    def _reduce_step(self, m: Mono, depth: int) -> tuple:
         z0, z1, cw, ccw = m
         p, q = self.p, self.q
         acc: dict = {}
-        e2 = pt.p_sym(("e", 2))
-        if _corrupt_rule:
-            # deliberately wrong coefficient, used only by the soundness
-            # check of the verification harness
-            e2 = pt.p_scale(e2, 2)
+        e2 = self._e2
         one_minus_kappa = pt.p_one_minus_kappa()
         if cw >= p and ccw >= q:
-            return {}
+            return ()
         if z0 > 0 and z1 > 0:
             t = min(z0, z1)
             self._rec((z0 - t, z1 - t, cw, ccw), pt.p_sym(("xi", t)), depth, acc)
-            return _strip(acc)
+            return _freeze_terms(acc)
         if z1 > 0 and (z0 < 0 or cw >= p):
             self._rec((z0 - z1, 0, cw, ccw), pt.p_sym(("xi", z1)), depth, acc)
-            return _strip(acc)
+            return _freeze_terms(acc)
         if z0 > 0 and (z1 < 0 or ccw >= q):
             self._rec((0, z1 - z0, cw, ccw), pt.p_sym(("xi", z0)), depth, acc)
-            return _strip(acc)
+            return _freeze_terms(acc)
         if cw > p:
             # peel one (zeta0 c_w) = (1-kappa) zeta1 c_xw + e^2
             self._rec((z0 - 1, z1 + 1, cw - 1, ccw + 1), one_minus_kappa, depth, acc)
             self._rec((z0 - 1, z1, cw - 1, ccw), e2, depth, acc)
-            return _strip(acc)
+            return _freeze_terms(acc)
         if ccw > q or (z1 > 0 and ccw > 0):
             # peel one (zeta1 c_xw) = (1-kappa) zeta0 c_w + e^2
             self._rec((z0 + 1, z1 - 1, cw + 1, ccw - 1), one_minus_kappa, depth, acc)
             self._rec((z0, z1 - 1, cw, ccw - 1), e2, depth, acc)
-            return _strip(acc)
+            return _freeze_terms(acc)
         if z0 >= 2 and cw >= 1:
             # zeta0 * (zeta0 c_w) = xi c_xw + e^2 zeta0
             self._rec((z0 - 2, z1, cw - 1, ccw + 1), pt.p_sym(("xi", 1)), depth, acc)
             self._rec((z0 - 1, z1, cw - 1, ccw), e2, depth, acc)
-            return _strip(acc)
+            return _freeze_terms(acc)
         if not self.is_normal_mono(m):
             raise KernelError(f"stuck at non-normal monomial {m} in {self!r}")
-        return {m: pt.p_sym(pt.S_ONE)}
+        return ((m, ONE),)
 
     # -- basis ------------------------------------------------------------
 
     def basis(self, m: int) -> list:
         """Ordered free basis of the coset m*omega + RO(C2)."""
         got = self._basis.get(m)
-        if got is not None:
-            return got
-        out = _basis_rec(self.p, self.q, m)
-        self._basis[m] = out
-        return out
+        if got is None:
+            got = _remember(self._basis, m, _basis_rec(self.p, self.q, m))
+        return got
 
     def basis_set(self, m: int) -> frozenset:
         got = self._basis_sets.get(m)
         if got is None:
-            got = frozenset(self.basis(m))
-            self._basis_sets[m] = got
+            got = _remember(self._basis_sets, m, frozenset(self.basis(m)))
         return got
 
 
@@ -234,8 +230,33 @@ def _basis_rec(p: int, q: int, m: int) -> list:
     return [head] + tail
 
 
-def _strip(acc: dict) -> dict:
-    return {m: c for m, c in acc.items() if c}
+def _remember(cache: dict, key, value):
+    """cache[key] = value, emptying the cache first when it is full."""
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+def _add_scaled(acc: dict, terms: tuple, coeff) -> None:
+    """acc[mono] += coeff * c for each (mono, c) of terms; coeff None is 1.
+
+    Values of acc are frozen coefficients taken from terms, or dicts that
+    acc owns."""
+    for mono, c in terms:
+        if coeff is not None:
+            c = coeff if c == ONE else pt.p_mul(coeff, c)
+        cur = acc.get(mono)
+        acc[mono] = c if cur is None else pt.p_add(cur, c)
+
+
+def _freeze_terms(acc: dict) -> tuple:
+    """Class terms from an accumulator of _add_scaled: sorted, frozen,
+    without zero coefficients."""
+    out = [(mono, pt.p_freeze(c) if type(c) is dict else c)
+           for mono, c in acc.items() if c]
+    out.sort()
+    return tuple(out)
 
 
 _AMBIENTS: dict = {}
@@ -254,11 +275,15 @@ def ambient(p: int, q: int) -> Ambient:
 # classes
 
 class ProjClass:
-    """An element of the cohomology ring, kept in basis coordinates."""
+    """An element of the cohomology ring, kept in basis coordinates.
+
+    `terms` is a tuple of (normal monomial, frozen coefficient) pairs in
+    monomial order, so equal classes have equal terms and classes are
+    immutable values."""
 
     __slots__ = ("amb", "terms")
 
-    def __init__(self, amb: Ambient, terms: dict):
+    def __init__(self, amb: Ambient, terms: tuple):
         self.amb = amb
         self.terms = terms
 
@@ -266,75 +291,78 @@ class ProjClass:
 
     @classmethod
     def zero(cls, amb: Ambient) -> "ProjClass":
-        return cls(amb, {})
+        return cls(amb, ())
 
     @classmethod
     def from_mono(cls, amb: Ambient, m: Mono, coeff: pt.Terms | int = 1) -> "ProjClass":
+        terms = amb.reduce_mono(m)
         if isinstance(coeff, int):
+            if coeff == 1:
+                return cls(amb, terms)
             coeff = pt.p_int(coeff)
-        out: dict = {}
-        for mono, c in amb.reduce_mono(m).items():
-            prod = pt.p_mul(coeff, c)
+        else:
+            coeff = pt.normalized(coeff)
+        if not coeff:
+            return cls.zero(amb)
+        out = []
+        for mono, c in terms:
+            prod = coeff if c == ONE else pt.p_mul(coeff, c)
             if prod:
-                out[mono] = prod
-        return cls(amb, out)
+                out.append((mono, pt.p_freeze(prod)))
+        return cls(amb, tuple(out))
 
     @classmethod
     def from_point(cls, amb: Ambient, coeff: pt.Terms) -> "ProjClass":
-        return cls(amb, {UNIT: dict(coeff)}) if coeff else cls.zero(amb)
+        coeff = pt.normalized(coeff)
+        return cls(amb, ((UNIT, pt.p_freeze(coeff)),)) if coeff else cls.zero(amb)
 
     @classmethod
     def unit(cls, amb: Ambient) -> "ProjClass":
-        return cls(amb, {UNIT: pt.p_int(1)})
+        return cls(amb, ((UNIT, ONE),))
 
     # ring ops --------------------------------------------------------------
 
     def __add__(self, other: "ProjClass") -> "ProjClass":
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            s = pt.p_add(cur, c) if cur is not None else dict(c)
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return ProjClass(self.amb, out)
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        acc = dict(self.terms)
+        _add_scaled(acc, other.terms, None)
+        return ProjClass(self.amb, _freeze_terms(acc))
 
     def __sub__(self, other: "ProjClass") -> "ProjClass":
         return self + other.scale(-1)
 
     def scale(self, n: int) -> "ProjClass":
-        if n == 0:
-            return ProjClass.zero(self.amb)
-        return ProjClass(self.amb, {m: pt.p_scale(c, n) for m, c in self.terms.items()
-                                    if pt.p_scale(c, n)})
+        if n == 1:
+            return self
+        scaled = [(m, pt.p_scale(c, n)) for m, c in self.terms]
+        return ProjClass(self.amb, tuple((m, pt.p_freeze(c)) for m, c in scaled if c))
 
     def scale_point(self, h: pt.Terms) -> "ProjClass":
         out = ProjClass.zero(self.amb)
-        for m, c in self.terms.items():
+        for m, c in self.terms:
             out = out + ProjClass.from_mono(self.amb, m, pt.p_mul(h, c))
         return out
 
     def __mul__(self, other: "ProjClass") -> "ProjClass":
         self._check(other)
-        out: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                coeff = pt.p_mul(ca, cb)
-                if not coeff:
-                    continue
-                for mono, c in self.amb.reduce_mono(mono_mul(ma, mb)).items():
-                    prod = pt.p_mul(coeff, c)
-                    if not prod:
+        reduce = self.amb.reduce_mono
+        acc: dict = {}
+        for ma, ca in self.terms:
+            for mb, cb in other.terms:
+                if cb == ONE:
+                    coeff = None if ca == ONE else ca
+                elif ca == ONE:
+                    coeff = cb
+                else:
+                    coeff = pt.p_mul(ca, cb)
+                    if not coeff:
                         continue
-                    cur = out.get(mono)
-                    s = pt.p_add(cur, prod) if cur is not None else prod
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-        return ProjClass(self.amb, out)
+                _add_scaled(acc, reduce(mono_mul(ma, mb)), coeff)
+        return ProjClass(self.amb, _freeze_terms(acc))
 
     def __pow__(self, n: int) -> "ProjClass":
         if n < 0:
@@ -367,7 +395,7 @@ class ProjClass:
 
     def degrees(self) -> set:
         out = set()
-        for m, c in self.terms.items():
+        for m, c in self.terms:
             dm = mono_degree_pib(m)
             for d in pt.p_degrees(c):
                 out.add(dm + d.to_pib())
@@ -380,14 +408,14 @@ class ProjClass:
         return next(iter(ds))
 
     def cosets(self) -> set:
-        return {mono_coset(m) for m in self.terms}
+        return {mono_coset(m) for m, _ in self.terms}
 
     # shadows -----------------------------------------------------------------
 
     def rho(self) -> LTerms:
         trunc = self.amb.p + self.amb.q
         out: LTerms = {}
-        for m, c in self.terms.items():
+        for m, c in self.terms:
             ia, za, ca = mono_rho(m)
             if ca >= trunc:
                 continue
@@ -404,7 +432,7 @@ class ProjClass:
         """Images in Z[c]/(c^p) and Z[c]/(c^q) over the two fixed components."""
         f0: dict = {}
         f1: dict = {}
-        for m, c in self.terms.items():
+        for m, c in self.terms:
             z0, z1, cw, ccw = m
             v = pt.p_fixed(c)
             if v == 0:
@@ -418,19 +446,20 @@ class ProjClass:
     # basis -------------------------------------------------------------------
 
     def reduce_to_basis(self) -> dict:
-        """Coefficient vector over the basis of the class's single coset."""
+        """Coefficient vector {basis monomial: point terms} over the basis
+        of the class's single coset, as fresh dicts."""
         if not self.terms:
             return {}
         cosets = self.cosets()
         if len(cosets) != 1:
             raise GradingError(f"class spans several cosets: {sorted(cosets)}")
         mset = self.amb.basis_set(next(iter(cosets)))
-        for m in self.terms:
+        for m, _ in self.terms:
             if m not in mset:
                 raise KernelError(
                     f"normal form {m} escapes the basis of coset "
                     f"{mono_coset(m)} in {self.amb!r}")
-        return dict(self.terms)
+        return {m: dict(c) for m, c in self.terms}
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +533,14 @@ def s_kernel(amb: Ambient, k: int) -> ProjClass:
 
 def class_Q(amb: Ambient) -> ProjClass:
     """Euler class of the square of the dual tautological bundle."""
-    return tau_c_power(amb, 1) + ProjClass.from_mono(amb, (0, 0, 1, 1), pt.p_kappa(2))
+    return amb.memo("Q", lambda: tau_c_power(amb, 1) + ProjClass.from_mono(
+        amb, (0, 0, 1, 1), pt.p_kappa(2)))
 
 
 def class_chi_Q(amb: Ambient) -> ProjClass:
     """Euler class of the sign twist of that square."""
-    return ProjClass.from_mono(amb, (1, 0, 1, 0)) + ProjClass.from_mono(amb, (0, 1, 0, 1))
+    return amb.memo("chi_Q", lambda: ProjClass.from_mono(amb, (1, 0, 1, 0))
+                    + ProjClass.from_mono(amb, (0, 1, 0, 1)))
 
 
 def pushed_s_kernel(amb: Ambient, mono: Mono, defect: int, numerator: int) -> ProjClass:

@@ -41,12 +41,12 @@ def _tau_text(iexp: int, zexp: int, cexp: int, latex: bool) -> str:
     return rf"\tau({body})" if latex else f"tau({body})"
 
 
-def _split_tau(coeff: pt.Terms, m) -> tuple:
+def _split_tau(coeff: pt.Coeff, m) -> tuple:
     """Split a coefficient into tau-foldable pieces and a remainder."""
     folded = []  # (integer multiple, iota-shift)
     rest: pt.Terms = {}
     has_c = m[2] + m[3] > 0
-    for s, c in coeff.items():
+    for s, c in coeff:
         if s == pt.S_G:
             folded.append((c, 0))
         elif s[0] == "tin":
@@ -62,8 +62,7 @@ def proj_text(cls: ProjClass, latex: bool = False) -> str:
     if cls.is_zero():
         return "0"
     chunks = []
-    for m in sorted(cls.terms):
-        coeff = cls.terms[m]
+    for m, coeff in cls.terms:
         folded, rest = _split_tau(coeff, m)
         ia, za, ca = mono_rho(m)
         for mult, ishift in folded:
@@ -93,11 +92,11 @@ def degree_json(d: PiBDegree) -> list:
 
 def proj_json(cls: ProjClass) -> list:
     out = []
-    for m in sorted(cls.terms):
+    for m, coeff in cls.terms:
         out.append({
             "monomial": list(m),
             "degree": degree_json(mono_degree_pib(m)),
-            "coeff": pt.p_json(cls.terms[m]),
+            "coeff": pt.p_json(coeff),
         })
     return out
 

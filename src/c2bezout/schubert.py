@@ -118,7 +118,12 @@ GeometricTerm = Union[FreeOrbit, InvariantChain, BinatePair]
 
 
 def class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
-    """The cohomology class a geometric term represents."""
+    """The cohomology class a geometric term represents, memoised per
+    ambient."""
+    return amb.memo(term, lambda: _class_of(term, amb))
+
+
+def _class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
     term.validate(amb)
     if isinstance(term, FreeOrbit):
         lam = term.codim(amb)

@@ -1,5 +1,8 @@
 import json
 
+from c2bezout import point as pt
+from c2bezout import projective as pj
+from c2bezout import verify as vf
 from c2bezout.cli import main
 
 
@@ -118,13 +121,24 @@ def test_verify_json_roundtrip(capsys, tmp_path):
 
 
 def test_verify_corrupted_rule_fails(capsys):
-    # corrupt-rule hook: the perturbed kernel must break identities
-    code, out, _ = run(capsys, "verify", "--groups", "proj_relations",
-                       "--corrupt-rule")
-    assert code == 1
+    # a perturbed kernel, now an explicit private ambient, must break
+    # identities, and the report shows both normal forms
+    amb = pj.Ambient(2, 2, tensor_e2=2)
+    z0, z1 = pj.gen_zeta0(amb), pj.gen_zeta1(amb)
+    cw, cxw = pj.gen_cw(amb), pj.gen_cxw(amb)
+    onemk = pj.ProjClass.from_point(amb, pt.p_one_minus_kappa())
+    e2 = pj.ProjClass.from_point(amb, pt.p_sym(("e", 2)))
+    rec = vf.Recorder()
+    rec.eq("rel_tensor", {"p": 2, "q": 2}, z1 * cxw - onemk * z0 * cw, e2)
+    report = vf.VerifyReport(records=rec.records)
+    assert not report.passed
+    out = vf.report_text(report)
     assert "FAIL" in out
     assert "lhs =" in out and "rhs =" in out
-    # and the kernel is restored afterwards
+    # the hidden CLI hook is gone, and the registered kernel never changed
+    code, _, _ = run(capsys, "verify", "--groups", "proj_relations",
+                     "--corrupt-rule")
+    assert code == 2
     code, out, _ = run(capsys, "verify", "--groups", "proj_relations")
     assert code == 0
 
@@ -146,6 +160,15 @@ def test_cache_size_env_respected():
          "bs = bd.BundleSum((2, 2), bd.parse_bundles('O(3),O(2),xO(1)'))\n"
          "inv = bd.bundle_invariants(bs)\n"
          "assert bd.euler_closed_form(amb, inv) == bd.euler_product(amb, bs)\n"
+         "# the symbol table and each ambient's caches stay within the cap\n"
+         "from c2bezout import point as pt, verify as vf\n"
+         "cfg = vf.SweepConfig(p_max=3, q_max=3, pq_sum_max=5)\n"
+         "rep = vf.run_verify(cfg, groups=('point_axioms', 'euler_grid',\n"
+         "                                 'dictionary'))\n"
+         "assert rep.passed and rep.summary()['cases'] > 1000\n"
+         "amb = pj.ambient(3, 3)\n"
+         "sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
+         "assert max(sizes) <= 64, sizes\n"
          "print(pj._CACHE_LIMIT)"],
         env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

@@ -107,6 +107,41 @@ def test_json_rendering():
     assert {"symbol": "e", "params": [2], "coeff": -3} in data
 
 
+def _direct_product(a, b, n=1):
+    """n * a * b straight from the symbol rule, without the table."""
+    out = {}
+    for s, c in pt._mul_sym(a, b):
+        out = pt.p_add(out, {s: n * c})
+    return out
+
+
+def test_table_products_match_the_symbol_rule():
+    syms = point_symbols_in_window(8)
+    zero_pairs = 0
+    for a in syms:
+        for b in syms:
+            want = _direct_product(a, b)
+            assert pt.p_mul({a: 1}, {b: 1}) == want, (a, b)
+            assert pt.p_mul({a: 3}, {b: -2}) == _direct_product(a, b, -6), (a, b)
+            zero_pairs += not want
+    assert zero_pairs > 0
+    assert pt.p_mul(xi(1), eik(1)) == {}
+
+
+def test_frozen_elements_multiply_like_dicts():
+    x = pt.p_add(pt.p_kappa(), xi(2, 3))
+    y = pt.p_add(G, e(1, 5))
+    assert pt.p_freeze(x) == tuple(sorted(x.items()))
+    for a in (x, pt.p_freeze(x)):
+        for b in (y, pt.p_freeze(y)):
+            assert pt.p_mul(a, b) == pt.p_mul(x, y)
+            assert pt.p_add(a, b) == pt.p_add(x, y)
+    assert pt.p_scale(pt.p_freeze(x), -4) == pt.p_scale(x, -4)
+    assert pt.p_rho(pt.p_freeze(x)) == pt.p_rho(x)
+    assert pt.p_fixed(pt.p_freeze(x)) == pt.p_fixed(x)
+    assert pt.p_json(pt.p_freeze(x)) == pt.p_json(x)
+
+
 symbols = st.sampled_from(point_symbols_in_window(6))
 elements = st.lists(
     st.tuples(symbols, st.integers(-4, 4)), min_size=0, max_size=4).map(

@@ -1,8 +1,14 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from c2bezout import point as pt
 from c2bezout import projective as pj
+from c2bezout import render
+from c2bezout import schubert as sb
+from c2bezout import verify as vf
 from c2bezout.grading import GradingError, PiBDegree
 
 
@@ -201,20 +207,116 @@ def test_random_monomial_products_associate(p, q, data):
     assert (a * b) * c == a * (b * c)
 
 
-def test_corrupt_rule_changes_normal_forms():
-    pj.set_corrupt_rule(True)
-    try:
-        amb = pj.ambient(2, 2)
-        z0, z1 = pj.gen_zeta0(amb), pj.gen_zeta1(amb)
-        cw, cxw = pj.gen_cw(amb), pj.gen_cxw(amb)
-        onemk = pj.ProjClass.from_point(amb, pt.p_one_minus_kappa())
-        e2 = pj.ProjClass.from_point(amb, pt.p_sym(("e", 2)))
-        assert z1 * cxw != onemk * z0 * cw + e2
-    finally:
-        pj.set_corrupt_rule(False)
-    amb = pj.ambient(2, 2)
+def _tensor_sides(amb):
     z0, z1 = pj.gen_zeta0(amb), pj.gen_zeta1(amb)
     cw, cxw = pj.gen_cw(amb), pj.gen_cxw(amb)
     onemk = pj.ProjClass.from_point(amb, pt.p_one_minus_kappa())
     e2 = pj.ProjClass.from_point(amb, pt.p_sym(("e", 2)))
-    assert z1 * cxw == onemk * z0 * cw + e2
+    return z1 * cxw, onemk * z0 * cw + e2
+
+
+def test_corrupt_rule_changes_normal_forms():
+    # the perturbed ring is a private ambient of its own
+    lhs, rhs = _tensor_sides(pj.Ambient(2, 2, tensor_e2=2))
+    assert lhs != rhs
+    lhs, rhs = _tensor_sides(pj.ambient(2, 2))
+    assert lhs == rhs
+
+
+def test_perturbed_ambient_leaves_held_ambient_alone():
+    held = pj.ambient(3, 3)
+    want = render.proj_text(pj.gen_zeta1(held) * pj.gen_cxw(held))
+    bad = pj.Ambient(3, 3, tensor_e2=2)
+    assert render.proj_text(pj.gen_zeta1(bad) * pj.gen_cxw(bad)) != want
+    assert pj.ambient(3, 3) is held
+    assert render.proj_text(pj.gen_zeta1(held) * pj.gen_cxw(held)) == want
+    assert "2 e^2" not in want and "e^2" in want
+
+
+def test_held_ambient_survives_run_verify():
+    held = pj.ambient(3, 3)
+    before = pj.gen_zeta1(held) * pj.gen_cxw(held)
+    q_before = pj.class_Q(held) * pj.class_chi_Q(held)
+    rep = vf.run_verify(vf.SweepConfig(), groups=("proj_relations", "soundness"))
+    assert rep.passed
+    assert any(r.name == "harness_soundness" and r.status == "pass"
+               for r in rep.records)
+    assert pj.ambient(3, 3) is held
+    assert pj.gen_zeta1(held) * pj.gen_cxw(held) == before
+    assert pj.class_Q(held) * pj.class_chi_Q(held) == q_before
+    fresh = pj.Ambient(3, 3)
+    assert (pj.gen_zeta1(fresh) * pj.gen_cxw(fresh)).terms == before.terms
+
+
+# ---------------------------------------------------------------------------
+# immutability
+
+def test_terms_and_coefficients_are_immutable(a22):
+    Q = pj.class_Q(a22)
+    with pytest.raises(TypeError):
+        Q.terms[0] = Q.terms[1]
+    mono, coeff = Q.terms[0]
+    with pytest.raises(TypeError):
+        coeff[0] = (("e", 1), 1)
+    with pytest.raises(AttributeError):
+        coeff.append((("e", 1), 1))
+
+
+def test_reduce_to_basis_output_does_not_alias(a22):
+    Q = pj.class_Q(a22)
+    text = render.proj_text(Q)
+    cached = a22.reduce_mono((1, 0, 1, 0))
+    vec = Q.reduce_to_basis()
+    for coeff in vec.values():
+        coeff[("e", 1)] = 7
+    vec.clear()
+    assert render.proj_text(Q) == text
+    assert pj.class_Q(a22) == Q
+    assert a22.reduce_mono((1, 0, 1, 0)) == cached
+
+
+def test_sums_and_products_share_no_mutable_state(a22):
+    z0, cw = pj.gen_zeta0(a22), pj.gen_cw(a22)
+    total = z0 + cw
+    prod = z0 * cw
+    for cls in (total, prod, total.scale(3), total - cw):
+        assert isinstance(cls.terms, tuple)
+        for mono, coeff in cls.terms:
+            assert isinstance(mono, tuple) and isinstance(coeff, tuple)
+    assert total - cw == z0
+    assert list(total.terms) == sorted(total.terms)
+
+
+# ---------------------------------------------------------------------------
+# per-ambient memo
+
+def test_private_ambient_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        amb = pj.Ambient(3, 2)
+        Q = pj.class_Q(amb)
+        chi = pj.class_chi_Q(amb)
+        term = sb.BinatePair(4, 2, 1, "zeta0")
+        cls = sb.class_of(term, amb) * Q * chi
+        assert sb.class_of(term, amb) == sb.class_of(term, amb)
+        assert not cls.is_zero()
+        ref = weakref.ref(amb)
+        del amb, Q, chi, cls
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_ambients_share_no_memo_entries():
+    good = pj.Ambient(2, 2)
+    bad = pj.Ambient(2, 2, tensor_e2=2)
+    got_bad = bad.memo("tensor", lambda: _tensor_sides(bad)[0])
+    got_good = good.memo("tensor", lambda: _tensor_sides(good)[0])
+    assert render.proj_text(got_bad) != render.proj_text(got_good)
+    assert good.memo("tensor", lambda: None) == got_good
+    assert bad.memo("tensor", lambda: None) == got_bad
+    assert got_good == _tensor_sides(good)[1]
+    # the registered space keeps its own memo too
+    reg = pj.ambient(2, 2)
+    assert pj.class_Q(reg).terms == pj.class_Q(good).terms
+    assert pj.class_Q(reg).amb is reg
