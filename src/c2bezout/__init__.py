@@ -11,8 +11,8 @@ from .bundles import (BundleSum, BundleInvariants, ContextViolation,
                       LineBundleSpec, bundle_invariants, euler_closed_form,
                       euler_line, euler_product, euler_type_block,
                       parse_bundles)
-from .schubert import (BezoutExpansion, BinatePair, FreeOrbit, InvariantChain,
-                       bezout_expansion, chiQ_class, class_of,
+from .schubert import (BezoutExpansion, BinatePair, FixedPoint, FreeOrbit,
+                       InvariantChain, bezout_expansion, chiQ_class, class_of,
                        expansion_class, special_case)
 from .verify import SweepConfig, VerifyReport, run_verify
 
@@ -26,7 +26,7 @@ __all__ = [
     "BundleSum", "BundleInvariants", "ContextViolation", "LineBundleSpec",
     "bundle_invariants", "euler_closed_form", "euler_line", "euler_product",
     "euler_type_block", "parse_bundles",
-    "BezoutExpansion", "BinatePair", "FreeOrbit", "InvariantChain",
+    "BezoutExpansion", "BinatePair", "FixedPoint", "FreeOrbit", "InvariantChain",
     "bezout_expansion", "chiQ_class", "class_of", "expansion_class",
     "special_case",
     "SweepConfig", "VerifyReport", "run_verify",

@@ -12,8 +12,8 @@ from math import comb
 
 from . import point as pt
 from .grading import OMEGA, CHI_OMEGA, TWO, SIGMA, PiBDegree
-from .projective import (Ambient, ProjClass, class_Q, class_chi_Q, proj_tau,
-                         pushed_s_kernel, s_kernel, gen_zeta0, gen_zeta1)
+from .projective import (UNIT, Ambient, ProjClass, class_Q, class_chi_Q,
+                         proj_tau, pushed_s_kernel, gen_zeta0, gen_zeta1)
 
 FAMILIES = ("I", "II", "III", "IV")
 
@@ -291,11 +291,9 @@ def euler_type_block(amb: Ambient, family: str, count: int, degree_product: int)
             raise ArithmeticError(
                 f"degree product {degree_product} of {count} even bundles is "
                 f"not divisible by 2^{count}")
-        scale = degree_product >> count
-        # d/2^c * Q^c = (d/2) * s_kernel(c) avoids dividing classes by 2
-        if count == 1:
-            return class_Q(amb).scale(scale)
-        return s_kernel(amb, count).scale(_exact_half(degree_product, "d_II"))
+        # d/2^c * Q^c is (d/2) times the defect-c kernel Q^c / 2^(c-1),
+        # which avoids dividing classes by 2
+        return pushed_s_kernel(amb, UNIT, count, degree_product)
     # family IV
     out = class_chi_Q(amb) ** count
     c = _exact_half(degree_product - (1 << count), "d_IV - 2^n_IV")
@@ -323,7 +321,7 @@ def _free_orbit_tau(amb: Ambient, inv: BundleInvariants, coeff: int) -> ProjClas
         amb, {(2 * inv.k0, inv.k1 - inv.k0, amb.p + amb.q - inv.m): coeff})
 
 
-def _pick_delta_star(inv: BundleInvariants) -> int:
+def pick_delta_star(inv: BundleInvariants) -> int:
     """Reference value for the el <= 0 closed form.
 
     The four-term expression is independent of the choice; min(D0, D1)
@@ -370,7 +368,7 @@ def _closed_form_low(amb: Ambient, inv: BundleInvariants) -> ProjClass:
         out = pushed_s_kernel(amb, (0, inv.m1, p - inv.m, k0), j, inv.Delta0)
         return out + _free_orbit_tau(
             amb, inv, _exact_half(inv.Delta - inv.Delta0, "Delta - Delta0"))
-    dstar = _pick_delta_star(inv)
+    dstar = pick_delta_star(inv)
     out = pushed_s_kernel(amb, (0, 0, k1, k0), l, dstar)
     if inv.Delta0 != dstar:
         out = out + pushed_s_kernel(amb, (0, 1, k1 - 1, k0), l + 1, inv.Delta0 - dstar)
@@ -381,8 +379,6 @@ def _closed_form_low(amb: Ambient, inv: BundleInvariants) -> ProjClass:
 
 
 def _closed_form_high(amb: Ambient, inv: BundleInvariants) -> ProjClass:
-    from math import comb
-
     ell, k0, k1 = inv.ell, inv.k0, inv.k1
     eps = inv.eps
     out = ProjClass.zero(amb)

@@ -141,29 +141,17 @@ def _print_basis_diagram(basis, m: int) -> None:
 
 
 def cmd_point_table(args) -> int:
-    w = args.window
-    entries = []
-    for s in vf.point_symbols_in_window(w):
-        d = pt.sym_degree(s)
-        entries.append(((d.trivial_rank, d.sign_rank), s))
-    table: dict = {}
-    for (a, b), s in entries:
-        table.setdefault((a, b), []).append(s)
+    rows = []
+    for (a, b), syms in sorted(vf.point_census(args.window).items()):
+        gens = [pt.p_text(pt.p_sym(s)) for s in sorted(syms)]
+        rows.append((a, b, vf.point_group(syms), gens))
     if args.format == "json":
-        payload = []
-        for (a, b) in sorted(table):
-            group = "A(C2)" if (a, b) == (0, 0) else (
-                "Z/2" if table[(a, b)][0][0] == "exi" else "Z")
-            payload.append({"degree": [a, b], "group": group,
-                            "generators": [pt._sym_text(s) or "1"
-                                           for s in sorted(table[(a, b)])]})
+        payload = [{"degree": [a, b], "group": group, "generators": gens}
+                   for a, b, group, gens in rows]
         print(json.dumps(payload, indent=2))
         return 0
-    for (a, b) in sorted(table):
-        gens = ", ".join(pt._sym_text(s) or "1" for s in sorted(table[(a, b)]))
-        group = "A(C2)" if (a, b) == (0, 0) else (
-            "Z/2" if table[(a, b)][0][0] == "exi" else "Z")
-        print(f"degree {a:+d}{b:+d}sigma : {group:5s} <{gens}>")
+    for a, b, group, gens in rows:
+        print(f"degree {a:+d}{b:+d}sigma : {group:5s} <{', '.join(gens)}>")
     return 0
 
 

@@ -4,41 +4,21 @@ After regrading on the extended lattice, the nonequivariant cohomology of
 a point is Z[iota^{+-1}] and that of a finite projective space is
 Z[iota^{+-1}, zeta^{+-1}, c]/(c^{p+q}).  Elements are dicts mapping
 exponent triples (iota, zeta, c) to integers; the point case uses
-(iota, 0, 0) only.  Each degree holds at most one monomial, with
-exponents (a, b, k) = (r - f0, (f0 - f1)/2, r/2) for degree (r, f0, f1).
+(iota, 0, 0) only, and the images Z[c]/(c^p) and Z[c]/(c^q) over the
+two fixed components use (0, 0, c), truncated at p and q.  Each degree
+holds at most one monomial, with exponents
+(a, b, k) = (r - f0, (f0 - f1)/2, r/2) for degree (r, f0, f1).
 """
 
 from __future__ import annotations
 
-from .grading import GradingError, PiBDegree
+from .grading import PiBDegree
 
 LTerms = dict  # {(iota_exp, zeta_exp, c_exp): int}
 
 
-def l_zero() -> LTerms:
-    return {}
-
-
-def l_mono(a: int, b: int, k: int, coeff: int = 1) -> LTerms:
-    return {(a, b, k): coeff} if coeff else {}
-
-
-def l_add(x: LTerms, y: LTerms) -> LTerms:
-    out = dict(x)
-    for m, c in y.items():
-        n = out.get(m, 0) + c
-        if n:
-            out[m] = n
-        else:
-            out.pop(m, None)
-    return out
-
-
-def l_scale(x: LTerms, n: int) -> LTerms:
-    return {m: n * c for m, c in x.items() if n * c}
-
-
 def l_mul(x: LTerms, y: LTerms, c_trunc: int | None = None) -> LTerms:
+    """x * y, without the terms whose c exponent reaches c_trunc."""
     out: LTerms = {}
     for (a1, b1, k1), c1 in x.items():
         for (a2, b2, k2), c2 in y.items():
@@ -57,18 +37,6 @@ def l_mul(x: LTerms, y: LTerms, c_trunc: int | None = None) -> LTerms:
 def mono_degree(m) -> PiBDegree:
     a, b, k = m
     return PiBDegree(2 * k, 2 * k - a, 2 * k - a - 2 * b)
-
-
-def mono_for_degree(d: PiBDegree):
-    """Exponents of the unique monomial in a given degree, or None."""
-    if d.total_rank % 2 != 0:
-        return None
-    k = d.total_rank // 2
-    a = d.total_rank - d.fixed_rank_0
-    b2 = d.fixed_rank_0 - d.fixed_rank_1
-    if b2 % 2 != 0:
-        raise GradingError(f"degree {d} violates the parity invariant")
-    return (a, b2 // 2, k)
 
 
 def l_text(x: LTerms, latex: bool = False) -> str:

@@ -100,10 +100,6 @@ def normalized(terms: Terms | Coeff) -> Terms:
     return out
 
 
-def p_zero() -> Terms:
-    return {}
-
-
 def p_int(n: int) -> Terms:
     return {S_ONE: n} if n else {}
 
@@ -297,10 +293,6 @@ def p_fixed(a: Terms | Coeff) -> int:
 
 def p_degrees(a: Terms | Coeff) -> set:
     return {sym_degree(s) for s, _ in _pairs(a)}
-
-
-def p_is_homogeneous(a: Terms) -> bool:
-    return len(p_degrees(a)) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -202,11 +202,11 @@ class Ambient:
 
     # -- basis ------------------------------------------------------------
 
-    def basis(self, m: int) -> list:
+    def basis(self, m: int) -> tuple:
         """Ordered free basis of the coset m*omega + RO(C2)."""
         got = self._basis.get(m)
         if got is None:
-            got = _remember(self._basis, m, _basis_rec(self.p, self.q, m))
+            got = _remember(self._basis, m, tuple(_basis_rec(self.p, self.q, m)))
         return got
 
     def basis_set(self, m: int) -> frozenset:
@@ -517,20 +517,6 @@ def tau_c_power(amb: Ambient, k: int) -> ProjClass:
     return proj_tau(amb, {(0, 0, k): 1})
 
 
-def s_kernel(amb: Ambient, k: int) -> ProjClass:
-    """tau(c^k) + e^{-2k} kappa c_w^k c_xw^k; equals Q^k / 2^{k-1}.
-
-    This is the class of the desingularized binate variety with isotropy
-    defect k, before pushing forward.
-    """
-    if k < 0:
-        raise ValueError("negative defect")
-    if k == 0:
-        return ProjClass.unit(amb).scale(2)
-    kappa_part = ProjClass.from_mono(amb, (0, 0, k, k), pt.p_kappa(2 * k))
-    return tau_c_power(amb, k) + kappa_part
-
-
 def class_Q(amb: Ambient) -> ProjClass:
     """Euler class of the square of the dual tautological bundle."""
     return amb.memo("Q", lambda: tau_c_power(amb, 1) + ProjClass.from_mono(
@@ -544,13 +530,16 @@ def class_chi_Q(amb: Ambient) -> ProjClass:
 
 
 def pushed_s_kernel(amb: Ambient, mono: Mono, defect: int, numerator: int) -> ProjClass:
-    """(numerator/2) * mono * s_kernel(defect), evaluated without ever
+    """(numerator/2) * mono * S_k for defect k, evaluated without ever
     dividing a class by two.
 
-    For defect 0 the kernel is the constant 2, so any integer numerator is
-    fine.  For positive defect the transfer part is folded through the
-    Frobenius relation, which also makes this safe for divided monomials
-    (negative zeta exponents riding a saturated power).
+    The kernel S_k = tau(c^k) + e^{-2k} kappa c_w^k c_xw^k equals
+    Q^k / 2^{k-1}; it is the class of the desingularized binate variety
+    with isotropy defect k, before pushing forward.  For defect 0 the
+    kernel is the constant 2, so any integer numerator is fine.  For
+    positive defect the transfer part is folded through the Frobenius
+    relation, which also makes this safe for divided monomials (negative
+    zeta exponents riding a saturated power).
     """
     if defect == 0:
         return ProjClass.from_mono(amb, mono, numerator)

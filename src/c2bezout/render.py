@@ -12,8 +12,8 @@ from . import point as pt
 from .grading import PiBDegree
 from .laurent import l_text
 from .projective import ProjClass, mono_degree_pib, mono_rho
-from .schubert import (BezoutExpansion, BinatePair, FreeOrbit,
-                       InvariantChain, _FixedPoint)
+from .schubert import (BezoutExpansion, BinatePair, FixedPoint, FreeOrbit,
+                       InvariantChain)
 
 _GEN_TEXT = ("zeta0", "zeta1", "c_w", "c_xw")
 _GEN_LATEX = (r"\zeta_0", r"\zeta_1", r"\widehat{c}_\omega", r"\widehat{c}_{\chi\omega}")
@@ -33,7 +33,7 @@ def mono_text(m, latex: bool = False) -> str:
             parts.append(f"{name}^{e}")
     if not parts:
         return "1"
-    return ("" if latex else " ").join(parts) if latex else " ".join(parts)
+    return ("" if latex else " ").join(parts)
 
 
 def _tau_text(iexp: int, zexp: int, cexp: int, latex: bool) -> str:
@@ -118,21 +118,22 @@ def term_text(term, amb, notation: str = "dim", latex: bool = False) -> str:
             return rf"\mathrm{{Fr}}_{{{term.affine_dim}}}" if latex else f"Fr_{term.affine_dim}"
         lam = term.codim(amb)
         return rf"\mathrm{{Fr}}({lam})" if latex else f"Fr({lam})"
-    if isinstance(term, _FixedPoint):
+    if isinstance(term, FixedPoint):
         return _x_text(1, 0, latex) if term.component == 0 else _x_text(0, 1, latex)
     if isinstance(term, InvariantChain):
-        if notation == "codim":
-            return _chain_codim_text(term, amb, latex)
-        pieces = [_x_text(term.pp, term.qq, latex)]
+        def leaf(pp, qq):
+            return _chain_one_text(pp, qq, amb, notation, latex)
+
+        pieces = [leaf(term.pp, term.qq)]
         mids = []
         if term.j:
-            mids.append(_x_text(term.pp - term.j, term.qq, latex))
+            mids.append(leaf(term.pp - term.j, term.qq))
         if term.i:
-            mids.append(_x_text(term.pp, term.qq - term.i, latex))
+            mids.append(leaf(term.pp, term.qq - term.i))
         if mids:
             pieces.append((r" \cup " if latex else " u ").join(mids))
         if term.i and term.j:
-            pieces.append(_x_text(term.pp - term.j, term.qq - term.i, latex))
+            pieces.append(leaf(term.pp - term.j, term.qq - term.i))
         body = "; ".join(pieces)
         return f"[{body}]^*" if latex else f"[{body}]*"
     if isinstance(term, BinatePair):
@@ -159,25 +160,13 @@ def _binate_one_text(i, p_i, q_i, amb, notation, latex) -> str:
     return f"S~^{i}_{{{cp},{cq}}}"
 
 
-def _chain_codim_text(term: InvariantChain, amb, latex: bool) -> str:
-    def y(pp, qq):
+def _chain_one_text(pp, qq, amb, notation, latex) -> str:
+    if notation == "codim":
         lam, lp, lm = amb.p + amb.q - pp - qq, amb.p - pp, amb.q - qq
         if latex:
             return rf"Y_{{{lam}}}({lp},{lm})"
         return f"Y_{lam}({lp},{lm})"
-
-    pieces = [y(term.pp, term.qq)]
-    mids = []
-    if term.j:
-        mids.append(y(term.pp - term.j, term.qq))
-    if term.i:
-        mids.append(y(term.pp, term.qq - term.i))
-    if mids:
-        pieces.append((r" \cup " if latex else " u ").join(mids))
-    if term.i and term.j:
-        pieces.append(y(term.pp - term.j, term.qq - term.i))
-    body = "; ".join(pieces)
-    return f"[{body}]^*" if latex else f"[{body}]*"
+    return _x_text(pp, qq, latex)
 
 
 def expansion_text(exp: BezoutExpansion, amb, notation: str = "dim",
@@ -206,7 +195,7 @@ def term_json(term, amb) -> dict:
     if isinstance(term, FreeOrbit):
         return {"variant": "free", "indices": {"affine_dim": term.affine_dim,
                                                "target": term.target.as_list()}}
-    if isinstance(term, _FixedPoint):
+    if isinstance(term, FixedPoint):
         return {"variant": "fixed_point", "indices": {"component": term.component,
                                                       "regrade": term.regrade}}
     if isinstance(term, InvariantChain):

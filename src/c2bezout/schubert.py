@@ -1,6 +1,6 @@
 """Symbolic Schubert representatives and the Bezout expansion.
 
-Three kinds of geometric terms appear:
+Four kinds of geometric terms appear:
 
 * ``FreeOrbit`` -- a doubled nonequivariant subvariety, contributing a
   transfer class.  It carries its target degree explicitly because the
@@ -12,6 +12,8 @@ Three kinds of geometric terms appear:
   translate, with affine data (i, p_i, q_i) and isotropy defect
   k = i - p_i - q_i; optionally with one more singular level, recorded as
   "zeta0" or "zeta1" according to which fixed index drops.
+* ``FixedPoint`` -- a fixed point of one of the two fixed components,
+  the terms of the dimension-0 corollary.
 
 Coefficients in an expansion are stored as integer numerators over the
 fixed denominator 2; an odd numerator is only legal on a defect-0 binate
@@ -114,7 +116,24 @@ class BinatePair:
         return (amb.p + amb.q - self.i, amb.p - self.p_i, amb.q - self.q_i)
 
 
-GeometricTerm = Union[FreeOrbit, InvariantChain, BinatePair]
+@dataclass(frozen=True)
+class FixedPoint:
+    """A fixed point of the indicated component, regraded to its slot in
+    the Euler-class degree.  component 0 lies in the pointwise-fixed
+    projective subspace, component 1 in the twisted one."""
+
+    component: int
+    regrade: int  # m1 for component 0, m0 for component 1; <= 1
+    target: PiBDegree
+
+    def validate(self, amb: Ambient) -> None:
+        if self.component not in (0, 1):
+            raise InfeasibleTerm("bad fixed-point component")
+        if (amb.p, amb.q)[self.component] < 1:
+            raise InfeasibleTerm(f"{amb!r} has no fixed component {self.component}")
+
+
+GeometricTerm = Union[FreeOrbit, InvariantChain, BinatePair, FixedPoint]
 
 
 def class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
@@ -137,6 +156,15 @@ def _class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
     if isinstance(term, InvariantChain):
         return ProjClass.from_mono(
             amb, (term.i, term.j, amb.p - term.pp, amb.q - term.qq))
+    if isinstance(term, FixedPoint):
+        if term.component == 0:
+            mono = (0, term.regrade, amb.p - 1, amb.q)
+        else:
+            mono = (term.regrade, 0, amb.p, amb.q - 1)
+        cls = ProjClass.from_mono(amb, mono)
+        if not cls.is_zero() and cls.degree() != term.target:
+            raise InfeasibleTerm(f"fixed point regrade {term} misses its degree")
+        return cls
     # binate
     base = _binate_base(term, amb, numerator=2)
     if term.singular is None:
@@ -190,9 +218,6 @@ class BezoutExpansion:
                 raise ArithmeticError(
                     f"half-integral coefficient {num}/2 on non-divisible term {term}")
 
-    def nonzero_terms(self) -> list:
-        return [(n, t) for (n, t) in self.terms if n]
-
 
 def codim_data_roundtrip(term: GeometricTerm, amb: Ambient) -> bool:
     """Both notations must name the same stratum: converting the affine
@@ -244,7 +269,7 @@ def bezout_expansion(inv: BundleInvariants) -> BezoutExpansion:
             # the reference value is min(Delta0, Delta1) whenever that is
             # admissible; for negative degrees the other representative
             # may be forced (the expansion is independent of the choice)
-            dstar = bd._pick_delta_star(inv)
+            dstar = bd.pick_delta_star(inv)
             terms.append((dstar, BinatePair(m, m0, m1)))
             terms.append((inv.Delta0 - dstar, BinatePair(m, m0, m1 - 1, "zeta1")))
             terms.append((inv.Delta1 - dstar, BinatePair(m, m0 - 1, m1, "zeta0")))
@@ -309,39 +334,13 @@ def _dim0_case(inv: BundleInvariants) -> BezoutExpansion:
     inv.require_context()
     terms = []
     if inv.Delta0:
-        terms.append((2 * inv.Delta0, _FixedPoint(0, inv.m1, inv.euler_degree())))
+        terms.append((2 * inv.Delta0, FixedPoint(0, inv.m1, inv.euler_degree())))
     if inv.Delta1:
-        terms.append((2 * inv.Delta1, _FixedPoint(1, inv.m0, inv.euler_degree())))
+        terms.append((2 * inv.Delta1, FixedPoint(1, inv.m0, inv.euler_degree())))
     nfree = inv.Delta - inv.Delta0 - inv.Delta1
     if nfree:
         terms.append((nfree, _free_term(inv)))
     return BezoutExpansion((inv.p, inv.q), inv, terms, label="dim0")
-
-
-@dataclass(frozen=True)
-class _FixedPoint:
-    """A fixed point of the indicated component, regraded to its slot in
-    the Euler-class degree.  component 0 lies in the pointwise-fixed
-    projective subspace, component 1 in the twisted one."""
-
-    component: int
-    regrade: int  # m1 for component 0, m0 for component 1; <= 1
-    target: PiBDegree
-
-    def validate(self, amb: Ambient) -> None:
-        if self.component not in (0, 1):
-            raise InfeasibleTerm("bad fixed-point component")
-
-
-def class_of_fixed_point(term: _FixedPoint, amb: Ambient) -> ProjClass:
-    if term.component == 0:
-        mono = (0, term.regrade, amb.p - 1, amb.q)
-    else:
-        mono = (term.regrade, 0, amb.p, amb.q - 1)
-    cls = ProjClass.from_mono(amb, mono)
-    if not cls.is_zero() and cls.degree() != term.target:
-        raise InfeasibleTerm(f"fixed point regrade {term} misses its degree")
-    return cls
 
 
 def _dim1_table_case(inv: BundleInvariants) -> BezoutExpansion:
@@ -366,7 +365,7 @@ def _dim1_table_case(inv: BundleInvariants) -> BezoutExpansion:
                  (2 * D1, InvariantChain(0, 2, 1, 0)),
                  (D - D0 - D1, fr)]
     elif row == 1 and col == 1:
-        dstar = bd._pick_delta_star(inv)  # = DeltaMin on the standard grid
+        dstar = bd.pick_delta_star(inv)  # = DeltaMin on the standard grid
         terms = [(dstar, BinatePair(2, 1, 1)),
                  (D0 - dstar, BinatePair(2, 1, 0, "zeta1")),
                  (D1 - dstar, BinatePair(2, 0, 1, "zeta0")),
@@ -402,7 +401,7 @@ def _dim2_case(inv: BundleInvariants) -> BezoutExpansion:
                  (D - D0 - D1 - 2, fr)]
         label = "dim2-a"
     elif (inv.m, m0, m1, inv.ell) == (3, 2, 1, 0):
-        dstar = bd._pick_delta_star(inv)
+        dstar = bd.pick_delta_star(inv)
         terms = [(dstar, BinatePair(3, 2, 1)),
                  (D0 - dstar, BinatePair(3, 2, 0, "zeta1")),
                  (D1 - dstar, BinatePair(3, 1, 1, "zeta0")),
@@ -413,18 +412,3 @@ def _dim2_case(inv: BundleInvariants) -> BezoutExpansion:
             [f"dim-2 worked cases need (m,m0,m1,l) in {{(3,3,3,3),(3,2,1,0)}}, "
              f"got ({inv.m},{m0},{m1},{inv.ell})"])
     return BezoutExpansion((inv.p, inv.q), inv, [t for t in terms if t[0]], label=label)
-
-
-def expansion_class_full(exp: BezoutExpansion, amb: Ambient) -> ProjClass:
-    """expansion_class extended with the dim-0 fixed-point terms."""
-    out = ProjClass.zero(amb)
-    for num, term in exp.terms:
-        if num == 0:
-            continue
-        if isinstance(term, _FixedPoint):
-            out = out + class_of_fixed_point(term, amb).scale(num // 2)
-        elif num % 2 == 0:
-            out = out + class_of(term, amb).scale(num // 2)
-        else:
-            out = out + half_class_of(term, amb).scale(num)
-    return out

@@ -217,26 +217,35 @@ def point_symbols_in_window(window: int) -> list:
             and abs(pt.sym_degree(s).sign_rank) <= window]
 
 
-def check_point_table(rec: Recorder, window: int = 8) -> None:
+def point_census(window: int) -> dict:
+    """{(a, b): the window's symbols of degree a + b sigma}."""
     census: dict = {}
     for s in point_symbols_in_window(window):
-        d = pt.sym_degree(s)
-        census.setdefault((d.trivial_rank, d.sign_rank), []).append(s)
+        census.setdefault(pt.sym_ranks(s), []).append(s)
+    return census
+
+
+def point_group(syms: list) -> str:
+    """The group of one degree of the point ring, read off the symbols
+    spanning it: A(C2) for {1, g}, Z/2 for one 2-torsion e^m xi^n, Z for
+    any other single symbol, 0 for none.  Any other span is named by its
+    size, which matches no group of Fig. 1."""
+    if sorted(syms) == [pt.S_ONE, pt.S_G]:
+        return "A(C2)"
+    if len(syms) == 1:
+        return "Z/2" if syms[0][0] == "exi" else "Z"
+    return f"{len(syms)} symbols" if syms else "0"
+
+
+def check_point_table(rec: Recorder, window: int = 8) -> None:
+    census = point_census(window)
     name = "point_table_fig1"
     params = {"window": window}
     for a in range(-window, window + 1):
         for b in range(-window, window + 1):
             want = _fig1_expected(a, b)
             syms = census.get((a, b), [])
-            if want == "A(C2)":
-                got_ok = sorted(syms) == sorted([pt.S_ONE, pt.S_G])
-            elif want == "Z":
-                got_ok = len(syms) == 1 and syms[0][0] != "exi"
-            elif want == "Z/2":
-                got_ok = len(syms) == 1 and syms[0][0] == "exi"
-            else:
-                got_ok = not syms
-            if not got_ok:
+            if point_group(syms) != want:
                 rec.fail(name, dict(params, a=a, b=b),
                          f"expected {want}, found symbols {syms}")
                 return
@@ -255,28 +264,22 @@ def check_point_axioms(rec: Recorder, window: int = 8) -> None:
                   for x, y in itertools.combinations(vals, 2))
     rec.check("point_mul_commutative", {"window": window}, ok_comm)
     small = [pt.p_sym(s) for s in point_symbols_in_window(4)]
-    ok_assoc = True
-    for x, y, z in itertools.product(small, repeat=3):
-        if pt.p_mul(pt.p_mul(x, y), z) != pt.p_mul(x, pt.p_mul(y, z)):
-            ok_assoc = False
-            break
+    ok_assoc = all(pt.p_mul(pt.p_mul(x, y), z) == pt.p_mul(x, pt.p_mul(y, z))
+                   for x, y, z in itertools.product(small, repeat=3))
     rec.check("point_mul_associative", {"window": 4}, ok_assoc)
-    ok_rho = all(pt.p_rho(pt.p_mul(x, y)) ==
-                 _lpoint_mul(pt.p_rho(x), pt.p_rho(y))
+    ok_rho = all(_point_shadow(pt.p_mul(x, y)) ==
+                 l_mul(_point_shadow(x), _point_shadow(y))
                  for x, y in itertools.combinations_with_replacement(vals, 2))
     rec.check("point_rho_ring_hom", {"window": window}, ok_rho)
     ok_fix = all(pt.p_fixed(pt.p_mul(x, y)) == pt.p_fixed(x) * pt.p_fixed(y)
                  for x, y in itertools.combinations_with_replacement(vals, 2))
     rec.check("point_fixed_ring_hom", {"window": window}, ok_fix)
-    ok_frob = True
-    for x in vals:
-        for k in range(-4, 5):
-            lhs = pt.p_mul(x, pt.p_tau({2 * k: 1}))
-            rhs = pt.p_tau({2 * k + ie: c for ie, c in pt.p_rho(x).items()})
-            if lhs != rhs:
-                ok_frob = False
-        if pt.p_tau(pt.p_rho(x)) != pt.p_mul(pt.p_sym(pt.S_G), x):
-            ok_frob = False
+    ok_frob = all(
+        all(pt.p_mul(x, pt.p_tau({2 * k: 1}))
+            == pt.p_tau({2 * k + ie: c for ie, c in pt.p_rho(x).items()})
+            for k in range(-4, 5))
+        and pt.p_tau(pt.p_rho(x)) == pt.p_mul(pt.p_sym(pt.S_G), x)
+        for x in vals)
     rec.check("point_frobenius", {"window": window, "k_max": 4}, ok_frob)
     kap = pt.p_kappa()
     rec.check("point_kappa", {},
@@ -287,16 +290,24 @@ def check_point_axioms(rec: Recorder, window: int = 8) -> None:
               == pt.p_sym(("eik", 2), 2))
 
 
-def _lpoint_mul(x: dict, y: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in x.items():
-        for e2, c2 in y.items():
-            n = out.get(e1 + e2, 0) + c1 * c2
-            if n:
-                out[e1 + e2] = n
-            else:
-                out.pop(e1 + e2, None)
-    return out
+def _point_shadow(x: pt.Terms) -> dict:
+    """The restriction of a point element, on laurent (iota, 0, 0) keys."""
+    return {(e, 0, 0): c for e, c in pt.p_rho(x).items()}
+
+
+def _fixed_shadows(cls: pj.ProjClass) -> tuple:
+    """The two fixed-point images of a class, on laurent (0, 0, c) keys."""
+    return tuple({(0, 0, k): v for k, v in side.items()} for side in cls.fixed())
+
+
+def _first_failure(cases, failure):
+    """(case, failure(case)) for the first case whose failure is not None,
+    or None.  Cases are drawn lazily: nothing after it is computed."""
+    for case in cases:
+        found = failure(case)
+        if found is not None:
+            return case, found
+    return None
 
 
 def check_grading(rec: Recorder, bound: int = 4) -> None:
@@ -392,23 +403,22 @@ def check_freeness(rec: Recorder, cfg: SweepConfig) -> None:
             ok_two = all(max(avals.count(v) for v in set(avals)) <= 2
                          for avals in a_values.values())
             rec.check("basis_at_most_two_slots", params, ok_two)
-            bad = 0
-            total = 0
-            for i, ma in enumerate(monos):
-                for mb in monos[i:]:
-                    total += 1
-                    prod = pj.ProjClass.from_mono(amb, pj.mono_mul(ma, mb))
-                    try:
-                        prod.reduce_to_basis()
-                    except Exception as exc:  # escape from the basis = bug
-                        bad += 1
-                        rec.fail("freeness_products", dict(params, a=ma, b=mb),
-                                 f"{exc}")
-                        break
-                if bad:
-                    break
-            if not bad:
-                rec.ok("freeness_products", params, cases=total)
+            pairs = [(ma, mb) for i, ma in enumerate(monos) for mb in monos[i:]]
+
+            def escape(pair):
+                prod = pj.ProjClass.from_mono(amb, pj.mono_mul(*pair))
+                try:
+                    prod.reduce_to_basis()
+                except Exception as exc:  # escape from the basis = bug
+                    return exc
+                return None
+
+            bad = _first_failure(pairs, escape)
+            if bad is None:
+                rec.ok("freeness_products", params, cases=len(pairs))
+            else:
+                (ma, mb), exc = bad
+                rec.fail("freeness_products", dict(params, a=ma, b=mb), f"{exc}")
 
 
 def _random_class(rng: random.Random, amb: pj.Ambient) -> pj.ProjClass:
@@ -424,47 +434,31 @@ def _random_class(rng: random.Random, amb: pj.Ambient) -> pj.ProjClass:
     return out
 
 
-def _fixed_mul(x: tuple, y: tuple, p: int, q: int) -> tuple:
-    def polymul(a, b, trunc):
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                if e1 + e2 >= trunc:
-                    continue
-                n = out.get(e1 + e2, 0) + c1 * c2
-                if n:
-                    out[e1 + e2] = n
-                else:
-                    out.pop(e1 + e2, None)
-        return out
-
-    return (polymul(x[0], y[0], p), polymul(x[1], y[1], q))
-
-
 def check_random_homs(rec: Recorder, cfg: SweepConfig) -> None:
     for amb in _ambients(cfg.p_max, cfg.q_max):
         params = {"p": amb.p, "q": amb.q, "pairs": cfg.random_pairs,
                   "seed": cfg.seed}
         rng = random.Random(f"{cfg.seed}:{amb.p}:{amb.q}:homs")
-        trunc = amb.p + amb.q
-        ok = True
-        for _ in range(cfg.random_pairs):
-            x = _random_class(rng, amb)
-            y = _random_class(rng, amb)
+        pairs = ((_random_class(rng, amb), _random_class(rng, amb))
+                 for _ in range(cfg.random_pairs))
+
+        def differs(pair):
+            x, y = pair
             prod = x * y
-            if prod.rho() != l_mul(x.rho(), y.rho(), trunc):
-                ok = False
-                rec.fail("rho_ring_hom", params, "rho(ab) != rho(a)rho(b)",
-                         render.proj_text(x), render.proj_text(y))
-                break
-            if prod.fixed() != _fixed_mul(x.fixed(), y.fixed(), amb.p, amb.q):
-                ok = False
-                rec.fail("fixed_ring_hom", params, "(ab)^C2 != a^C2 b^C2",
-                         render.proj_text(x), render.proj_text(y))
-                break
-        if ok:
+            if prod.rho() != l_mul(x.rho(), y.rho(), amb.p + amb.q):
+                return "rho_ring_hom", "rho(ab) != rho(a)rho(b)"
+            (x0, x1), (y0, y1) = _fixed_shadows(x), _fixed_shadows(y)
+            if _fixed_shadows(prod) != (l_mul(x0, y0, amb.p), l_mul(x1, y1, amb.q)):
+                return "fixed_ring_hom", "(ab)^C2 != a^C2 b^C2"
+            return None
+
+        bad = _first_failure(pairs, differs)
+        if bad is None:
             rec.ok("rho_ring_hom", params, cases=cfg.random_pairs)
             rec.ok("fixed_ring_hom", params, cases=cfg.random_pairs)
+        else:
+            (x, y), (name, detail) = bad
+            rec.fail(name, params, detail, render.proj_text(x), render.proj_text(y))
 
 
 def check_frobenius_module(rec: Recorder, cfg: SweepConfig) -> None:
@@ -472,31 +466,24 @@ def check_frobenius_module(rec: Recorder, cfg: SweepConfig) -> None:
         params = {"p": amb.p, "q": amb.q}
         gens = [pj.gen_zeta0(amb), pj.gen_zeta1(amb), pj.gen_cw(amb),
                 pj.gen_cxw(amb), pj.class_Q(amb), pj.class_chi_Q(amb)]
-        ok = True
-        for y in gens:
-            for a in range(-2, 3):
-                for b in range(-2, 3):
-                    for k in range(0, amb.p + amb.q):
-                        x = {(2 * a, b, k): 1}
-                        lhs = y * pj.proj_tau(amb, x)
-                        rhs = pj.proj_tau(
-                            amb, l_mul(y.rho(), x, amb.p + amb.q))
-                        if lhs != rhs:
-                            ok = False
-                            rec.fail("frobenius_module",
-                                     dict(params, a=2 * a, b=b, k=k),
-                                     "y tau(x) != tau(rho(y) x)",
-                                     render.proj_text(lhs),
-                                     render.proj_text(rhs))
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        trunc = amb.p + amb.q
+        cases = itertools.product(gens, range(-2, 3), range(-2, 3), range(trunc))
+
+        def differs(case):
+            y, a, b, k = case
+            x = {(2 * a, b, k): 1}
+            lhs = y * pj.proj_tau(amb, x)
+            rhs = pj.proj_tau(amb, l_mul(y.rho(), x, trunc))
+            return None if lhs == rhs else (lhs, rhs)
+
+        bad = _first_failure(cases, differs)
+        if bad is None:
             rec.ok("frobenius_module", params, cases=len(gens) * 25)
+        else:
+            (_, a, b, k), (lhs, rhs) = bad
+            rec.fail("frobenius_module", dict(params, a=2 * a, b=b, k=k),
+                     "y tau(x) != tau(rho(y) x)",
+                     render.proj_text(lhs), render.proj_text(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +642,6 @@ def check_type_blocks(rec: Recorder, cfg: SweepConfig) -> None:
         amb = pj.ambient(p, q)
         for fam in bd.FAMILIES:
             params = {"p": p, "q": q, "family": fam}
-            count = 0
             for size in range(0, 4):
                 for degs in itertools.combinations_with_replacement(
                         deg_options[fam], size):
@@ -673,7 +659,6 @@ def check_type_blocks(rec: Recorder, cfg: SweepConfig) -> None:
                         alt = bd.euler_type_block_binomial(amb, size, dprod)
                         rec.eq("type_block_iv_binomial",
                                dict(params, degrees=list(degs)), block, alt)
-                    count += 1
     # the odd-by-odd closed product
     for (p, q) in ((2, 2), (3, 2), (4, 3)):
         amb = pj.ambient(p, q)
@@ -789,7 +774,7 @@ def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
                 if inv.m == 1:
                     d0 = sb.special_case("dim0", inv)
                     rec.eq("corollary_dim0", params,
-                           sb.expansion_class_full(d0, amb), product, detail=case)
+                           sb.expansion_class(d0, amb), product, detail=case)
                     counts = _dim0_counts(d0)
                     rec.check("corollary_dim0_counts", params,
                               counts == (inv.Delta0, inv.Delta1,
@@ -811,7 +796,7 @@ def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
 def _dim0_counts(exp: sb.BezoutExpansion) -> tuple:
     plus = minus = free = 0
     for num, term in exp.terms:
-        if isinstance(term, sb._FixedPoint):
+        if isinstance(term, sb.FixedPoint):
             if term.component == 0:
                 plus += num // 2
             else:

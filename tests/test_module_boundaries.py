@@ -1,0 +1,62 @@
+"""No module of the package reaches into a sibling's private names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "c2bezout"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _sibling(node: ast.ImportFrom) -> str | None:
+    """The sibling module an import names, or "" for the package itself."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "c2bezout":
+        return node.module.partition(".")[2]
+    return None
+
+
+def private_uses(source: str) -> list:
+    """"module.name" for each private name of a sibling module that the
+    source imports or reads as an attribute."""
+    tree = ast.parse(source)
+    aliases = {}  # local name -> sibling module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _sibling(node) is not None:
+            module = _sibling(node)
+            for alias in node.names:
+                if not module:       # from . import point as pt
+                    aliases[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.append(f"{module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("c2bezout.") and alias.asname:
+                    aliases[alias.asname] = alias.name.partition(".")[2]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _private(node.attr)):
+            found.append(f"{aliases[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_the_scan_sees_both_forms():
+    src = ("from . import point as pt\n"
+           "from .schubert import FreeOrbit, _Hidden\n"
+           "from c2bezout.bundles import _helper\n"
+           "x = pt._sym_text(s) or pt.p_text(s)\n"
+           "y = self._cache\n")
+    assert private_uses(src) == ["schubert._Hidden", "bundles._helper",
+                                 "point._sym_text"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_names_across_modules(path):
+    assert private_uses(path.read_text()) == []

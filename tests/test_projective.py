@@ -82,14 +82,26 @@ def test_transfer_degree_guard(a22):
 
 
 def test_basis_enumeration_examples():
-    assert pj.ambient(2, 1).basis(0) == [
-        (0, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1)]
-    assert pj.ambient(3, 0).basis(2) == [
-        (0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0)]
+    assert pj.ambient(2, 1).basis(0) == (
+        (0, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1))
+    assert pj.ambient(3, 0).basis(2) == (
+        (0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0))
     for m in range(-11, 12):
         basis = pj.ambient(4, 5).basis(m)
         assert len(basis) == 9
         assert all(pj.mono_coset(mono) == m for mono in basis)
+
+
+def test_cached_basis_cannot_be_changed():
+    amb = pj.ambient(2, 1)
+    basis = amb.basis(0)
+    with pytest.raises(AttributeError):
+        basis.append((9, 9, 9, 9))
+    with pytest.raises(TypeError):
+        basis[0] = (9, 9, 9, 9)
+    assert amb.basis(0) == ((0, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1))
+    assert amb.basis_set(0) == frozenset(amb.basis(0))
+    assert len(amb.basis_set(0)) == 3
 
 
 def test_basis_matches_normal_monomials():

@@ -72,13 +72,62 @@ def test_dim0_counting_example():
     exp = sb.special_case("dim0", inv)
     got = {}
     for num, term in exp.terms:
-        if isinstance(term, sb._FixedPoint):
+        if isinstance(term, sb.FixedPoint):
             got["plus" if term.component == 0 else "minus"] = num // 2
         else:
             got["free"] = num // 2
     assert got == {"plus": 3}
-    assert sb.expansion_class_full(exp, amb) == bd.euler_product(
+    assert sb.expansion_class(exp, amb) == bd.euler_product(
         amb, bd.BundleSum((2, 1), bd.parse_bundles("O(3),xO(1)")))
+
+
+@pytest.mark.parametrize("p,q,tokens", [
+    (2, 1, "O(3),xO(1)"),                # a fixed point of component 0
+    (1, 2, "O(1),xO(1)"),                # component 1
+    (1, 2, "xO(1),xO(4)"),               # both, and free orbits
+    (2, 2, "O(2),O(2),xO(2)"),           # free orbits only
+    (3, 2, "O(1),O(1),O(2),xO(2)"),
+])
+def test_dim0_terms_go_through_class_of(p, q, tokens):
+    amb = pj.ambient(p, q)
+    bs = bd.BundleSum((p, q), bd.parse_bundles(tokens))
+    inv = bd.bundle_invariants(bs)
+    exp = sb.special_case("dim0", inv)
+    product = bd.euler_product(amb, bs)
+    assert sb.expansion_class(exp, amb) == product
+    total = pj.ProjClass.zero(amb)
+    for num, term in exp.terms:
+        assert num % 2 == 0
+        total = total + sb.class_of(term, amb).scale(num // 2)
+    assert total == product
+
+
+def test_fixed_point_classes_and_guards():
+    amb = pj.ambient(2, 1)
+    target = mkinv(2, 1, "O(3),xO(1)").euler_degree()
+    plus = sb.FixedPoint(0, 0, target)
+    assert sb.class_of(plus, amb) == pj.ProjClass.from_mono(amb, (0, 0, 1, 1))
+    assert sb.class_of(plus, amb) is not sb.class_of(plus, amb)
+    assert sb.class_of(plus, amb).terms is sb.class_of(plus, amb).terms
+    with pytest.raises(sb.InfeasibleTerm):
+        sb.class_of(sb.FixedPoint(2, 0, target), amb)
+    with pytest.raises(sb.InfeasibleTerm):
+        sb.class_of(sb.FixedPoint(0, 1, target), amb)  # misses its degree
+    for component, space in ((0, (0, 2)), (1, (2, 0))):
+        with pytest.raises(sb.InfeasibleTerm):
+            sb.class_of(sb.FixedPoint(component, 0, target), pj.ambient(*space))
+
+
+def test_dim0_rendering():
+    amb = pj.ambient(2, 1)
+    exp = sb.special_case("dim0", mkinv(2, 1, "O(3),xO(1)"))
+    assert render.expansion_text(exp, amb, "dim") == "3 pt+"
+    assert render.expansion_text(exp, amb, "codim") == "3 pt+"
+    assert render.expansion_text(exp, amb, "dim", latex=True) == r"3 \mathrm{pt}^+"
+    assert render.expansion_json(exp, amb) == [{
+        "coeff_num": 6, "coeff_den": 2,
+        "term": {"variant": "fixed_point",
+                 "indices": {"component": 0, "regrade": 0}}}]
 
 
 def test_codim1_single_odd_line():

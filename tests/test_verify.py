@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from c2bezout import laurent
+from c2bezout import projective as pj
 from c2bezout import verify as vf
 
 
@@ -92,3 +94,53 @@ def test_report_text_lists_failure_forms():
     text = vf.report_text(rep)
     assert "FAIL broken" in text
     assert "lhs = x" in text and "rhs = y" in text
+
+
+def _doubled_l_mul(x, y, c_trunc=None):
+    return {m: 2 * c for m, c in laurent.l_mul(x, y, c_trunc).items()}
+
+
+def test_hom_checks_record_their_first_failure(monkeypatch):
+    monkeypatch.setattr(vf, "l_mul", _doubled_l_mul)
+    cfg = vf.SweepConfig(p_max=1, q_max=1, random_pairs=5)
+    rep = vf.run_verify(cfg, groups=("random_homs", "frobenius_module"))
+    by_space = {}
+    for r in rep.records:
+        by_space.setdefault((r.name, r.params["p"], r.params["q"]), []).append(r)
+    spaces = [(0, 1), (1, 0), (1, 1)]
+    for p, q in spaces:
+        homs = by_space[("rho_ring_hom", p, q)]
+        assert [r.status for r in homs] == ["fail"]
+        assert homs[0].detail == "rho(ab) != rho(a)rho(b)"
+        assert homs[0].lhs and homs[0].rhs
+        assert ("fixed_ring_hom", p, q) not in by_space
+        frob = by_space[("frobenius_module", p, q)]
+        assert [r.status for r in frob] == ["fail"]
+        # the first generator, zeta0, and the first (a, b, k) already differ
+        assert frob[0].params == {"p": p, "q": q, "a": -4, "b": -2, "k": 0}
+    assert len(rep.records) == 2 * len(spaces)
+
+
+def test_fixed_hom_check_records_its_failure(monkeypatch):
+    # a constant nonzero fixed image is never multiplicative
+    monkeypatch.setattr(pj.ProjClass, "fixed", lambda cls: ({0: 7}, {}))
+    cfg = vf.SweepConfig(p_max=1, q_max=1, random_pairs=5)
+    rep = vf.run_verify(cfg, groups=("random_homs",))
+    assert [(r.name, r.status, r.params["p"], r.params["q"]) for r in rep.records] == [
+        ("fixed_ring_hom", "fail", 0, 1), ("fixed_ring_hom", "fail", 1, 0),
+        ("fixed_ring_hom", "fail", 1, 1)]
+    assert all(r.detail == "(ab)^C2 != a^C2 b^C2" for r in rep.records)
+
+
+def test_freeness_records_the_first_escape(monkeypatch):
+    def escape(cls):
+        raise pj.KernelError(f"escaped {cls.terms[0][0]}")
+
+    monkeypatch.setattr(pj.ProjClass, "reduce_to_basis", escape)
+    cfg = vf.SweepConfig(pq_sum_max=1)
+    rep = vf.run_verify(cfg, groups=("freeness",))
+    fails = [r for r in rep.records if r.name == "freeness_products"]
+    assert [(r.status, r.params) for r in fails] == [
+        ("fail", {"p": 0, "q": 1, "a": (3, 0, 0, 0), "b": (3, 0, 0, 0)}),
+        ("fail", {"p": 1, "q": 0, "a": (0, -3, 0, 0), "b": (0, -3, 0, 0)})]
+    assert fails[0].detail == "escaped (6, 0, 0, 0)"
