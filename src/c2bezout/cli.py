@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: euler, bezout, basis, point-table, verify.
-Exit codes: 0 ok, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 ok, 1 verification failure, 2 usage or parse error,
+3 kernel or resource failure (an error, not a verdict).
 """
 
 from __future__ import annotations
@@ -240,6 +241,11 @@ def main(argv=None) -> int:
     except (bd.ContextViolation, pt.OutsideSupportedSubring) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (pj.KernelError, RecursionError, MemoryError, ArithmeticError) as exc:
+        detail = " ".join(str(exc).split())  # one line
+        print(f"error: {type(exc).__name__}" + (f": {detail}" if detail else ""),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,10 +13,11 @@ classes) into this form using the ring relations
     zeta1 c_xw = (1-kappa) zeta0 c_w + e^2     (and its mirror)
     c_w^p c_xw^q = 0
 
-together with the divided-class bookkeeping for saturated powers.  The
-normal monomial set coincides, coset by coset, with the standard free
-basis; that coincidence (and hence confluence) is enforced by tests, not
-assumed.
+together with the divided-class bookkeeping for saturated powers.  It
+walks the rewrite DAG with an explicit stack, so no input meets a
+recursion-depth limit.  The normal monomial set coincides, coset by
+coset, with the standard free basis; that coincidence (and hence
+confluence) is enforced by tests, not assumed.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ class KernelError(RuntimeError):
 
 
 ONE: pt.Coeff = ((pt.S_ONE, 1),)  # the unit coefficient, frozen
+_ONE_MINUS_KAPPA: pt.Coeff = pt.p_freeze(pt.p_one_minus_kappa())
+
+
+def _xi(n: int) -> pt.Coeff:
+    return ((("xi", n), 1),)
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -67,6 +73,13 @@ def mono_rho(m: Mono) -> tuple:
 
 
 _CACHE_LIMIT = pt.CACHE_LIMIT
+
+# A cache miss whose rewrite DAG has at most this many new monomials is
+# evaluated bottom-up, memoising every one of them: later calls ask for
+# many of them by name.  A larger DAG is evaluated top-down and only its
+# root is memoised, since the normal forms along its peel chains grow
+# with their length.
+_MEMO_DAG_NODES = 8
 
 
 class Ambient:
@@ -135,20 +148,85 @@ class Ambient:
         cached = self._reduce.get(m)
         if cached is not None:
             return cached
-        out = self._reduce_uncached(m, 0)
-        if len(self._reduce) > _CACHE_LIMIT:
-            self._reduce.clear()
-        return out
+        return self._reduce_walk(m)
 
-    def _reduce_uncached(self, m: Mono, depth: int) -> tuple:
-        if depth > 64 + 4 * sum(abs(e) for e in m):
-            raise KernelError(f"reduction of {m} did not terminate")
-        cached = self._reduce.get(m)
-        if cached is not None:
-            return cached
-        out = self._reduce_step(m, depth)
-        # every rewrite is degree-honest; check once per monomial.  A point
-        # symbol of degree a + b sigma has ranks (a + b, a, a).
+    def _reduce_walk(self, root: Mono) -> tuple:
+        """Normal form of a monomial missing from the cache.
+
+        Walks the rewrite DAG below root with an explicit stack, stopping
+        at cached and normal monomials; a monomial met again on its own
+        rewrite path, or a path past the depth guard, is a KernelError.
+        Terms read from the cache are kept in `known`, so a concurrent
+        clear cannot lose them.  A small DAG is evaluated bottom-up and
+        every monomial in it is memoised; a large one pushes coefficients
+        top-down, one product per edge, and memoises the root alone.
+        """
+        cache = self._reduce
+        known: dict = {}    # monomial -> normal form, read or computed here
+        edges: dict = {}    # new monomial -> its rewrite, None if normal
+        done: set = set()
+        order: list = []    # new monomials, children before parents
+        edges[root] = self._rewrite(root)
+        stack = [(root, 0, iter(edges[root] or ()))]
+        while stack:
+            m, depth, children = stack[-1]
+            for child, _ in children:
+                if child in edges:
+                    if child not in done:
+                        raise KernelError(f"reduction of {child} did not terminate")
+                    continue
+                if child in known:
+                    continue
+                terms = cache.get(child)
+                if terms is not None:
+                    known[child] = terms
+                    continue
+                if depth + 1 > 64 + 4 * sum(abs(e) for e in child):
+                    raise KernelError(f"reduction of {child} did not terminate")
+                rule = edges[child] = self._rewrite(child)
+                stack.append((child, depth + 1, iter(rule or ())))
+                break
+            else:
+                stack.pop()
+                done.add(m)
+                order.append(m)
+        if len(order) <= _MEMO_DAG_NODES:
+            for m in order:
+                rule = edges[m]
+                if rule is None:
+                    out = ((m, ONE),)
+                else:
+                    acc: dict = {}
+                    for child, coeff in rule:
+                        _add_scaled(acc, known[child], coeff)
+                    out = _freeze_terms(acc)
+                self._check_degrees(m, out)
+                known[m] = _remember(cache, m, out)
+            return known[root]
+        weight = {root: ONE}
+        acc = {}
+        for m in reversed(order):
+            w = weight.pop(m, None)
+            if not w:
+                continue
+            rule = edges[m]
+            if rule is None:
+                _add_scaled(acc, ((m, w),), None)
+                continue
+            for child, coeff in rule:
+                c = coeff if w == ONE else pt.p_mul(w, coeff)
+                if child in known:
+                    _add_scaled(acc, known[child], c)
+                else:
+                    cur = weight.get(child)
+                    weight[child] = c if cur is None else pt.p_add(cur, c)
+        out = _freeze_terms(acc)
+        self._check_degrees(root, out)
+        return _remember(cache, root, out)
+
+    def _check_degrees(self, m: Mono, out: tuple) -> None:
+        """Every rewrite is degree-honest; check each stored normal form.
+        A point symbol of degree a + b sigma has ranks (a + b, a, a)."""
         want = mono_ranks(m)
         for mono, coeff in out:
             t, f0, f1 = mono_ranks(mono)
@@ -157,48 +235,37 @@ class Ambient:
                 if (t + a + b, f0 + a, f1 + a) != want:
                     raise KernelError(
                         f"degree drift reducing {m}: term {mono} carries {s}")
-        self._reduce[m] = out
-        return out
 
-    def _rec(self, m: Mono, coeff: pt.Terms, depth: int, acc: dict) -> None:
-        _add_scaled(acc, self._reduce_uncached(m, depth + 1), coeff)
-
-    def _reduce_step(self, m: Mono, depth: int) -> tuple:
+    def _rewrite(self, m: Mono):
+        """One rewrite of m as ((child, coeff), ...): () when m vanishes,
+        None when m is normal."""
         z0, z1, cw, ccw = m
         p, q = self.p, self.q
-        acc: dict = {}
         e2 = self._e2
-        one_minus_kappa = pt.p_one_minus_kappa()
         if cw >= p and ccw >= q:
             return ()
         if z0 > 0 and z1 > 0:
             t = min(z0, z1)
-            self._rec((z0 - t, z1 - t, cw, ccw), pt.p_sym(("xi", t)), depth, acc)
-            return _freeze_terms(acc)
+            return (((z0 - t, z1 - t, cw, ccw), _xi(t)),)
         if z1 > 0 and (z0 < 0 or cw >= p):
-            self._rec((z0 - z1, 0, cw, ccw), pt.p_sym(("xi", z1)), depth, acc)
-            return _freeze_terms(acc)
+            return (((z0 - z1, 0, cw, ccw), _xi(z1)),)
         if z0 > 0 and (z1 < 0 or ccw >= q):
-            self._rec((0, z1 - z0, cw, ccw), pt.p_sym(("xi", z0)), depth, acc)
-            return _freeze_terms(acc)
+            return (((0, z1 - z0, cw, ccw), _xi(z0)),)
         if cw > p:
             # peel one (zeta0 c_w) = (1-kappa) zeta1 c_xw + e^2
-            self._rec((z0 - 1, z1 + 1, cw - 1, ccw + 1), one_minus_kappa, depth, acc)
-            self._rec((z0 - 1, z1, cw - 1, ccw), e2, depth, acc)
-            return _freeze_terms(acc)
+            return (((z0 - 1, z1 + 1, cw - 1, ccw + 1), _ONE_MINUS_KAPPA),
+                    ((z0 - 1, z1, cw - 1, ccw), e2))
         if ccw > q or (z1 > 0 and ccw > 0):
             # peel one (zeta1 c_xw) = (1-kappa) zeta0 c_w + e^2
-            self._rec((z0 + 1, z1 - 1, cw + 1, ccw - 1), one_minus_kappa, depth, acc)
-            self._rec((z0, z1 - 1, cw, ccw - 1), e2, depth, acc)
-            return _freeze_terms(acc)
+            return (((z0 + 1, z1 - 1, cw + 1, ccw - 1), _ONE_MINUS_KAPPA),
+                    ((z0, z1 - 1, cw, ccw - 1), e2))
         if z0 >= 2 and cw >= 1:
             # zeta0 * (zeta0 c_w) = xi c_xw + e^2 zeta0
-            self._rec((z0 - 2, z1, cw - 1, ccw + 1), pt.p_sym(("xi", 1)), depth, acc)
-            self._rec((z0 - 1, z1, cw - 1, ccw), e2, depth, acc)
-            return _freeze_terms(acc)
+            return (((z0 - 2, z1, cw - 1, ccw + 1), _xi(1)),
+                    ((z0 - 1, z1, cw - 1, ccw), e2))
         if not self.is_normal_mono(m):
             raise KernelError(f"stuck at non-normal monomial {m} in {self!r}")
-        return ((m, ONE),)
+        return None
 
     # -- basis ------------------------------------------------------------
 
@@ -206,7 +273,7 @@ class Ambient:
         """Ordered free basis of the coset m*omega + RO(C2)."""
         got = self._basis.get(m)
         if got is None:
-            got = _remember(self._basis, m, tuple(_basis_rec(self.p, self.q, m)))
+            got = _remember(self._basis, m, _basis_of(self.p, self.q, m))
         return got
 
     def basis_set(self, m: int) -> frozenset:
@@ -216,18 +283,24 @@ class Ambient:
         return got
 
 
-def _basis_rec(p: int, q: int, m: int) -> list:
+def _basis_of(p: int, q: int, m: int) -> tuple:
+    """The basis of coset m: while both p and q are positive, the head
+    zeta1^m (m >= 0) or zeta0^-m (m < 0) is followed by the basis of the
+    space one smaller in p or q, shifted by c_w or c_xw."""
+    out = []
+    cw = ccw = 0
+    while p and q:
+        if m >= 0:
+            out.append((0, m, cw, ccw))
+            p, m, cw = p - 1, m - 1, cw + 1
+        else:
+            out.append((-m, 0, cw, ccw))
+            q, m, ccw = q - 1, m + 1, ccw + 1
     if p == 0:
-        return [(-m - j, 0, 0, j) for j in range(q)]
-    if q == 0:
-        return [(0, m - j, j, 0) for j in range(p)]
-    if m >= 0:
-        head = (0, m, 0, 0)
-        tail = [(z0, z1, cw + 1, ccw) for (z0, z1, cw, ccw) in _basis_rec(p - 1, q, m - 1)]
+        out.extend((-m - j, 0, cw, ccw + j) for j in range(q))
     else:
-        head = (-m, 0, 0, 0)
-        tail = [(z0, z1, cw, ccw + 1) for (z0, z1, cw, ccw) in _basis_rec(p, q - 1, m + 1)]
-    return [head] + tail
+        out.extend((0, m - j, cw + j, ccw) for j in range(p))
+    return tuple(out)
 
 
 def _remember(cache: dict, key, value):

@@ -232,7 +232,14 @@ def codim_data_roundtrip(term: GeometricTerm, amb: Ambient) -> bool:
     if isinstance(term, BinatePair):
         lam, lp, lm = term.codim_data(amb)
         return (p + q - lam, p - lp, q - lm) == (term.i, term.p_i, term.q_i)
-    return True
+    if isinstance(term, FixedPoint):
+        # pt+ and pt- are the chains X^{1,0} and X^{0,1}
+        if term.component not in (0, 1):
+            return False
+        pp, qq = 1 - term.component, term.component
+        lam, lp, lm = p + q - pp - qq, p - pp, q - qq
+        return (p - lp, q - lm) == (pp, qq) and lam == lp + lm
+    raise TypeError(f"unknown term {term!r}")
 
 
 def expansion_class(exp: BezoutExpansion, amb: Ambient) -> ProjClass:

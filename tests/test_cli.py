@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from c2bezout import cli
 from c2bezout import point as pt
 from c2bezout import projective as pj
 from c2bezout import verify as vf
@@ -96,6 +99,12 @@ def test_basis_diagram(capsys):
     assert out.count("*") == 9
 
 
+def test_basis_of_a_large_space(capsys):
+    code, out, err = run(capsys, "basis", "--p", "600", "--q", "600", "--m", "0")
+    assert code == 0 and err == ""
+    assert len(out.strip().split(", ")) == 1200
+
+
 def test_point_table(capsys):
     code, out, _ = run(capsys, "point-table", "--window", "4")
     assert code == 0
@@ -146,6 +155,29 @@ def test_verify_corrupted_rule_fails(capsys):
 def test_usage_error(capsys):
     assert main(["euler", "--p", "2"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("exc, want", [
+    (pj.KernelError("stuck at non-normal monomial"), 3),
+    (pj.KernelError("reduction of (0, 0, 9, 9)\ndid not terminate"), 3),
+    (RecursionError("maximum recursion depth exceeded"), 3),
+    (MemoryError(), 3),
+    (ArithmeticError("coefficient 1/2 is not integral"), 3),
+    (ZeroDivisionError("division by zero"), 3),
+    (pt.OutsideSupportedSubring("tau(iota^1) lies outside"), 2),
+], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v))
+def test_kernel_and_resource_failures_exit_3(monkeypatch, capsys, exc, want):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_basis", fail)
+    code, out, err = run(capsys, "basis", "--p", "2", "--q", "1", "--m", "0")
+    assert code == want
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if want == 3:
+        assert type(exc).__name__ in err
 
 
 def test_cache_size_env_respected():

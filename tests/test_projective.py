@@ -1,4 +1,9 @@
 import gc
+import os
+import random
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import pytest
@@ -217,6 +222,162 @@ def test_random_monomial_products_associate(p, q, data):
         monos.append(basis[data.draw(st.integers(0, len(basis) - 1))])
     a, b, c = (pj.ProjClass.from_mono(amb, m) for m in monos)
     assert (a * b) * c == a * (b * c)
+
+
+# ---------------------------------------------------------------------------
+# the reducer on large inputs
+
+def _reference_reduce(amb, m, memo):
+    """The recursive rewrite system, rule for rule and in the same order,
+    memoising every intermediate normal form as {mono: point terms}: an
+    independent reference for the kernel's iterative reducer."""
+    if m in memo:
+        return memo[m]
+    z0, z1, cw, ccw = m
+    p, q = amb.p, amb.q
+    e2, omk = pt.p_sym(("e", 2)), pt.p_one_minus_kappa()
+    if cw >= p and ccw >= q:
+        rule = []
+    elif z0 > 0 and z1 > 0:
+        t = min(z0, z1)
+        rule = [((z0 - t, z1 - t, cw, ccw), pt.p_sym(("xi", t)))]
+    elif z1 > 0 and (z0 < 0 or cw >= p):
+        rule = [((z0 - z1, 0, cw, ccw), pt.p_sym(("xi", z1)))]
+    elif z0 > 0 and (z1 < 0 or ccw >= q):
+        rule = [((0, z1 - z0, cw, ccw), pt.p_sym(("xi", z0)))]
+    elif cw > p:
+        rule = [((z0 - 1, z1 + 1, cw - 1, ccw + 1), omk),
+                ((z0 - 1, z1, cw - 1, ccw), e2)]
+    elif ccw > q or (z1 > 0 and ccw > 0):
+        rule = [((z0 + 1, z1 - 1, cw + 1, ccw - 1), omk),
+                ((z0, z1 - 1, cw, ccw - 1), e2)]
+    elif z0 >= 2 and cw >= 1:
+        rule = [((z0 - 2, z1, cw - 1, ccw + 1), pt.p_sym(("xi", 1))),
+                ((z0 - 1, z1, cw - 1, ccw), e2)]
+    else:
+        assert amb.is_normal_mono(m)
+        memo[m] = {m: pt.p_int(1)}
+        return memo[m]
+    acc = {}
+    for child, coeff in rule:
+        for mono, c in _reference_reduce(amb, child, memo).items():
+            acc[mono] = pt.p_add(acc.get(mono, {}), pt.p_mul(coeff, c))
+    memo[m] = {mono: c for mono, c in acc.items() if c}
+    return memo[m]
+
+
+def test_saturated_powers_in_the_hundreds_reduce():
+    """c_w^405 on P(C^5 + C^3 sigma) used to exhaust the recursion limit;
+    powers by squaring reduce only shallow monomials, an independent route."""
+    amb = pj.ambient(5, 3)
+    assert pj.ProjClass.from_mono(amb, (0, 0, 405, 0)) == pj.gen_cw(amb) ** 405
+    assert pj.ProjClass.from_mono(amb, (0, 0, 0, 405)) == pj.gen_cxw(amb) ** 405
+
+
+def test_reducer_matches_recursive_reference():
+    rng = random.Random(20231)
+    regimes = set()
+    for _ in range(300):
+        p, q = rng.randint(0, 12), rng.randint(0, 12)
+        if p + q == 0:
+            continue
+        mono = _raw_mono(p, q, rng.randint(-40, 40), rng.randint(-40, 40),
+                         rng.randint(0, 40), rng.randint(0, 40),
+                         rng.random() < 0.2, rng.random() < 0.2)
+        amb = pj.Ambient(p, q)
+        got = {m: dict(c) for m, c in amb.reduce_mono(mono)}
+        assert got == _reference_reduce(amb, mono, {}), (p, q, mono)
+        if not amb.is_normal_mono(mono):
+            # a fresh space memoises the whole rewrite DAG of a small
+            # reduction, and only the root of a large one
+            regimes.add(len(amb._reduce) > 1)
+    assert regimes == {False, True}
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(0, 1000), q=st.integers(0, 1000),
+       z0=st.integers(-250, 250), z1=st.integers(-250, 250),
+       cw=st.integers(0, 300), ccw=st.integers(0, 300),
+       divided=st.booleans())
+def test_large_reductions_are_normal_and_keep_shadows(p, q, z0, z1, cw, ccw, divided):
+    if p + q == 0:
+        return
+    amb = pj.ambient(p, q)
+    if divided:
+        # zeta0^-k c_w^p or zeta1^-k c_xw^q, times further Euler classes
+        which = z0 % 2
+        k = abs(z1)
+        cls = pj.divided(amb, k, which, cw, ccw)
+        mono = (-k, 0, p + cw, ccw) if which == 0 else (0, -k, cw, q + ccw)
+    else:
+        mono = _raw_mono(p, q, z0, z1, cw, ccw, False, False)
+        cls = pj.ProjClass.from_mono(amb, mono)
+    assert all(amb.is_normal_mono(m) for m, _ in cls.terms)
+    if not cls.is_zero():
+        assert cls.degree() == pj.mono_degree_pib(mono)
+    ia, za, ca = pj.mono_rho(mono)
+    assert cls.rho() == ({} if ca >= p + q else {(ia, za, ca): 1})
+    mz0, mz1, mcw, mccw = mono
+    assert cls.fixed() == ({} if mz0 > 0 or mcw >= p else {mcw: 1},
+                           {} if mz1 > 0 or mccw >= q else {mccw: 1})
+
+
+def test_large_bases_have_full_rank():
+    amb = pj.ambient(1000, 1000)
+    for m in (0, 1, -1, 10 ** 5, -10 ** 5):
+        basis = amb.basis(m)
+        assert len(set(basis)) == 2000
+        assert all(pj.mono_coset(mono) == m for mono in basis)
+
+
+_THREADED_SCRIPT = textwrap.dedent("""
+    import sys
+    import threading
+    from c2bezout import projective as pj
+
+    assert pj._CACHE_LIMIT == 64
+    p, q = 6, 5
+    monos = [(z0, z1, cw, ccw) for z0 in (-3, 0, 2, 7) for z1 in (0, 1, 5)
+             for cw in (0, 3, 6, 20) for ccw in (0, 2, 5, 15)
+             if z0 >= 0 or cw >= p]
+    want = {m: pj.Ambient(p, q).reduce_mono(m) for m in monos}
+    shared = pj.Ambient(p, q)
+    errors = []
+
+    def work(k):
+        try:
+            for r in range(3):
+                order = monos[k * 7 % len(monos):] + monos[:k * 7 % len(monos)]
+                for m in order[::1 if (k + r) % 2 else -1]:
+                    if shared.reduce_mono(m) != want[m]:
+                        errors.append(("differs", k, m))
+        except BaseException as exc:
+            errors.append((type(exc).__name__, k, str(exc)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads), "a thread hung"
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors, errors[:5]
+    print(len(monos))
+""")
+
+
+def test_threads_share_one_ambient_under_a_tiny_cache():
+    """README: classes and caches may be used from several threads.  With
+    64-entry caches every reduction races against clears."""
+    env = dict(os.environ, C2BEZOUT_CACHE_SIZE="64")
+    out = subprocess.run([sys.executable, "-c", _THREADED_SCRIPT],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) > 100
 
 
 def _tensor_sides(amb):
