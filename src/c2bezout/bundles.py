@@ -13,7 +13,8 @@ from math import comb
 from . import point as pt
 from .grading import OMEGA, CHI_OMEGA, TWO, SIGMA, PiBDegree
 from .projective import (UNIT, Ambient, ProjClass, class_Q, class_chi_Q,
-                         proj_tau, pushed_s_kernel, gen_zeta0, gen_zeta1)
+                         linear_combination, proj_tau, pushed_s_kernel,
+                         gen_zeta0, gen_zeta1)
 
 FAMILIES = ("I", "II", "III", "IV")
 
@@ -168,7 +169,7 @@ def bundle_invariants(bs: BundleSum) -> BundleInvariants:
         m=m, m0=m0, m1=m1, ell=n - n0 - n1, k0=n - n0, k1=n - n1,
         eps=Delta0 % 2,
         DeltaMin=min(Delta0, Delta1), DeltaMax=max(Delta0, Delta1),
-        context_violations=_violations(p, q, n, n0, n1),
+        context_violations=violations_from_counts(p, q, n, n0, n1),
     )
 
 
@@ -178,22 +179,25 @@ def context_violations(bs: BundleSum) -> tuple:
     p, q = bs.ambient
     n0 = sum(b.family in ("I", "II") for b in bs.bundles)
     n1 = sum(b.family in ("II", "III") for b in bs.bundles)
-    return _violations(p, q, bs.n, n0, n1)
+    return violations_from_counts(p, q, bs.n, n0, n1)
 
 
-def _violations(p: int, q: int, n: int, n0: int, n1: int) -> tuple:
-    violations = []
+def violations_from_counts(p: int, q: int, n: int, n0: int, n1: int) -> tuple:
+    """The closed-form hypotheses violated by a sum of n bundles on the
+    space (p, q), n0 of them from families I and II and n1 from II and
+    III."""
+    out = []
     if not n < p + q:
-        violations.append(f"n < p + q fails ({n} >= {p + q})")
+        out.append(f"n < p + q fails ({n} >= {p + q})")
     if not n - q <= n0:
-        violations.append(f"n - q <= n0 fails ({n - q} > {n0})")
+        out.append(f"n - q <= n0 fails ({n - q} > {n0})")
     if not n0 <= n:
-        violations.append(f"n0 <= n fails ({n0} > {n})")
+        out.append(f"n0 <= n fails ({n0} > {n})")
     if not n - p <= n1:
-        violations.append(f"n - p <= n1 fails ({n - p} > {n1})")
+        out.append(f"n - p <= n1 fails ({n - p} > {n1})")
     if not n1 <= n:
-        violations.append(f"n1 <= n fails ({n1} > {n})")
-    return tuple(violations)
+        out.append(f"n1 <= n fails ({n1} > {n})")
+    return tuple(out)
 
 
 def beta(k: int) -> int:
@@ -314,11 +318,12 @@ def euler_type_block_binomial(amb: Ambient, count: int, degree_product: int) -> 
     return out
 
 
-def _free_orbit_tau(amb: Ambient, inv: BundleInvariants, coeff: int) -> ProjClass:
+def _free_orbit(amb: Ambient, inv: BundleInvariants, coeff: int) -> list:
+    """The free-orbit part of a closed form, as linear_combination pairs."""
     if coeff == 0:
-        return ProjClass.zero(amb)
-    return proj_tau(
-        amb, {(2 * inv.k0, inv.k1 - inv.k0, amb.p + amb.q - inv.m): coeff})
+        return []
+    return [(coeff, proj_tau(
+        amb, {(2 * inv.k0, inv.k1 - inv.k0, amb.p + amb.q - inv.m): 1}))]
 
 
 def pick_delta_star(inv: BundleInvariants) -> int:
@@ -356,45 +361,49 @@ def _closed_form_low(amb: Ambient, inv: BundleInvariants) -> ProjClass:
     l = -inv.ell
     k0, k1 = inv.k0, inv.k1
     if inv.m0 <= 0 and inv.m1 <= 0:
-        return _free_orbit_tau(amb, inv, _exact_half(inv.Delta, "Delta"))
-    if inv.m0 <= 0:
+        parts = _free_orbit(amb, inv, _exact_half(inv.Delta, "Delta"))
+    elif inv.m0 <= 0:
         # Delta0 is zeroed; the lead term rides the saturated c_w^p power.
         j = inv.m - inv.m1
-        out = pushed_s_kernel(amb, (inv.m0, 0, k1, q - inv.m), j, inv.Delta1)
-        return out + _free_orbit_tau(
+        parts = [(1, pushed_s_kernel(amb, (inv.m0, 0, k1, q - inv.m), j, inv.Delta1))]
+        parts += _free_orbit(
             amb, inv, _exact_half(inv.Delta - inv.Delta1, "Delta - Delta1"))
-    if inv.m1 <= 0:
+    elif inv.m1 <= 0:
         j = inv.m - inv.m0
-        out = pushed_s_kernel(amb, (0, inv.m1, p - inv.m, k0), j, inv.Delta0)
-        return out + _free_orbit_tau(
+        parts = [(1, pushed_s_kernel(amb, (0, inv.m1, p - inv.m, k0), j, inv.Delta0))]
+        parts += _free_orbit(
             amb, inv, _exact_half(inv.Delta - inv.Delta0, "Delta - Delta0"))
-    dstar = pick_delta_star(inv)
-    out = pushed_s_kernel(amb, (0, 0, k1, k0), l, dstar)
-    if inv.Delta0 != dstar:
-        out = out + pushed_s_kernel(amb, (0, 1, k1 - 1, k0), l + 1, inv.Delta0 - dstar)
-    if inv.Delta1 != dstar:
-        out = out + pushed_s_kernel(amb, (1, 0, k1, k0 - 1), l + 1, inv.Delta1 - dstar)
-    dmax = inv.Delta0 + inv.Delta1 - dstar
-    return out + _free_orbit_tau(amb, inv, _exact_half(inv.Delta - dmax, "Delta - Delta_max"))
+    else:
+        dstar = pick_delta_star(inv)
+        parts = [(1, pushed_s_kernel(amb, (0, 0, k1, k0), l, dstar))]
+        if inv.Delta0 != dstar:
+            parts.append((1, pushed_s_kernel(amb, (0, 1, k1 - 1, k0), l + 1,
+                                             inv.Delta0 - dstar)))
+        if inv.Delta1 != dstar:
+            parts.append((1, pushed_s_kernel(amb, (1, 0, k1, k0 - 1), l + 1,
+                                             inv.Delta1 - dstar)))
+        dmax = inv.Delta0 + inv.Delta1 - dstar
+        parts += _free_orbit(amb, inv, _exact_half(inv.Delta - dmax, "Delta - Delta_max"))
+    return linear_combination(amb, parts)
 
 
 def _closed_form_high(amb: Ambient, inv: BundleInvariants) -> ProjClass:
     ell, k0, k1 = inv.ell, inv.k0, inv.k1
     eps = inv.eps
-    out = ProjClass.zero(amb)
+    parts = []
     if eps:
         for j in range(1, ell):
             if comb(ell, j) % 2:
-                out = out + ProjClass.from_mono(
-                    amb, (j, ell - j, inv.n0 + j, k0 - j))
+                parts.append((1, ProjClass.from_mono(
+                    amb, (j, ell - j, inv.n0 + j, k0 - j))))
     if inv.Delta0:
-        out = out + ProjClass.from_mono(amb, (0, ell, inv.n0, k0)).scale(inv.Delta0)
+        parts.append((inv.Delta0, ProjClass.from_mono(amb, (0, ell, inv.n0, k0))))
     if inv.Delta1:
-        out = out + ProjClass.from_mono(amb, (ell, 0, k1, inv.n1)).scale(inv.Delta1)
+        parts.append((inv.Delta1, ProjClass.from_mono(amb, (ell, 0, k1, inv.n1))))
     cfree = _exact_half(
         inv.Delta - inv.Delta0 - inv.Delta1 - eps * ((1 << beta(ell)) - 2),
         "free-orbit numerator")
-    return out + _free_orbit_tau(amb, inv, cfree)
+    return linear_combination(amb, parts + _free_orbit(amb, inv, cfree))
 
 
 def euler_I_and_III(amb: Ambient, nI: int, dI: int, nIII: int, dIII: int) -> ProjClass:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: euler, bezout, basis, point-table, verify.
-Exit codes: 0 ok, 1 verification failure, 2 usage or parse error,
-3 kernel or resource failure (an error, not a verdict).
+Exit codes: 0 ok, 1 verification failure, 2 usage or parse error (a
+bad `verify --groups` name or `--sweep-config` file included), 3 kernel
+or resource failure (an error, not a verdict).
 """
 
 from __future__ import annotations
@@ -156,18 +157,28 @@ def cmd_point_table(args) -> int:
     return 0
 
 
+def _sweep_config(path: str) -> vf.SweepConfig:
+    try:
+        with open(path) as fh:
+            return vf.SweepConfig.from_json(json.load(fh))
+    except OSError as exc:
+        raise _UsageError(f"cannot read sweep config: {exc}") from None
+    except (ValueError, TypeError) as exc:  # bad JSON, keys or bounds
+        detail = " ".join(str(exc).split())
+        raise _UsageError(f"bad sweep config {path}: {detail}") from None
+
+
 def cmd_verify(args) -> int:
-    if args.sweep_config:
-        with open(args.sweep_config) as fh:
-            cfg = vf.SweepConfig.from_json(json.load(fh))
-    else:
-        cfg = vf.SweepConfig()
+    cfg = _sweep_config(args.sweep_config) if args.sweep_config else vf.SweepConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     if args.include_negative_degrees:
         cfg.include_negative_degrees = True
     groups = tuple(args.groups.split(",")) if args.groups else None
-    report = vf.run_verify(cfg, groups=groups)
+    try:
+        report = vf.run_verify(cfg, groups=groups)
+    except ValueError as exc:  # an unknown group; the groups catch their own
+        raise _UsageError(str(exc)) from None
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:

@@ -10,8 +10,10 @@ this span; transfers of odd iota powers are refused rather than modeled.
 
 Elements are dicts mapping symbol keys to integer coefficients.  Classes
 and caches hold them frozen instead: a tuple of (symbol, coefficient)
-pairs in sorted symbol order, which `p_freeze` makes.  Every function
-here reads either form and returns a fresh dict.  Symbol keys:
+pairs in sorted symbol order, which `p_freeze` makes.  Every `p_*`
+function reads either form and returns a fresh dict; `c_mul`, `c_add`
+and `c_scale` read and return the frozen form, so class arithmetic
+never goes through a dict.  Symbol keys:
 
     ('1',)          the unit
     ('g',)          the free orbit class, g = tau(1), g^2 = 2g
@@ -197,8 +199,9 @@ def _mul_sym(a: Sym, b: Sym):
     raise AssertionError(f"unhandled symbol product {a} * {b}")
 
 
-# (a, b) -> ((symbol, coefficient, torsion), ...): the product of two
-# symbols as _mul_sym gives it, reduced mod 2 where the symbol is 2-torsion
+# (a, b) -> (((symbol, coefficient, torsion), ...), frozen product): the
+# product of two symbols as _mul_sym gives it, reduced mod 2 where the
+# symbol is 2-torsion, once as triples for p_mul and once frozen for c_mul
 _PRODUCTS: dict = {}
 
 
@@ -206,7 +209,8 @@ def _product_entry(a: Sym, b: Sym) -> tuple:
     prod: Terms = {}
     for s, c in _mul_sym(a, b):
         _put(prod, s, c)
-    entry = tuple((s, c, s[0] == "exi") for s, c in prod.items())
+    entry = (tuple((s, c, s[0] == "exi") for s, c in prod.items()),
+             p_freeze(prod))
     if len(_PRODUCTS) >= CACHE_LIMIT:
         _PRODUCTS.clear()
     _PRODUCTS[(a, b)] = entry
@@ -220,14 +224,73 @@ def p_mul(a: Terms | Coeff, b: Terms | Coeff) -> Terms:
         b = b.items()
     for sa, ca in (a.items() if type(a) is dict else a):
         for sb, cb in b:
-            entry = _PRODUCTS.get((sa, sb))
-            if entry is None:
-                entry = _product_entry(sa, sb)
+            entry = _PRODUCTS.get((sa, sb)) or _product_entry(sa, sb)
             n = ca * cb
-            for s, c, torsion in entry:
+            for s, c, torsion in entry[0]:
                 v = get(s, 0) + n * c
                 out[s] = v % 2 if torsion else v
     return {s: c for s, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# frozen arithmetic: Coeff in, Coeff out
+
+def c_scale(a: Coeff, n: int) -> Coeff:
+    """n * a, frozen."""
+    if n == 1:
+        return a
+    out = []
+    for s, c in a:
+        c *= n
+        if s[0] == "exi":
+            c %= 2
+        if c:
+            out.append((s, c))
+    return tuple(out)
+
+
+def c_add(a: Coeff, b: Coeff) -> Coeff:
+    """a + b, frozen: a merge of the two symbol-ordered tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        sa, ca = a[i]
+        sb, cb = b[j]
+        if sa == sb:
+            c = ca + cb
+            if sa[0] == "exi":
+                c %= 2
+            if c:
+                out.append((sa, c))
+            i += 1
+            j += 1
+        elif sa < sb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
+def c_mul(a: Coeff, b: Coeff) -> Coeff:
+    """a * b, frozen; a product of single symbols is read from the table."""
+    if len(a) == 1 and len(b) == 1:
+        (sa, ca), = a
+        (sb, cb), = b
+        entry = _PRODUCTS.get((sa, sb)) or _product_entry(sa, sb)
+        return c_scale(entry[1], ca * cb)
+    out: Coeff = ()
+    for sa, ca in a:
+        for sb, cb in b:
+            entry = _PRODUCTS.get((sa, sb)) or _product_entry(sa, sb)
+            out = c_add(out, c_scale(entry[1], ca * cb))
+    return out
 
 
 def _tau_iota(j: int):

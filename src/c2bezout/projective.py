@@ -86,11 +86,11 @@ class Ambient:
     """The projective space of lines in C^p + (C^sigma)^q, p + q > 0.
 
     Holds the per-space caches: reductions of raw monomials, bases of
-    cosets, and the memo of standard and Schubert classes.  They hold
-    terms, never classes, so an ambient is freed as soon as it is dropped.
-    Reads are safe from multiple threads; concurrent inserts are
-    idempotent (the value for a key is deterministic), so no locking is
-    needed around the dicts.
+    cosets, and the memo of unit transfers, unit S-kernels, standard and
+    Schubert classes.  They hold terms, never classes, so an ambient is
+    freed as soon as it is dropped.  Reads are safe from multiple threads;
+    concurrent inserts are idempotent (the value for a key is
+    deterministic), so no locking is needed around the dicts.
 
     `tensor_e2` is the coefficient of e^2 in the tensor relation.  Any
     value but 1 gives a deliberately wrong ring, for the soundness check
@@ -214,12 +214,12 @@ class Ambient:
                 _add_scaled(acc, ((m, w),), None)
                 continue
             for child, coeff in rule:
-                c = coeff if w == ONE else pt.p_mul(w, coeff)
+                c = coeff if w == ONE else pt.c_mul(w, coeff)
                 if child in known:
                     _add_scaled(acc, known[child], c)
                 else:
                     cur = weight.get(child)
-                    weight[child] = c if cur is None else pt.p_add(cur, c)
+                    weight[child] = c if cur is None else pt.c_add(cur, c)
         out = _freeze_terms(acc)
         self._check_degrees(root, out)
         return _remember(cache, root, out)
@@ -313,21 +313,18 @@ def _remember(cache: dict, key, value):
 
 def _add_scaled(acc: dict, terms: tuple, coeff) -> None:
     """acc[mono] += coeff * c for each (mono, c) of terms; coeff None is 1.
-
-    Values of acc are frozen coefficients taken from terms, or dicts that
-    acc owns."""
+    Coefficients are frozen throughout."""
     for mono, c in terms:
         if coeff is not None:
-            c = coeff if c == ONE else pt.p_mul(coeff, c)
+            c = coeff if c == ONE else pt.c_mul(coeff, c)
         cur = acc.get(mono)
-        acc[mono] = c if cur is None else pt.p_add(cur, c)
+        acc[mono] = c if cur is None else pt.c_add(cur, c)
 
 
 def _freeze_terms(acc: dict) -> tuple:
-    """Class terms from an accumulator of _add_scaled: sorted, frozen,
+    """Class terms from an accumulator of _add_scaled: in monomial order,
     without zero coefficients."""
-    out = [(mono, pt.p_freeze(c) if type(c) is dict else c)
-           for mono, c in acc.items() if c]
+    out = [(mono, c) for mono, c in acc.items() if c]
     out.sort()
     return tuple(out)
 
@@ -367,22 +364,22 @@ class ProjClass:
         return cls(amb, ())
 
     @classmethod
-    def from_mono(cls, amb: Ambient, m: Mono, coeff: pt.Terms | int = 1) -> "ProjClass":
-        terms = amb.reduce_mono(m)
+    def from_mono(cls, amb: Ambient, m: Mono,
+                  coeff: pt.Terms | pt.Coeff | int = 1) -> "ProjClass":
+        """coeff * m in normal form; coeff is an integer or a point-ring
+        element, as a dict or frozen."""
+        out = cls(amb, amb.reduce_mono(m))
         if isinstance(coeff, int):
-            if coeff == 1:
-                return cls(amb, terms)
-            coeff = pt.p_int(coeff)
-        else:
-            coeff = pt.normalized(coeff)
+            return out.scale(coeff)
+        if type(coeff) is dict:
+            coeff = pt.p_freeze(pt.normalized(coeff))
         if not coeff:
             return cls.zero(amb)
-        out = []
-        for mono, c in terms:
-            prod = coeff if c == ONE else pt.p_mul(coeff, c)
-            if prod:
-                out.append((mono, pt.p_freeze(prod)))
-        return cls(amb, tuple(out))
+        if coeff == ONE:
+            return out
+        prods = ((mono, coeff if c == ONE else pt.c_mul(coeff, c))
+                 for mono, c in out.terms)
+        return cls(amb, tuple(t for t in prods if t[1]))
 
     @classmethod
     def from_point(cls, amb: Ambient, coeff: pt.Terms) -> "ProjClass":
@@ -411,14 +408,14 @@ class ProjClass:
     def scale(self, n: int) -> "ProjClass":
         if n == 1:
             return self
-        scaled = [(m, pt.p_scale(c, n)) for m, c in self.terms]
-        return ProjClass(self.amb, tuple((m, pt.p_freeze(c)) for m, c in scaled if c))
+        scaled = ((m, pt.c_scale(c, n)) for m, c in self.terms)
+        return ProjClass(self.amb, tuple(t for t in scaled if t[1]))
 
     def scale_point(self, h: pt.Terms) -> "ProjClass":
-        out = ProjClass.zero(self.amb)
-        for m, c in self.terms:
-            out = out + ProjClass.from_mono(self.amb, m, pt.p_mul(h, c))
-        return out
+        h = pt.p_freeze(pt.normalized(h))
+        return linear_combination(self.amb, [
+            (1, ProjClass.from_mono(self.amb, m, pt.c_mul(h, c)))
+            for m, c in self.terms])
 
     def __mul__(self, other: "ProjClass") -> "ProjClass":
         self._check(other)
@@ -431,7 +428,7 @@ class ProjClass:
                 elif ca == ONE:
                     coeff = cb
                 else:
-                    coeff = pt.p_mul(ca, cb)
+                    coeff = pt.c_mul(ca, cb)
                     if not coeff:
                         continue
                 _add_scaled(acc, reduce(mono_mul(ma, mb)), coeff)
@@ -535,6 +532,25 @@ class ProjClass:
         return {m: dict(c) for m, c in self.terms}
 
 
+def linear_combination(amb: Ambient, pairs: list) -> ProjClass:
+    """The sum of n * cls over the (n, cls) pairs, added up in one pass."""
+    for _, cls in pairs:
+        if cls.amb is not amb:
+            raise ValueError("ambient mismatch")
+    if len(pairs) == 1:
+        n, cls = pairs[0]
+        return cls.scale(n)
+    acc: dict = {}
+    for n, cls in pairs:
+        if n:
+            for mono, c in cls.terms:
+                if n != 1:
+                    c = pt.c_scale(c, n)
+                cur = acc.get(mono)
+                acc[mono] = c if cur is None else pt.c_add(cur, c)
+    return ProjClass(amb, _freeze_terms(acc))
+
+
 # ---------------------------------------------------------------------------
 # generators and standard classes
 
@@ -559,9 +575,10 @@ def proj_tau(amb: Ambient, x: LTerms, target: PiBDegree | None = None) -> ProjCl
 
     Each monomial iota^a zeta^b c^k determines its own target degree; the
     optional argument is checked against it.  Odd iota exponents lie
-    outside the supported subring.
+    outside the supported subring.  The transfer of each monomial with
+    coefficient 1 is memoised per ambient and scaled by the coefficient.
     """
-    out = ProjClass.zero(amb)
+    pairs = []
     for (a, b, k), coeff in x.items():
         if target is not None and mono_degree((a, b, k)) != target:
             raise GradingError(
@@ -572,17 +589,21 @@ def proj_tau(amb: Ambient, x: LTerms, target: PiBDegree | None = None) -> ProjCl
         if a % 2 != 0:
             raise pt.OutsideSupportedSubring(
                 f"tau(iota^{a} zeta^{b} c^{k}) lies outside the supported subring")
-        if k >= amb.p + amb.q:
-            continue
-        cw = min(k, amb.p)
-        ccw = k - cw
-        r = b - (cw - ccw)
-        z0, z1 = (0, r) if r >= 0 else (-r, 0)
-        witness = (z0, z1, cw, ccw)
-        j = (a - 2 * (z0 + ccw)) // 2
-        hcoeff = pt.p_tau({2 * j: coeff})
-        out = out + ProjClass.from_mono(amb, witness, hcoeff)
-    return out
+        if coeff and k < amb.p + amb.q:
+            unit = amb.memo(("tau", a, b, k), lambda: _unit_tau(amb, a, b, k))
+            pairs.append((coeff, unit))
+    return linear_combination(amb, pairs)
+
+
+def _unit_tau(amb: Ambient, a: int, b: int, k: int) -> ProjClass:
+    """tau(iota^a zeta^b c^k) for even a and 0 <= k < p + q: a point
+    transfer times a witness monomial of the right coset."""
+    cw = min(k, amb.p)
+    ccw = k - cw
+    r = b - (cw - ccw)
+    z0, z1 = (0, r) if r >= 0 else (-r, 0)
+    j = (a - 2 * (z0 + ccw)) // 2
+    return ProjClass.from_mono(amb, (z0, z1, cw, ccw), pt.p_tau({2 * j: 1}))
 
 
 def tau_c_power(amb: Ambient, k: int) -> ProjClass:
@@ -612,7 +633,8 @@ def pushed_s_kernel(amb: Ambient, mono: Mono, defect: int, numerator: int) -> Pr
     kernel is the constant 2, so any integer numerator is fine.  For
     positive defect the transfer part is folded through the Frobenius
     relation, which also makes this safe for divided monomials (negative
-    zeta exponents riding a saturated power).
+    zeta exponents riding a saturated power).  The unit kernel mono * S_k
+    is memoised per ambient and scaled by numerator/2.
     """
     if defect == 0:
         return ProjClass.from_mono(amb, mono, numerator)
@@ -622,10 +644,15 @@ def pushed_s_kernel(amb: Ambient, mono: Mono, defect: int, numerator: int) -> Pr
     half = numerator // 2
     if half == 0:
         return ProjClass.zero(amb)
+    unit = amb.memo(("S", mono, defect), lambda: _unit_s_kernel(amb, mono, defect))
+    return unit.scale(half)
+
+
+def _unit_s_kernel(amb: Ambient, mono: Mono, defect: int) -> ProjClass:
     a, b, k = mono_rho(mono)
-    tau_part = proj_tau(amb, {(a, b, k + defect): half})
+    tau_part = proj_tau(amb, {(a, b, k + defect): 1})
     kappa_mono = mono_mul(mono, (0, 0, defect, defect))
-    return tau_part + ProjClass.from_mono(amb, kappa_mono, pt.p_scale(pt.p_kappa(2 * defect), half))
+    return tau_part + ProjClass.from_mono(amb, kappa_mono, pt.p_kappa(2 * defect))
 
 
 def divided(amb: Ambient, k: int, which: int, extra_cw: int = 0, extra_cxw: int = 0) -> ProjClass:

@@ -30,8 +30,8 @@ from . import bundles as bd
 from .bundles import BundleInvariants, ContextViolation, beta, rem2
 from .grading import PiBDegree
 from .laurent import mono_degree
-from .projective import (Ambient, ProjClass, class_chi_Q, proj_tau,
-                         pushed_s_kernel)
+from .projective import (Ambient, ProjClass, class_chi_Q, linear_combination,
+                         proj_tau, pushed_s_kernel)
 
 
 class InfeasibleTerm(ValueError):
@@ -243,15 +243,15 @@ def codim_data_roundtrip(term: GeometricTerm, amb: Ambient) -> bool:
 
 
 def expansion_class(exp: BezoutExpansion, amb: Ambient) -> ProjClass:
-    out = ProjClass.zero(amb)
+    parts = []
     for num, term in exp.terms:
         if num == 0:
             continue
         if num % 2 == 0:
-            out = out + class_of(term, amb).scale(num // 2)
+            parts.append((num // 2, class_of(term, amb)))
         else:
-            out = out + half_class_of(term, amb).scale(num)
-    return out
+            parts.append((num, half_class_of(term, amb)))
+    return linear_combination(amb, parts)
 
 
 def _free_term(inv: BundleInvariants) -> FreeOrbit:

@@ -14,6 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field, asdict
 from math import comb
+from typing import Callable
 
 from . import point as pt
 from . import projective as pj
@@ -166,11 +167,12 @@ class Recorder:
             r.cases += cases
 
     def eq(self, name: str, params: dict, lhs: pj.ProjClass, rhs: pj.ProjClass,
-           detail: dict | None = None) -> bool:
+           detail: Callable[[], dict] | None = None) -> bool:
+        """Record lhs == rhs; detail() gives extra params for a failure."""
         if lhs == rhs:
             self.ok(name, params)
             return True
-        self.fail(name, dict(params, **(detail or {})),
+        self.fail(name, dict(params, **(detail() if detail else {})),
                   "normal forms differ",
                   render.proj_text(lhs), render.proj_text(rhs))
         return False
@@ -697,13 +699,16 @@ def _family_multisets(cfg: SweepConfig, family: str) -> list:
     return out
 
 
-def iter_bundle_sums(cfg: SweepConfig, amb: pj.Ambient):
-    """Every bundle multiset of the grid on amb, with the Euler classes of
-    its two halves: families I+II and families III+IV.
+def bundle_grid(cfg: SweepConfig, amb: pj.Ambient) -> tuple:
+    """The bundle multisets of the grid on amb that satisfy the
+    closed-form hypotheses, with the Euler classes of their two halves:
+    families I+II and families III+IV.
 
-    Yields (bundle sum, left class, right class); the Euler class of the
-    sum is left * right, which the caller forms only for the sums it
-    checks.  Partial products are shared across the enumeration."""
+    Returns ([(bundle sum, left class, right class), ...], the number of
+    multisets skipped for violating the hypotheses); the Euler class of
+    a sum is left * right, which the caller forms.  The hypotheses are
+    decided from the family counts, so a BundleSum is built only for the
+    sums returned.  Partial products are shared across the enumeration."""
     cap = min(cfg.max_bundles_total, amb.p + amb.q - 1)
     fams = {f: [t for t in _family_multisets(cfg, f) if len(t) <= cap]
             for f in bd.FAMILIES}
@@ -724,24 +729,33 @@ def iter_bundle_sums(cfg: SweepConfig, amb: pj.Ambient):
     blocks = {f: {t: block(f, t) for t in fams[f]} for f in bd.FAMILIES}
 
     def half(fa, fb):
-        # (bundle count, specs, class) of each pair of blocks within cap
+        # (count of fa, count of fb, specs, class) of each pair of blocks
+        # within cap
         out = []
         for ta in fams[fa]:
             for tb in fams[fb]:
                 if len(ta) + len(tb) <= cap:
                     specs = tuple(bd.LineBundleSpec(fa, d) for d in ta) + \
                         tuple(bd.LineBundleSpec(fb, d) for d in tb)
-                    out.append((len(ta) + len(tb), specs,
+                    out.append((len(ta), len(tb), specs,
                                 blocks[fa][ta] * blocks[fb][tb]))
         return out
 
     left, right = half("I", "II"), half("III", "IV")
     # right halves with at most k bundles, in enumeration order
-    right_upto = [[r for r in right if r[0] <= k] for k in range(cap + 1)]
-    for nl, lspecs, lcls in left:
-        for nr, rspecs, rcls in right_upto[cap - nl]:
-            if nl + nr:
-                yield bd.BundleSum((amb.p, amb.q), lspecs + rspecs), lcls, rcls
+    right_upto = [[r for r in right if r[0] + r[1] <= k] for k in range(cap + 1)]
+    p, q = amb.p, amb.q
+    sums, skipped = [], 0
+    for nI, nII, lspecs, lcls in left:
+        for nIII, nIV, rspecs, rcls in right_upto[cap - nI - nII]:
+            n = nI + nII + nIII + nIV
+            if not n:
+                continue
+            if bd.violations_from_counts(p, q, n, nI + nII, nII + nIII):
+                skipped += 1
+            else:
+                sums.append((bd.BundleSum((p, q), lspecs + rspecs), lcls, rcls))
+    return sums, skipped
 
 
 def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
@@ -749,14 +763,16 @@ def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
         for p in range(s + 1):
             amb = pj.ambient(p, s - p)
             params = {"p": amb.p, "q": amb.q}
-            n_skip = 0
-            for bs, left, right in iter_bundle_sums(cfg, amb):
-                if bd.context_violations(bs):
-                    n_skip += 1
-                    continue
+            sums, n_skip = bundle_grid(cfg, amb)
+
+            def case():
+                # params of a failure record: the sum under check, read
+                # when the record fails
+                return dict(params, bundles=bs.token())
+
+            for bs, left, right in sums:
                 inv = bd.bundle_invariants(bs)
                 product = left * right
-                case = dict(params, bundles=bs.token())
                 branch = "closed_form_low" if inv.ell <= 0 else "closed_form_high"
                 closed = bd.euler_closed_form(amb, inv)
                 if not rec.eq(branch, params, closed, product, detail=case):
@@ -776,10 +792,10 @@ def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
                     rec.eq("corollary_dim0", params,
                            sb.expansion_class(d0, amb), product, detail=case)
                     counts = _dim0_counts(d0)
-                    rec.check("corollary_dim0_counts", params,
-                              counts == (inv.Delta0, inv.Delta1,
-                                         (inv.Delta - inv.Delta0 - inv.Delta1) // 2),
-                              f"counts {counts} for {case}")
+                    ok = counts == (inv.Delta0, inv.Delta1,
+                                    (inv.Delta - inv.Delta0 - inv.Delta1) // 2)
+                    rec.check("corollary_dim0_counts", params, ok,
+                              "" if ok else f"counts {counts} for {case()}")
                 elif inv.m == 2:
                     d1 = sb.special_case("dim1_table", inv)
                     rec.eq("corollary_dim1_grid", params,
@@ -1014,6 +1030,14 @@ CHECK_GROUPS = (
 
 
 def run_verify(cfg: SweepConfig | None = None, groups: tuple | None = None) -> VerifyReport:
+    """Run the check groups in order: all of them, or those named in
+    groups.  An unknown group name is a ValueError."""
+    if groups is not None:
+        known = [name for name, _ in CHECK_GROUPS]
+        unknown = [g for g in groups if g not in known]
+        if unknown:
+            raise ValueError(f"unknown check groups {', '.join(map(repr, unknown))}; "
+                             f"valid groups: {', '.join(known)}")
     cfg = cfg or SweepConfig()
     rec = Recorder()
     t0 = time.perf_counter()

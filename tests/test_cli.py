@@ -201,7 +201,50 @@ def test_cache_size_env_respected():
          "amb = pj.ambient(3, 3)\n"
          "sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
          "assert max(sizes) <= 64, sizes\n"
+         "# unit transfers and kernels share the memo's bound; the table's\n"
+         "# entries carry the frozen products\n"
+         "for d in range(1, 40):\n"
+         "    pj.pushed_s_kernel(amb, (0, 0, 1, 1), d % 3 + 1, 2 * d)\n"
+         "    pj.proj_tau(amb, {(2 * d, d % 5, d % 6): d})\n"
+         "    pt.c_mul(((('e', d), 1),), ((('xi', d), 1),))\n"
+         "kinds = {k[0] for k in amb._memo if type(k) is tuple}\n"
+         "assert {'tau', 'S'} <= kinds, kinds\n"
+         "sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
+         "assert max(sizes) <= 64, sizes\n"
+         "assert all(type(v[1]) is tuple for v in pt._PRODUCTS.values())\n"
          "print(pj._CACHE_LIMIT)"],
         env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "64"
+
+
+def test_unknown_verify_group_is_a_usage_error(capsys):
+    with pytest.raises(ValueError, match="euler-grid.*valid groups: .*euler_grid"):
+        vf.run_verify(groups=("euler-grid",))
+    with pytest.raises(ValueError, match="nope"):
+        vf.run_verify(groups=("proj_relations", "nope"))
+    code, out, err = run(capsys, "verify", "--groups", "euler-grid")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown check groups 'euler-grid'; valid groups: ")
+    code, _, err = run(capsys, "verify", "--groups", "grading,")
+    assert code == 2 and "unknown check groups ''" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, want", [
+    (None, "cannot read sweep config"),
+    ("not json {", "bad sweep config"),
+    ('{"bogus": 1}', "unexpected keyword argument 'bogus'"),
+    ('{"p_max": 0}', "all sweep bounds must be positive"),
+], ids=["missing", "not_json", "unknown_key", "bad_bound"])
+def test_bad_sweep_config_is_a_usage_error(capsys, tmp_path, content, want):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, "verify", "--groups", "grading",
+                         "--sweep-config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and want in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -179,3 +179,53 @@ def test_shadows_are_ring_maps(x, y):
     conv = {k: v for k, v in conv.items() if v}
     assert pt.p_rho(prod) == conv
     assert pt.p_fixed(prod) == pt.p_fixed(x) * pt.p_fixed(y)
+
+
+def _frozen_ops_agree(x, y):
+    fx, fy = pt.p_freeze(x), pt.p_freeze(y)
+    assert pt.c_mul(fx, fy) == pt.p_freeze(pt.p_mul(x, y)), (x, y)
+    assert pt.c_add(fx, fy) == pt.p_freeze(pt.p_add(x, y)), (x, y)
+    for n in (0, -1, 2, 3):
+        assert pt.c_scale(fx, n) == pt.p_freeze(pt.p_scale(x, n)), (x, n)
+
+
+def test_frozen_operations_match_the_dict_ones_on_symbols():
+    syms = point_symbols_in_window(8)
+    zero_pairs = 0
+    for a in syms:
+        for b in syms:
+            _frozen_ops_agree(pt.p_sym(a), pt.p_sym(b))
+            _frozen_ops_agree(pt.p_sym(a, 3), pt.p_sym(b, -3))
+            zero_pairs += not pt.c_mul(((a, 1),), ((b, 1),))
+    assert zero_pairs > 0
+
+
+def test_frozen_operations_on_sums_and_torsion():
+    kappa = pt.p_kappa()
+    two_minus_g = pt.p_add(pt.p_int(2), pt.p_sym(pt.S_G, -1))
+    assert kappa == two_minus_g
+    elements = [kappa, pt.p_one_minus_kappa(), two_minus_g,
+                pt.p_add(kappa, xi(2, 3)), pt.p_add(G, e(1, 5)),
+                pt.p_add(eik(2, -1), pt.p_sym(("tin", 1), 2)),
+                pt.p_sym(("exi", 1, 2)), pt.p_add(e(1), xi(1)), {}]
+    for x in elements:
+        for y in elements:
+            _frozen_ops_agree(x, y)
+    # e^m xi^n is 2-torsion: sums and even multiples cancel
+    exi = pt.p_freeze(pt.p_sym(("exi", 2, 1)))
+    assert pt.c_add(exi, exi) == ()
+    assert pt.c_scale(exi, 2) == () and pt.c_scale(exi, -1) == exi
+    sum_exi = pt.c_add(pt.c_mul(pt.p_freeze(e(1)), pt.p_freeze(xi(1))),
+                       pt.c_mul(pt.p_freeze(xi(1)), pt.p_freeze(e(1))))
+    assert sum_exi == ()
+    # the results are frozen: sorted tuples, no zero coefficients
+    x = pt.p_freeze(pt.p_add(kappa, xi(2, 3)))
+    for out in (pt.c_mul(x, x), pt.c_add(x, pt.p_freeze(G)), pt.c_scale(x, -1)):
+        assert type(out) is tuple and list(out) == sorted(out)
+        assert all(c for _, c in out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=elements, y=elements)
+def test_frozen_operations_match_on_random_elements(x, y):
+    _frozen_ops_agree(x, y)

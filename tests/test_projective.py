@@ -493,3 +493,138 @@ def test_ambients_share_no_memo_entries():
     reg = pj.ambient(2, 2)
     assert pj.class_Q(reg).terms == pj.class_Q(good).terms
     assert pj.class_Q(reg).amb is reg
+
+
+# ---------------------------------------------------------------------------
+# memoised unit transfers and kernels, one-pass sums
+
+def _reference_tau(amb, x):
+    """proj_tau without the memo: each monomial's transfer built with its
+    coefficient inside the point transfer, summed with +."""
+    out = pj.ProjClass.zero(amb)
+    for (a, b, k), coeff in x.items():
+        assert a % 2 == 0 and k >= 0
+        if k >= amb.p + amb.q:
+            continue
+        cw = min(k, amb.p)
+        ccw = k - cw
+        r = b - (cw - ccw)
+        z0, z1 = (0, r) if r >= 0 else (-r, 0)
+        j = (a - 2 * (z0 + ccw)) // 2
+        out = out + pj.ProjClass.from_mono(amb, (z0, z1, cw, ccw),
+                                           pt.p_tau({2 * j: coeff}))
+    return out
+
+
+def _reference_s_kernel(amb, mono, defect, numerator):
+    """pushed_s_kernel without the memo: numerator/2 folded into the
+    transfer and the kappa coefficient."""
+    if defect == 0:
+        return pj.ProjClass.from_mono(amb, mono, numerator)
+    half = numerator // 2
+    if half == 0:
+        return pj.ProjClass.zero(amb)
+    a, b, k = pj.mono_rho(mono)
+    kappa_mono = pj.mono_mul(mono, (0, 0, defect, defect))
+    return (_reference_tau(amb, {(a, b, k + defect): half})
+            + pj.ProjClass.from_mono(amb, kappa_mono,
+                                     pt.p_scale(pt.p_kappa(2 * defect), half)))
+
+
+def test_memoised_transfers_match_the_reference():
+    rng = random.Random(5071)
+    for p, q in ((2, 2), (3, 1), (0, 4), (4, 0), (3, 5)):
+        amb = pj.Ambient(p, q)   # fresh: the memo starts empty
+        laurent = []
+        for _ in range(40):
+            a, b, k = 2 * rng.randint(-4, 4), rng.randint(-5, 5), rng.randint(0, p + q + 1)
+            # neighbours share iota and c exponents, so the memo must tell
+            # zeta exponents apart
+            laurent += [(a, b, k), (a, b + 1, k), (a + 2, b, k), (a, b, k + 1)]
+        for rep in range(2):      # a miss, then a hit
+            for mono in laurent:
+                coeff = rng.choice([c for c in range(-5, 6) if c])
+                assert pj.proj_tau(amb, {mono: coeff}) == \
+                    _reference_tau(amb, {mono: coeff}), (amb, mono, coeff)
+            x = {m: rng.randint(-5, 5) for m in rng.sample(laurent, 4)}
+            assert pj.proj_tau(amb, x) == _reference_tau(amb, x), (amb, x)
+        assert any(k[0] == "tau" for k in amb._memo if type(k) is tuple)
+
+
+def test_memoised_kernels_match_the_reference():
+    rng = random.Random(5072)
+    for p, q in ((2, 2), (3, 1), (1, 3), (4, 3)):
+        amb = pj.Ambient(p, q)
+        monos = []
+        for _ in range(12):
+            monos.append((0, 0, rng.randint(0, p), rng.randint(0, q)))
+            monos.append((rng.randint(0, 3), rng.randint(0, 3),
+                          rng.randint(0, p), rng.randint(0, q)))
+            # divided monomials: negative zeta exponents on a saturated power
+            k = rng.randint(1, 4)
+            monos.append((-k, 0, p, rng.randint(0, q)))
+            monos.append((0, -k, rng.randint(0, p), q))
+        for rep in range(2):
+            for mono in monos:
+                defect = rng.randint(1, 4)
+                numerator = 2 * rng.randint(-4, 4)
+                got = pj.pushed_s_kernel(amb, mono, defect, numerator)
+                want = _reference_s_kernel(amb, mono, defect, numerator)
+                assert got == want, (amb, mono, defect, numerator)
+                odd = rng.choice([-3, 1, 5])
+                assert pj.pushed_s_kernel(amb, mono, 0, odd) == \
+                    _reference_s_kernel(amb, mono, 0, odd)
+        assert any(k[0] == "S" for k in amb._memo if type(k) is tuple)
+
+
+def test_memoised_classes_keep_every_validation():
+    amb = pj.Ambient(2, 2)
+    target = PiBDegree(2, 2, 2)
+    pj.proj_tau(amb, {(0, 0, 1): 3, (2, 0, 1): 1})
+    pj.pushed_s_kernel(amb, (0, 0, 1, 1), 2, 4)
+    # the same monomials again, now memoised: the guards still run first
+    with pytest.raises(GradingError, match="tau target .* does not match"):
+        pj.proj_tau(amb, {(2, 0, 1): 1}, target)
+    with pytest.raises(ValueError, match="negative c-exponent -1 in transfer"):
+        pj.proj_tau(amb, {(0, 0, -1): 1})
+    with pytest.raises(pt.OutsideSupportedSubring,
+                       match=r"tau\(iota\^1 zeta\^0 c\^1\) lies outside"):
+        pj.proj_tau(amb, {(1, 0, 1): 1})
+    with pytest.raises(ArithmeticError,
+                       match="coefficient 3/2 on a defect-2 term is not integral"):
+        pj.pushed_s_kernel(amb, (0, 0, 1, 1), 2, 3)
+
+
+def _random_classes(amb, rng, count):
+    pool = [pt.p_int(1), pt.p_int(-2), pt.p_kappa(), pt.p_one_minus_kappa(),
+            pt.p_sym(("e", 2)), pt.p_sym(("xi", 1), 3), pt.p_sym(("exi", 1, 1))]
+    out = []
+    for _ in range(count):
+        cls = pj.ProjClass.zero(amb)
+        for _ in range(rng.randint(1, 4)):
+            mono = (rng.randint(0, 2), rng.randint(0, 2),
+                    rng.randint(0, amb.p), rng.randint(0, amb.q))
+            cls = cls + pj.ProjClass.from_mono(amb, mono, rng.choice(pool))
+        out.append(cls)
+    return out
+
+
+def test_linear_combination_matches_chained_sums():
+    rng = random.Random(5073)
+    amb = pj.ambient(3, 2)
+    for _ in range(60):
+        classes = _random_classes(amb, rng, rng.randint(1, 5))
+        pairs = [(rng.randint(-3, 3), c) for c in classes]
+        want = pj.ProjClass.zero(amb)
+        for n, c in pairs:
+            want = want + c.scale(n)
+        assert pj.linear_combination(amb, pairs) == want
+    x, y = _random_classes(amb, rng, 2)
+    # sums that cancel to zero
+    assert pj.linear_combination(amb, [(1, x), (-1, x)]).is_zero()
+    assert pj.linear_combination(amb, [(2, x), (1, y), (-1, x.scale(2)),
+                                       (-1, y)]).terms == ()
+    assert pj.linear_combination(amb, []).is_zero()
+    assert pj.linear_combination(amb, [(0, x)]).is_zero()
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        pj.linear_combination(amb, [(1, x), (1, pj.gen_cw(pj.ambient(2, 3)))])

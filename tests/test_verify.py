@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from c2bezout import bundles as bd
 from c2bezout import laurent
 from c2bezout import projective as pj
 from c2bezout import verify as vf
@@ -144,3 +145,73 @@ def test_freeness_records_the_first_escape(monkeypatch):
         ("fail", {"p": 0, "q": 1, "a": (3, 0, 0, 0), "b": (3, 0, 0, 0)}),
         ("fail", {"p": 1, "q": 0, "a": (0, -3, 0, 0), "b": (0, -3, 0, 0)})]
     assert fails[0].detail == "escaped (6, 0, 0, 0)"
+
+
+# ---------------------------------------------------------------------------
+# the Euler grid
+
+def _brute_force_grid(cfg, amb):
+    """Every bundle multiset of the grid on amb in enumeration order,
+    judged by bd.context_violations: (admitted sums, number skipped)."""
+    cap = min(cfg.max_bundles_total, amb.p + amb.q - 1)
+    fams = {f: vf._family_multisets(cfg, f) for f in bd.FAMILIES}
+    admitted, skipped = [], 0
+    for tI in fams["I"]:
+        for tII in fams["II"]:
+            if len(tI) + len(tII) > cap:
+                continue
+            for tIII in fams["III"]:
+                for tIV in fams["IV"]:
+                    n = len(tI) + len(tII) + len(tIII) + len(tIV)
+                    if n == 0 or n > cap:
+                        continue
+                    specs = [bd.LineBundleSpec(f, d) for f, t in
+                             (("I", tI), ("II", tII), ("III", tIII), ("IV", tIV))
+                             for d in t]
+                    bs = bd.BundleSum((amb.p, amb.q), specs)
+                    if bd.context_violations(bs):
+                        skipped += 1
+                    else:
+                        admitted.append(bs)
+    return admitted, skipped
+
+
+@pytest.mark.parametrize("cfg", [
+    vf.SweepConfig(),
+    vf.SweepConfig(pq_sum_max=4, include_negative_degrees=True),
+], ids=["default", "negative_degrees"])
+def test_grid_admits_exactly_the_sums_inside_the_hypotheses(cfg):
+    total = 0
+    for s in range(2, cfg.pq_sum_max + 1):
+        for p in range(s + 1):
+            amb = pj.ambient(p, s - p)
+            sums, skipped = vf.bundle_grid(cfg, amb)
+            want, want_skipped = _brute_force_grid(cfg, amb)
+            assert [bs for bs, _, _ in sums] == want, amb
+            assert skipped == want_skipped, amb
+            total += len(want) + want_skipped
+            for bs, left, right in sums[::97]:
+                assert left * right == bd.euler_product(amb, bs), bs.token()
+    if not cfg.include_negative_degrees:
+        assert total == 73505
+
+
+def test_grid_failure_records_the_sum(monkeypatch):
+    closed_form = bd.euler_closed_form
+
+    def off_by_e2(amb, inv):
+        e2 = pj.ProjClass.from_point(amb, {("e", 2): 1})
+        return closed_form(amb, inv) + e2
+
+    monkeypatch.setattr(bd, "euler_closed_form", off_by_e2)
+    cfg = vf.SweepConfig(pq_sum_max=3)
+    rep = vf.run_verify(cfg, groups=("euler_grid",))
+    fails = rep.failures
+    assert len(fails) == 1
+    rec = fails[0]
+    assert rec.name in ("closed_form_low", "closed_form_high")
+    first = vf.bundle_grid(cfg, pj.ambient(0, 2))[0][0][0]
+    assert rec.params == {"p": 0, "q": 2, "bundles": first.token()}
+    assert rec.detail == "normal forms differ"
+    assert rec.lhs != rec.rhs
+    assert not any(r.status == "pass" and r.name == rec.name for r in rep.records)
