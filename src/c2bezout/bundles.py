@@ -318,12 +318,11 @@ def euler_type_block_binomial(amb: Ambient, count: int, degree_product: int) -> 
     return out
 
 
-def _free_orbit(amb: Ambient, inv: BundleInvariants, coeff: int) -> list:
-    """The free-orbit part of a closed form, as linear_combination pairs."""
+def _free_orbit_tau(amb: Ambient, inv: BundleInvariants, coeff: int) -> ProjClass:
     if coeff == 0:
-        return []
-    return [(coeff, proj_tau(
-        amb, {(2 * inv.k0, inv.k1 - inv.k0, amb.p + amb.q - inv.m): 1}))]
+        return ProjClass.zero(amb)
+    return proj_tau(
+        amb, {(2 * inv.k0, inv.k1 - inv.k0, amb.p + amb.q - inv.m): coeff})
 
 
 def pick_delta_star(inv: BundleInvariants) -> int:
@@ -361,29 +360,27 @@ def _closed_form_low(amb: Ambient, inv: BundleInvariants) -> ProjClass:
     l = -inv.ell
     k0, k1 = inv.k0, inv.k1
     if inv.m0 <= 0 and inv.m1 <= 0:
-        parts = _free_orbit(amb, inv, _exact_half(inv.Delta, "Delta"))
-    elif inv.m0 <= 0:
+        return _free_orbit_tau(amb, inv, _exact_half(inv.Delta, "Delta"))
+    if inv.m0 <= 0:
         # Delta0 is zeroed; the lead term rides the saturated c_w^p power.
         j = inv.m - inv.m1
-        parts = [(1, pushed_s_kernel(amb, (inv.m0, 0, k1, q - inv.m), j, inv.Delta1))]
-        parts += _free_orbit(
+        out = pushed_s_kernel(amb, (inv.m0, 0, k1, q - inv.m), j, inv.Delta1)
+        return out + _free_orbit_tau(
             amb, inv, _exact_half(inv.Delta - inv.Delta1, "Delta - Delta1"))
-    elif inv.m1 <= 0:
+    if inv.m1 <= 0:
         j = inv.m - inv.m0
-        parts = [(1, pushed_s_kernel(amb, (0, inv.m1, p - inv.m, k0), j, inv.Delta0))]
-        parts += _free_orbit(
+        out = pushed_s_kernel(amb, (0, inv.m1, p - inv.m, k0), j, inv.Delta0)
+        return out + _free_orbit_tau(
             amb, inv, _exact_half(inv.Delta - inv.Delta0, "Delta - Delta0"))
-    else:
-        dstar = pick_delta_star(inv)
-        parts = [(1, pushed_s_kernel(amb, (0, 0, k1, k0), l, dstar))]
-        if inv.Delta0 != dstar:
-            parts.append((1, pushed_s_kernel(amb, (0, 1, k1 - 1, k0), l + 1,
-                                             inv.Delta0 - dstar)))
-        if inv.Delta1 != dstar:
-            parts.append((1, pushed_s_kernel(amb, (1, 0, k1, k0 - 1), l + 1,
-                                             inv.Delta1 - dstar)))
-        dmax = inv.Delta0 + inv.Delta1 - dstar
-        parts += _free_orbit(amb, inv, _exact_half(inv.Delta - dmax, "Delta - Delta_max"))
+    dstar = pick_delta_star(inv)
+    parts = [(1, pushed_s_kernel(amb, (0, 0, k1, k0), l, dstar))]
+    if inv.Delta0 != dstar:
+        parts.append((1, pushed_s_kernel(amb, (0, 1, k1 - 1, k0), l + 1, inv.Delta0 - dstar)))
+    if inv.Delta1 != dstar:
+        parts.append((1, pushed_s_kernel(amb, (1, 0, k1, k0 - 1), l + 1, inv.Delta1 - dstar)))
+    dmax = inv.Delta0 + inv.Delta1 - dstar
+    parts.append((1, _free_orbit_tau(
+        amb, inv, _exact_half(inv.Delta - dmax, "Delta - Delta_max"))))
     return linear_combination(amb, parts)
 
 
@@ -403,7 +400,8 @@ def _closed_form_high(amb: Ambient, inv: BundleInvariants) -> ProjClass:
     cfree = _exact_half(
         inv.Delta - inv.Delta0 - inv.Delta1 - eps * ((1 << beta(ell)) - 2),
         "free-orbit numerator")
-    return linear_combination(amb, parts + _free_orbit(amb, inv, cfree))
+    parts.append((1, _free_orbit_tau(amb, inv, cfree)))
+    return linear_combination(amb, parts)
 
 
 def euler_I_and_III(amb: Ambient, nI: int, dI: int, nIII: int, dIII: int) -> ProjClass:

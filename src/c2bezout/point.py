@@ -199,18 +199,16 @@ def _mul_sym(a: Sym, b: Sym):
     raise AssertionError(f"unhandled symbol product {a} * {b}")
 
 
-# (a, b) -> (((symbol, coefficient, torsion), ...), frozen product): the
-# product of two symbols as _mul_sym gives it, reduced mod 2 where the
-# symbol is 2-torsion, once as triples for p_mul and once frozen for c_mul
+# (a, b) -> frozen product: the product of two symbols as _mul_sym gives
+# it, reduced mod 2 where the symbol is 2-torsion
 _PRODUCTS: dict = {}
 
 
-def _product_entry(a: Sym, b: Sym) -> tuple:
+def _product_entry(a: Sym, b: Sym) -> Coeff:
     prod: Terms = {}
     for s, c in _mul_sym(a, b):
         _put(prod, s, c)
-    entry = (tuple((s, c, s[0] == "exi") for s, c in prod.items()),
-             p_freeze(prod))
+    entry = p_freeze(prod)
     if len(_PRODUCTS) >= CACHE_LIMIT:
         _PRODUCTS.clear()
     _PRODUCTS[(a, b)] = entry
@@ -224,11 +222,13 @@ def p_mul(a: Terms | Coeff, b: Terms | Coeff) -> Terms:
         b = b.items()
     for sa, ca in (a.items() if type(a) is dict else a):
         for sb, cb in b:
-            entry = _PRODUCTS.get((sa, sb)) or _product_entry(sa, sb)
+            entry = _PRODUCTS.get((sa, sb))
+            if entry is None:
+                entry = _product_entry(sa, sb)
             n = ca * cb
-            for s, c, torsion in entry[0]:
+            for s, c in entry:
                 v = get(s, 0) + n * c
-                out[s] = v % 2 if torsion else v
+                out[s] = v % 2 if s[0] == "exi" else v
     return {s: c for s, c in out.items() if c}
 
 
@@ -283,14 +283,11 @@ def c_mul(a: Coeff, b: Coeff) -> Coeff:
     if len(a) == 1 and len(b) == 1:
         (sa, ca), = a
         (sb, cb), = b
-        entry = _PRODUCTS.get((sa, sb)) or _product_entry(sa, sb)
-        return c_scale(entry[1], ca * cb)
-    out: Coeff = ()
-    for sa, ca in a:
-        for sb, cb in b:
-            entry = _PRODUCTS.get((sa, sb)) or _product_entry(sa, sb)
-            out = c_add(out, c_scale(entry[1], ca * cb))
-    return out
+        entry = _PRODUCTS.get((sa, sb))
+        if entry is None:
+            entry = _product_entry(sa, sb)
+        return c_scale(entry, ca * cb)
+    return p_freeze(p_mul(a, b))
 
 
 def _tau_iota(j: int):

@@ -364,15 +364,11 @@ class ProjClass:
         return cls(amb, ())
 
     @classmethod
-    def from_mono(cls, amb: Ambient, m: Mono,
-                  coeff: pt.Terms | pt.Coeff | int = 1) -> "ProjClass":
-        """coeff * m in normal form; coeff is an integer or a point-ring
-        element, as a dict or frozen."""
+    def from_mono(cls, amb: Ambient, m: Mono, coeff: pt.Terms | int = 1) -> "ProjClass":
         out = cls(amb, amb.reduce_mono(m))
         if isinstance(coeff, int):
             return out.scale(coeff)
-        if type(coeff) is dict:
-            coeff = pt.p_freeze(pt.normalized(coeff))
+        coeff = pt.p_freeze(pt.normalized(coeff))
         if not coeff:
             return cls.zero(amb)
         if coeff == ONE:
@@ -412,10 +408,10 @@ class ProjClass:
         return ProjClass(self.amb, tuple(t for t in scaled if t[1]))
 
     def scale_point(self, h: pt.Terms) -> "ProjClass":
+        # the monomials are normal and distinct already: scale in place
         h = pt.p_freeze(pt.normalized(h))
-        return linear_combination(self.amb, [
-            (1, ProjClass.from_mono(self.amb, m, pt.c_mul(h, c)))
-            for m, c in self.terms])
+        prods = ((m, pt.c_mul(h, c)) for m, c in self.terms)
+        return ProjClass(self.amb, tuple(t for t in prods if t[1]))
 
     def __mul__(self, other: "ProjClass") -> "ProjClass":
         self._check(other)

@@ -201,8 +201,8 @@ def test_cache_size_env_respected():
          "amb = pj.ambient(3, 3)\n"
          "sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
          "assert max(sizes) <= 64, sizes\n"
-         "# unit transfers and kernels share the memo's bound; the table's\n"
-         "# entries carry the frozen products\n"
+         "# unit transfers and kernels share the memo's bound; the table\n"
+         "# holds frozen products\n"
          "for d in range(1, 40):\n"
          "    pj.pushed_s_kernel(amb, (0, 0, 1, 1), d % 3 + 1, 2 * d)\n"
          "    pj.proj_tau(amb, {(2 * d, d % 5, d % 6): d})\n"
@@ -211,7 +211,7 @@ def test_cache_size_env_respected():
          "assert {'tau', 'S'} <= kinds, kinds\n"
          "sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
          "assert max(sizes) <= 64, sizes\n"
-         "assert all(type(v[1]) is tuple for v in pt._PRODUCTS.values())\n"
+         "assert all(type(v) is tuple for v in pt._PRODUCTS.values())\n"
          "print(pj._CACHE_LIMIT)"],
         env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

@@ -628,3 +628,33 @@ def test_linear_combination_matches_chained_sums():
     assert pj.linear_combination(amb, [(0, x)]).is_zero()
     with pytest.raises(ValueError, match="ambient mismatch"):
         pj.linear_combination(amb, [(1, x), (1, pj.gen_cw(pj.ambient(2, 3)))])
+
+
+def test_from_mono_normalizes_pair_coefficients():
+    amb = pj.ambient(2, 2)
+    mono = (1, 0, 1, 1)
+    want = pj.ProjClass.from_mono(amb, mono, {("xi", 1): 2, ("exi", 1, 1): 1})
+    # unsorted pairs, a zero coefficient and a 2-torsion coefficient of 3
+    pairs = ((("xi", 1), 2), (("e", 2), 0), (("exi", 1, 1), 3))
+    got = pj.ProjClass.from_mono(amb, mono, pairs)
+    assert got == want and got.terms == want.terms
+    assert pj.ProjClass.from_mono(amb, mono, ((("exi", 1, 1), 2),)).is_zero()
+    assert pj.ProjClass.from_mono(amb, mono, {pt.S_ONE: 1}).terms == \
+        pj.ProjClass.from_mono(amb, mono).terms
+
+
+def test_scale_point_matches_the_reference():
+    """scale_point against a sum of from_mono over the terms."""
+    rng = random.Random(5074)
+    hs = [pt.p_int(0), pt.p_int(-3), pt.p_kappa(), pt.p_one_minus_kappa(),
+          pt.p_sym(("tin", 1)), pt.p_sym(("e", 1), 2), pt.p_sym(("exi", 1, 1)),
+          pt.p_add(pt.p_sym(pt.S_G, 2), pt.p_int(-1))]
+    for p, q in ((2, 2), (3, 1), (1, 3)):
+        amb = pj.ambient(p, q)
+        for cls in _random_classes(amb, rng, 20):
+            for h in hs:
+                want = pj.ProjClass.zero(amb)
+                for m, c in cls.terms:
+                    want = want + pj.ProjClass.from_mono(amb, m, pt.p_mul(h, c))
+                got = cls.scale_point(h)
+                assert got == want and got.terms == want.terms, (cls, h)
