@@ -13,7 +13,7 @@ and caches hold them frozen instead: a tuple of (symbol, coefficient)
 pairs in sorted symbol order, which `p_freeze` makes.  Every `p_*`
 function reads either form and returns a fresh dict; `c_mul`, `c_add`
 and `c_scale` read and return the frozen form, so class arithmetic
-never goes through a dict.  Symbol keys:
+builds a dict only inside a product of multi-term elements.  Symbol keys:
 
     ('1',)          the unit
     ('g',)          the free orbit class, g = tau(1), g^2 = 2g
