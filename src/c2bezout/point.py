@@ -8,12 +8,12 @@ which is everything the Euler-class and Bezout calculations touch.  kappa
 is not a basis symbol; it normalizes to 2 - g.  Products are closed in
 this span; transfers of odd iota powers are refused rather than modeled.
 
-Elements are dicts mapping symbol keys to integer coefficients.  Classes
-and caches hold them frozen instead: a tuple of (symbol, coefficient)
-pairs in sorted symbol order, which `p_freeze` makes.  Every `p_*`
-function reads either form and returns a fresh dict; `c_mul`, `c_add`
-and `c_scale` read and return the frozen form, so class arithmetic
-builds a dict only inside a product of multi-term elements.  Symbol keys:
+An element is a tuple of (symbol, coefficient) pairs in symbol order,
+with no zero coefficients and the 2-torsion coefficients reduced mod 2,
+so equal elements are equal tuples.  Every `p_*` constructor and
+operation takes and returns this form; `p_normalize` makes it from a
+dict or from unsorted pairs, at the boundary with outside input.
+Symbol keys:
 
     ('1',)          the unit
     ('g',)          the free orbit class, g = tau(1), g^2 = 2g
@@ -31,8 +31,7 @@ import os
 from .grading import ROC2Degree
 
 Sym = tuple
-Terms = dict
-Coeff = tuple  # frozen Terms: ((symbol, coefficient), ...) in symbol order
+Coeff = tuple  # an element: ((symbol, coefficient), ...) in symbol order
 
 # entries per cache: the symbol-product table here, and each ambient's
 # reduction, basis and class caches in projective
@@ -69,79 +68,90 @@ def sym_degree(s: Sym) -> ROC2Degree:
     return ROC2Degree(*sym_ranks(s))
 
 
-def _put(out: Terms, s: Sym, c: int) -> None:
-    if c == 0:
-        return
+def _put(out: dict, s: Sym, c: int) -> None:
+    c += out.get(s, 0)
     if s[0] == "exi":
-        c = (out.get(s, 0) + c) % 2
-        if c:
-            out[s] = c
-        else:
-            out.pop(s, None)
-        return
-    c = out.get(s, 0) + c
+        c %= 2
     if c:
         out[s] = c
     else:
         out.pop(s, None)
 
 
-def _pairs(a: Terms | Coeff):
-    return a.items() if type(a) is dict else a
-
-
-def p_freeze(a: Terms) -> Coeff:
-    """The frozen form of a normalized element (every p_* result is)."""
-    return tuple(a.items()) if len(a) == 1 else tuple(sorted(a.items()))
-
-
-def normalized(terms: Terms | Coeff) -> Terms:
-    out: Terms = {}
-    for s, c in _pairs(terms):
+def p_normalize(pairs) -> Coeff:
+    """The element with the given (symbol, coefficient) pairs, from a dict
+    or any iterable of pairs, in any order and with repeats: the one entry
+    point for elements built outside this module."""
+    out: dict = {}
+    for s, c in (pairs.items() if isinstance(pairs, dict) else pairs):
         _put(out, s, c)
-    return out
+    return tuple(sorted(out.items()))
 
 
-def p_int(n: int) -> Terms:
-    return {S_ONE: n} if n else {}
+def p_int(n: int) -> Coeff:
+    return ((S_ONE, n),) if n else ()
 
 
-def p_sym(s: Sym, c: int = 1) -> Terms:
-    out: Terms = {}
-    _put(out, s, c)
-    return out
+def p_sym(s: Sym, c: int = 1) -> Coeff:
+    if s[0] == "exi":
+        c %= 2
+    return ((s, c),) if c else ()
 
 
-def p_kappa(power_of_e: int = 0) -> Terms:
+def p_kappa(power_of_e: int = 0) -> Coeff:
     """e^-m kappa.  For m = 0 this is kappa = 2 - g; for negative m it
     collapses, since e^j kappa = 2 e^j."""
     if power_of_e == 0:
-        return {S_ONE: 2, S_G: -1}
+        return ((S_ONE, 2), (S_G, -1))
     if power_of_e < 0:
-        return {("e", -power_of_e): 2}
-    return {("eik", power_of_e): 1}
+        return ((("e", -power_of_e), 2),)
+    return ((("eik", power_of_e), 1),)
 
 
-def p_one_minus_kappa() -> Terms:
-    return {S_ONE: -1, S_G: 1}
+def p_one_minus_kappa() -> Coeff:
+    return ((S_ONE, -1), (S_G, 1))
 
 
-def p_add(a: Terms | Coeff, b: Terms | Coeff) -> Terms:
-    out = dict(a)
-    for s, c in _pairs(b):
-        _put(out, s, c)
-    return out
+def p_add(a: Coeff, b: Coeff) -> Coeff:
+    """a + b: a merge of the two symbol-ordered tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        sa, ca = a[i]
+        sb, cb = b[j]
+        if sa == sb:
+            c = ca + cb
+            if sa[0] == "exi":
+                c %= 2
+            if c:
+                out.append((sa, c))
+            i += 1
+            j += 1
+        elif sa < sb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
-def p_scale(a: Terms | Coeff, n: int) -> Terms:
-    out: Terms = {}
-    for s, c in _pairs(a):
+def p_scale(a: Coeff, n: int) -> Coeff:
+    if n == 1:
+        return a
+    out = []
+    for s, c in a:
         c *= n
         if s[0] == "exi":
             c %= 2
         if c:
-            out[s] = c
-    return out
+            out.append((s, c))
+    return tuple(out)
 
 
 def _mul_sym(a: Sym, b: Sym):
@@ -199,28 +209,30 @@ def _mul_sym(a: Sym, b: Sym):
     raise AssertionError(f"unhandled symbol product {a} * {b}")
 
 
-# (a, b) -> frozen product: the product of two symbols as _mul_sym gives
-# it, reduced mod 2 where the symbol is 2-torsion
+# (a, b) -> the product of two symbols as _mul_sym gives it, in normal form
 _PRODUCTS: dict = {}
 
 
 def _product_entry(a: Sym, b: Sym) -> Coeff:
-    prod: Terms = {}
-    for s, c in _mul_sym(a, b):
-        _put(prod, s, c)
-    entry = p_freeze(prod)
+    entry = p_normalize(_mul_sym(a, b))
     if len(_PRODUCTS) >= CACHE_LIMIT:
         _PRODUCTS.clear()
     _PRODUCTS[(a, b)] = entry
     return entry
 
 
-def p_mul(a: Terms | Coeff, b: Terms | Coeff) -> Terms:
-    out: Terms = {}
+def p_mul(a: Coeff, b: Coeff) -> Coeff:
+    """a * b; a product of single symbols is read from the table."""
+    if len(a) == 1 and len(b) == 1:
+        (sa, ca), = a
+        (sb, cb), = b
+        entry = _PRODUCTS.get((sa, sb))
+        if entry is None:
+            entry = _product_entry(sa, sb)
+        return p_scale(entry, ca * cb)
+    out: dict = {}
     get = out.get
-    if type(b) is dict:
-        b = b.items()
-    for sa, ca in (a.items() if type(a) is dict else a):
+    for sa, ca in a:
         for sb, cb in b:
             entry = _PRODUCTS.get((sa, sb))
             if entry is None:
@@ -229,65 +241,7 @@ def p_mul(a: Terms | Coeff, b: Terms | Coeff) -> Terms:
             for s, c in entry:
                 v = get(s, 0) + n * c
                 out[s] = v % 2 if s[0] == "exi" else v
-    return {s: c for s, c in out.items() if c}
-
-
-# ---------------------------------------------------------------------------
-# frozen arithmetic: Coeff in, Coeff out
-
-def c_scale(a: Coeff, n: int) -> Coeff:
-    """n * a, frozen."""
-    if n == 1:
-        return a
-    out = []
-    for s, c in a:
-        c *= n
-        if s[0] == "exi":
-            c %= 2
-        if c:
-            out.append((s, c))
-    return tuple(out)
-
-
-def c_add(a: Coeff, b: Coeff) -> Coeff:
-    """a + b, frozen: a merge of the two symbol-ordered tuples."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        sa, ca = a[i]
-        sb, cb = b[j]
-        if sa == sb:
-            c = ca + cb
-            if sa[0] == "exi":
-                c %= 2
-            if c:
-                out.append((sa, c))
-            i += 1
-            j += 1
-        elif sa < sb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    return tuple(out) + a[i:] + b[j:]
-
-
-def c_mul(a: Coeff, b: Coeff) -> Coeff:
-    """a * b, frozen; a product of single symbols is read from the table."""
-    if len(a) == 1 and len(b) == 1:
-        (sa, ca), = a
-        (sb, cb), = b
-        entry = _PRODUCTS.get((sa, sb))
-        if entry is None:
-            entry = _product_entry(sa, sb)
-        return c_scale(entry, ca * cb)
-    return p_freeze(p_mul(a, b))
+    return tuple(sorted((s, c) for s, c in out.items() if c))
 
 
 def _tau_iota(j: int):
@@ -299,23 +253,21 @@ def _tau_iota(j: int):
     return [(("tin", -j), 1)]
 
 
-def p_tau(laurent: dict) -> Terms:
+def p_tau(laurent: dict) -> Coeff:
     """Transfer of a point-level Laurent class {iota_exponent: coeff}."""
-    out: Terms = {}
-    for ie, c in laurent.items():
+    for ie in laurent:
         if ie % 2 != 0:
             raise OutsideSupportedSubring(
                 f"tau(iota^{ie}) lies outside the supported subring"
             )
-        for s, c2 in _tau_iota(ie // 2):
-            _put(out, s, c * c2)
-    return out
+    return p_normalize((s, c * c2) for ie, c in laurent.items()
+                       for s, c2 in _tau_iota(ie // 2))
 
 
-def p_rho(a: Terms | Coeff) -> dict:
+def p_rho(a: Coeff) -> dict:
     """Restriction to the nonequivariant point, as {iota_exponent: coeff}."""
     out: dict = {}
-    for s, c in _pairs(a):
+    for s, c in a:
         kind = s[0]
         if kind == "1":
             e, v = 0, 1
@@ -335,11 +287,11 @@ def p_rho(a: Terms | Coeff) -> dict:
     return out
 
 
-def p_fixed(a: Terms | Coeff) -> int:
+def p_fixed(a: Coeff) -> int:
     """Fixed-point value.  The target is Z concentrated in degree 0, so
     only the symbols with trivial fixed grading contribute."""
     total = 0
-    for s, c in _pairs(a):
+    for s, c in a:
         kind = s[0]
         if kind == "1":
             total += c
@@ -351,8 +303,8 @@ def p_fixed(a: Terms | Coeff) -> int:
     return total
 
 
-def p_degrees(a: Terms | Coeff) -> set:
-    return {sym_degree(s) for s, _ in _pairs(a)}
+def p_degrees(a: Coeff) -> set:
+    return {sym_degree(s) for s, _ in a}
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +351,17 @@ def _sym_latex(s: Sym) -> str:
     raise ValueError(s)
 
 
-def _fold_kappa(terms: Terms):
+def _fold_kappa(a: Coeff):
     """Split off t*(2 - g) when the 1/g coefficients are an exact multiple."""
+    terms = dict(a)
     c1 = terms.get(S_ONE, 0)
     cg = terms.get(S_G, 0)
     if cg != 0 and c1 == -2 * cg:
-        rest = {s: c for s, c in terms.items() if s not in (S_ONE, S_G)}
-        return -cg, rest
-    return 0, terms
+        return -cg, [(s, c) for s, c in a if s not in (S_ONE, S_G)]
+    return 0, a
 
 
-def p_text(a: Terms, latex: bool = False) -> str:
+def p_text(a: Coeff, latex: bool = False) -> str:
     if not a:
         return "0"
     kap, rest = _fold_kappa(a)
@@ -417,8 +369,8 @@ def p_text(a: Terms, latex: bool = False) -> str:
     if kap:
         name = r"\kappa" if latex else "kappa"
         pieces.append((kap, name))
-    for s in sorted(rest, key=lambda s: (s[0], s[1:])):
-        pieces.append((rest[s], _sym_latex(s) if latex else _sym_text(s)))
+    for s, c in rest:
+        pieces.append((c, _sym_latex(s) if latex else _sym_text(s)))
     out = ""
     for c, name in pieces:
         body = name if name else str(abs(c))
@@ -429,6 +381,5 @@ def p_text(a: Terms, latex: bool = False) -> str:
     return out
 
 
-def p_json(a: Terms | Coeff) -> list:
-    return [{"symbol": s[0], "params": list(s[1:]), "coeff": c}
-            for s, c in sorted(_pairs(a))]
+def p_json(a: Coeff) -> list:
+    return [{"symbol": s[0], "params": list(s[1:]), "coeff": c} for s, c in a]

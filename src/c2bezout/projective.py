@@ -3,7 +3,7 @@
 Classes are stored in canonical basis coordinates: a tuple of (normal
 monomial, coefficient) pairs in monomial order, where a monomial
 (z0, z1, cw, ccw) lists the exponents of zeta0, zeta1, c_w, c_xw and the
-coefficient is a frozen point-ring element (`point.p_freeze`).  Terms
+coefficient is a point-ring element (a sorted tuple, see `point`).  Terms
 are immutable, so classes and caches share them instead of copying.
 
 The reducer rewrites an arbitrary product of generators (and divided
@@ -39,12 +39,8 @@ class KernelError(RuntimeError):
     """A normal form the rewrite system should never produce."""
 
 
-ONE: pt.Coeff = ((pt.S_ONE, 1),)  # the unit coefficient, frozen
-_ONE_MINUS_KAPPA: pt.Coeff = pt.p_freeze(pt.p_one_minus_kappa())
-
-
-def _xi(n: int) -> pt.Coeff:
-    return ((("xi", n), 1),)
+ONE: pt.Coeff = pt.p_int(1)  # the unit coefficient
+_ONE_MINUS_KAPPA: pt.Coeff = pt.p_one_minus_kappa()
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -102,7 +98,7 @@ class Ambient:
             raise ValueError(f"invalid ambient ({p},{q})")
         self.p = p
         self.q = q
-        self._e2 = pt.p_freeze(pt.p_sym(("e", 2), tensor_e2))
+        self._e2 = pt.p_sym(("e", 2), tensor_e2)
         self._reduce: dict = {}
         self._basis: dict = {}
         self._basis_sets: dict = {}
@@ -155,7 +151,8 @@ class Ambient:
 
         Walks the rewrite DAG below root with an explicit stack, stopping
         at cached and normal monomials; a monomial met again on its own
-        rewrite path, or a path past the depth guard, is a KernelError.
+        rewrite path, or a path longer than `_measure(root)`, is a
+        KernelError.
         Terms read from the cache are kept in `known`, so a concurrent
         clear cannot lose them.  A small DAG is evaluated bottom-up and
         every monomial in it is memoised; a large one pushes coefficients
@@ -166,10 +163,11 @@ class Ambient:
         edges: dict = {}    # new monomial -> its rewrite, None if normal
         done: set = set()
         order: list = []    # new monomials, children before parents
+        limit = self._measure(root)
         edges[root] = self._rewrite(root)
-        stack = [(root, 0, iter(edges[root] or ()))]
+        stack = [(root, iter(edges[root] or ()))]   # the current path
         while stack:
-            m, depth, children = stack[-1]
+            m, children = stack[-1]
             for child, _ in children:
                 if child in edges:
                     if child not in done:
@@ -181,10 +179,10 @@ class Ambient:
                 if terms is not None:
                     known[child] = terms
                     continue
-                if depth + 1 > 64 + 4 * sum(abs(e) for e in child):
+                if len(stack) > limit:
                     raise KernelError(f"reduction of {child} did not terminate")
                 rule = edges[child] = self._rewrite(child)
-                stack.append((child, depth + 1, iter(rule or ())))
+                stack.append((child, iter(rule or ())))
                 break
             else:
                 stack.pop()
@@ -214,12 +212,12 @@ class Ambient:
                 _add_scaled(acc, ((m, w),), None)
                 continue
             for child, coeff in rule:
-                c = coeff if w == ONE else pt.c_mul(w, coeff)
+                c = coeff if w == ONE else pt.p_mul(w, coeff)
                 if child in known:
                     _add_scaled(acc, known[child], c)
                 else:
                     cur = weight.get(child)
-                    weight[child] = c if cur is None else pt.c_add(cur, c)
+                    weight[child] = c if cur is None else pt.p_add(cur, c)
         out = _freeze_terms(acc)
         self._check_degrees(root, out)
         return _remember(cache, root, out)
@@ -236,6 +234,24 @@ class Ambient:
                     raise KernelError(
                         f"degree drift reducing {m}: term {mono} carries {s}")
 
+    def _measure(self, m: Mono) -> int:
+        """A bound on the length of every rewrite path from m.
+
+        Every rule of `_rewrite` lowers this measure by at least 1 and it
+        is never negative.  The rules are tried in order, so each fires
+        only where the earlier ones fail: the zeta rules lower the
+        positive zeta exponents and leave the excess alone; a c_w peel
+        needs c_w > p, c_xw < q and zeta1 <= 0, so it takes 3 off the
+        excess and adds at most 2 (zeta1 0 -> 1); a c_xw peel either
+        needs c_xw > q and zeta0 <= 0, so it takes 3 off the excess and
+        adds at most 1 (zeta0 0 -> 1), or, on zeta0 = 0 < zeta1, trades 2
+        of zeta1 for 1 of zeta0; the zeta0^2 c_w rule lowers zeta0 and
+        keeps c_xw <= q.
+        """
+        z0, z1, cw, ccw = m
+        excess = max(cw - self.p, 0) + max(ccw - self.q, 0)
+        return 3 * excess + max(z0, 0) + 2 * max(z1, 0)
+
     def _rewrite(self, m: Mono):
         """One rewrite of m as ((child, coeff), ...): () when m vanishes,
         None when m is normal."""
@@ -246,11 +262,11 @@ class Ambient:
             return ()
         if z0 > 0 and z1 > 0:
             t = min(z0, z1)
-            return (((z0 - t, z1 - t, cw, ccw), _xi(t)),)
+            return (((z0 - t, z1 - t, cw, ccw), pt.p_sym(("xi", t))),)
         if z1 > 0 and (z0 < 0 or cw >= p):
-            return (((z0 - z1, 0, cw, ccw), _xi(z1)),)
+            return (((z0 - z1, 0, cw, ccw), pt.p_sym(("xi", z1))),)
         if z0 > 0 and (z1 < 0 or ccw >= q):
-            return (((0, z1 - z0, cw, ccw), _xi(z0)),)
+            return (((0, z1 - z0, cw, ccw), pt.p_sym(("xi", z0))),)
         if cw > p:
             # peel one (zeta0 c_w) = (1-kappa) zeta1 c_xw + e^2
             return (((z0 - 1, z1 + 1, cw - 1, ccw + 1), _ONE_MINUS_KAPPA),
@@ -261,7 +277,7 @@ class Ambient:
                     ((z0, z1 - 1, cw, ccw - 1), e2))
         if z0 >= 2 and cw >= 1:
             # zeta0 * (zeta0 c_w) = xi c_xw + e^2 zeta0
-            return (((z0 - 2, z1, cw - 1, ccw + 1), _xi(1)),
+            return (((z0 - 2, z1, cw - 1, ccw + 1), pt.p_sym(("xi", 1))),
                     ((z0 - 1, z1, cw - 1, ccw), e2))
         if not self.is_normal_mono(m):
             raise KernelError(f"stuck at non-normal monomial {m} in {self!r}")
@@ -312,13 +328,12 @@ def _remember(cache: dict, key, value):
 
 
 def _add_scaled(acc: dict, terms: tuple, coeff) -> None:
-    """acc[mono] += coeff * c for each (mono, c) of terms; coeff None is 1.
-    Coefficients are frozen throughout."""
+    """acc[mono] += coeff * c for each (mono, c) of terms; coeff None is 1."""
     for mono, c in terms:
         if coeff is not None:
-            c = coeff if c == ONE else pt.c_mul(coeff, c)
+            c = coeff if c == ONE else pt.p_mul(coeff, c)
         cur = acc.get(mono)
-        acc[mono] = c if cur is None else pt.c_add(cur, c)
+        acc[mono] = c if cur is None else pt.p_add(cur, c)
 
 
 def _freeze_terms(acc: dict) -> tuple:
@@ -364,23 +379,16 @@ class ProjClass:
         return cls(amb, ())
 
     @classmethod
-    def from_mono(cls, amb: Ambient, m: Mono, coeff: pt.Terms | int = 1) -> "ProjClass":
+    def from_mono(cls, amb: Ambient, m: Mono, coeff=1) -> "ProjClass":
+        """coeff * m for an int coeff or a point element in any form
+        `point.p_normalize` reads."""
         out = cls(amb, amb.reduce_mono(m))
-        if isinstance(coeff, int):
-            return out.scale(coeff)
-        coeff = pt.p_freeze(pt.normalized(coeff))
-        if not coeff:
-            return cls.zero(amb)
-        if coeff == ONE:
-            return out
-        prods = ((mono, coeff if c == ONE else pt.c_mul(coeff, c))
-                 for mono, c in out.terms)
-        return cls(amb, tuple(t for t in prods if t[1]))
+        return out.scale(coeff) if isinstance(coeff, int) else out.scale_point(coeff)
 
     @classmethod
-    def from_point(cls, amb: Ambient, coeff: pt.Terms) -> "ProjClass":
-        coeff = pt.normalized(coeff)
-        return cls(amb, ((UNIT, pt.p_freeze(coeff)),)) if coeff else cls.zero(amb)
+    def from_point(cls, amb: Ambient, coeff) -> "ProjClass":
+        coeff = pt.p_normalize(coeff)
+        return cls(amb, ((UNIT, coeff),) if coeff else ())
 
     @classmethod
     def unit(cls, amb: Ambient) -> "ProjClass":
@@ -404,13 +412,15 @@ class ProjClass:
     def scale(self, n: int) -> "ProjClass":
         if n == 1:
             return self
-        scaled = ((m, pt.c_scale(c, n)) for m, c in self.terms)
+        scaled = ((m, pt.p_scale(c, n)) for m, c in self.terms)
         return ProjClass(self.amb, tuple(t for t in scaled if t[1]))
 
-    def scale_point(self, h: pt.Terms) -> "ProjClass":
+    def scale_point(self, h) -> "ProjClass":
         # the monomials are normal and distinct already: scale in place
-        h = pt.p_freeze(pt.normalized(h))
-        prods = ((m, pt.c_mul(h, c)) for m, c in self.terms)
+        h = pt.p_normalize(h)
+        if h == ONE:
+            return self
+        prods = ((m, h if c == ONE else pt.p_mul(h, c)) for m, c in self.terms)
         return ProjClass(self.amb, tuple(t for t in prods if t[1]))
 
     def __mul__(self, other: "ProjClass") -> "ProjClass":
@@ -424,7 +434,7 @@ class ProjClass:
                 elif ca == ONE:
                     coeff = cb
                 else:
-                    coeff = pt.c_mul(ca, cb)
+                    coeff = pt.p_mul(ca, cb)
                     if not coeff:
                         continue
                 _add_scaled(acc, reduce(mono_mul(ma, mb)), coeff)
@@ -541,9 +551,9 @@ def linear_combination(amb: Ambient, pairs: list) -> ProjClass:
         if n:
             for mono, c in cls.terms:
                 if n != 1:
-                    c = pt.c_scale(c, n)
+                    c = pt.p_scale(c, n)
                 cur = acc.get(mono)
-                acc[mono] = c if cur is None else pt.c_add(cur, c)
+                acc[mono] = c if cur is None else pt.p_add(cur, c)
     return ProjClass(amb, _freeze_terms(acc))
 
 

@@ -44,7 +44,7 @@ def _tau_text(iexp: int, zexp: int, cexp: int, latex: bool) -> str:
 def _split_tau(coeff: pt.Coeff, m) -> tuple:
     """Split a coefficient into tau-foldable pieces and a remainder."""
     folded = []  # (integer multiple, iota-shift)
-    rest: pt.Terms = {}
+    rest = []    # the other pairs, still in symbol order
     has_c = m[2] + m[3] > 0
     for s, c in coeff:
         if s == pt.S_G:
@@ -54,8 +54,8 @@ def _split_tau(coeff: pt.Coeff, m) -> tuple:
         elif s[0] == "xi" and c % 2 == 0 and has_c:
             folded.append((c // 2, 2 * s[1]))
         else:
-            rest[s] = c
-    return folded, rest
+            rest.append((s, c))
+    return folded, tuple(rest)
 
 
 def proj_text(cls: ProjClass, latex: bool = False) -> str:

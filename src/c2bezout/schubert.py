@@ -298,7 +298,7 @@ def bezout_expansion(inv: BundleInvariants) -> BezoutExpansion:
 # ---------------------------------------------------------------------------
 # special cases, produced independently for cross-checking
 
-def special_case(kind: str, inv: BundleInvariants, **params) -> BezoutExpansion:
+def special_case(kind: str, inv: BundleInvariants) -> BezoutExpansion:
     if kind == "codim1":
         return _codim1_case(inv)
     if kind == "dim0":

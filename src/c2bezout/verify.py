@@ -255,7 +255,7 @@ def check_point_table(rec: Recorder, window: int = 8) -> None:
     # torsion sanity: 2 e xi = 0 but e xi != 0
     exi = pt.p_sym(("exi", 1, 1))
     rec.check("point_torsion", params,
-              pt.p_scale(exi, 2) == {} and exi != {},
+              pt.p_scale(exi, 2) == () and exi != (),
               "2 e xi should vanish while e xi does not")
 
 
@@ -292,7 +292,7 @@ def check_point_axioms(rec: Recorder, window: int = 8) -> None:
               == pt.p_sym(("eik", 2), 2))
 
 
-def _point_shadow(x: pt.Terms) -> dict:
+def _point_shadow(x: pt.Coeff) -> dict:
     """The restriction of a point element, on laurent (iota, 0, 0) keys."""
     return {(e, 0, 0): c for e, c in pt.p_rho(x).items()}
 

@@ -6,6 +6,8 @@ prints one pass/fail line.  The shipped default sweep configuration is
 the one exercised here.
 """
 
+import hashlib
+import json
 import time
 
 from c2bezout import verify as vf
@@ -89,9 +91,27 @@ def test_criterion_8_harness_soundness():
     _require("8 harness soundness (perturbed rule fails)", rep, dt)
 
 
+# the default report, pinned: its summary, and the SHA-256 of its JSON
+# without the wall times and with the records sorted
+DEFAULT_SUMMARY = {"pass": 16483, "fail": 0, "skipped": 32, "cases": 325428}
+DEFAULT_DIGEST = "04d77dd5ff44355d67fb8af9a9a25d9ee7fc15a450ebba87d3de542eda5465ef"
+
+
+def _report_digest(rep) -> str:
+    data = rep.to_json()
+    data.pop("wall_time_s")
+    data["summary"].pop("wall_time_s")
+    data["records"] = sorted(json.dumps(r, sort_keys=True) for r in data["records"])
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
 def test_full_default_run_exit_condition():
-    """cmd_verify exit code is 0 on the shipped default config."""
+    """cmd_verify exit code is 0 on the shipped default config, and the
+    report is the pinned one."""
     rep = vf.run_verify(CFG)
     print(f"ACCEPTANCE full-suite: "
           f"{'PASS' if rep.passed else 'FAIL'} {rep.summary()}")
     assert rep.passed
+    summary = rep.summary()
+    assert {k: summary[k] for k in DEFAULT_SUMMARY} == DEFAULT_SUMMARY
+    assert _report_digest(rep) == DEFAULT_DIGEST

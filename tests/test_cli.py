@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,72 @@ def test_basis_of_a_large_space(capsys):
     assert len(out.strip().split(", ")) == 1200
 
 
+# Exact stdout and exit code of fixed calls.  Long outputs are pinned by
+# the SHA-256 of their UTF-8 bytes.
+GOLDEN = [
+    (("euler", "--p", "2", "--q", "1", "--bundles", "O(3),xO(1)"), 0,
+     "e(F) product     = 3 c_w c_xw\n"
+     "e(F) closed form = 3 c_w c_xw\n"
+     "AGREES with product\n"),
+    (("euler", "--p", "3", "--q", "3", "--bundles", "xO(2)"), 0,
+     "e(F) product     = e^2 + tau(iota^2 c)\n"
+     "e(F) closed form = e^2 + tau(iota^2 c)\n"
+     "AGREES with product\n"),
+    (("euler", "--p", "1", "--q", "1", "--bundles", "O(1),O(1)"), 0,
+     "e(F) product     = e^2 zeta0^-1 c_w\n"
+     "context warning: n < p + q fails (2 >= 2) (closed form skipped)\n"
+     "context warning: n - p <= n1 fails (1 > 0) (closed form skipped)\n"),
+    (("euler", "--p", "3", "--q", "2", "--bundles", "O(2),xO(3)",
+      "--format", "latex"), 0,
+     "e(F) product     = e^{-2}\\kappa \\widehat{c}_\\omega\\widehat{c}_{\\chi\\omega}^{2}"
+     " + 3 \\tau(\\iota^{2}\\zeta^{-1}c^{2})\n"
+     "e(F) closed form = e^{-2}\\kappa \\widehat{c}_\\omega\\widehat{c}_{\\chi\\omega}^{2}"
+     " + 3 \\tau(\\iota^{2}\\zeta^{-1}c^{2})\n"
+     "AGREES with product\n"),
+    (("euler", "--p", "2", "--q", "2", "--bundles", "O(2),xO(1)",
+      "--format", "json"), 0,
+     "sha256:57f73c720ac1977f9b8309788137f2e5724dea47895886a7ec95e4492c248b18"),
+    (("bezout", "--p", "2", "--q", "1", "--bundles", "O(3),xO(1)"), 0,
+     "e(F) = 3 [pt+]*\n"
+     "     = 3 c_w c_xw\n"),
+    (("bezout", "--p", "3", "--q", "2", "--bundles", "O(3)",
+      "--notation", "dim"), 0,
+     "e(F) = [X^{2,2}]* + [S~^4_{2,1}; S~^3_{1,1}]*\n"
+     "     = 3 c_w - e^-2 kappa zeta0 c_w^2\n"),
+    (("bezout", "--p", "3", "--q", "2", "--bundles", "O(3)",
+      "--notation", "codim"), 0,
+     "e(F) = [Y_1(1,0)]* + [S~_1(1,1); S~_2(2,1)]*\n"
+     "     = 3 c_w - e^-2 kappa zeta0 c_w^2\n"),
+    (("bezout", "--p", "4", "--q", "3", "--bundles", "O(2),xO(-1),O(4)",
+      "--notation", "codim", "--format", "latex"), 0,
+     "e(F) = 4 [\\widetilde{S}_{3}(2,3)]^* - 8 \\mathrm{Fr}(3)\n"
+     "     = -4 \\tau(\\iota^{2}\\zeta^{-1}c^{3})"
+     " + 4e^{-4}\\kappa \\widehat{c}_\\omega^{2}\\widehat{c}_{\\chi\\omega}^{3}\n"),
+    (("bezout", "--p", "3", "--q", "2", "--bundles", "O(3)",
+      "--format", "json"), 0,
+     "sha256:304f28e500a34690c591a9fa99515056918127f927e3d625f0b78d90b9be9d8e"),
+    (("basis", "--p", "4", "--q", "5", "--m", "2", "--diagram"), 0,
+     "zeta1^2, zeta1 c_w, c_w^2, zeta0 c_w^3, c_w^3 c_xw, zeta0 c_w^4 c_xw,"
+     " c_w^4 c_xw^2, zeta0^-1 c_w^4 c_xw^3, zeta0^-2 c_w^4 c_xw^4\n"
+     "basis of coset m=2, dot at (a,b) for degree m(omega-2)+2a+2b sigma\n"
+     ". . . * * * *\n"
+     ". . * * . . .\n"
+     "* * * . . . .\n"),
+    (("point-table", "--window", "8", "--format", "json"), 0,
+     "sha256:258bd3932db5b1dc801b0e7c502d1eeaad38b02ba4e23f630ee4d13411cb6fdb"),
+]
+
+
+@pytest.mark.parametrize("argv, code, want", GOLDEN,
+                         ids=["_".join(argv) for argv, _, _ in GOLDEN])
+def test_golden_output(capsys, argv, code, want):
+    got_code, out, err = run(capsys, *argv)
+    assert (got_code, err) == (code, "")
+    if want.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert out == want
+
+
 def test_point_table(capsys):
     code, out, _ = run(capsys, "point-table", "--window", "4")
     assert code == 0
@@ -206,7 +273,7 @@ def test_cache_size_env_respected():
          "for d in range(1, 40):\n"
          "    pj.pushed_s_kernel(amb, (0, 0, 1, 1), d % 3 + 1, 2 * d)\n"
          "    pj.proj_tau(amb, {(2 * d, d % 5, d % 6): d})\n"
-         "    pt.c_mul(((('e', d), 1),), ((('xi', d), 1),))\n"
+         "    pt.p_mul(((('e', d), 1),), ((('xi', d), 1),))\n"
          "kinds = {k[0] for k in amb._memo if type(k) is tuple}\n"
          "assert {'tau', 'S'} <= kinds, kinds\n"
          "sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"

@@ -229,7 +229,7 @@ def test_random_monomial_products_associate(p, q, data):
 
 def _reference_reduce(amb, m, memo):
     """The recursive rewrite system, rule for rule and in the same order,
-    memoising every intermediate normal form as {mono: point terms}: an
+    memoising every intermediate normal form as {mono: point element}: an
     independent reference for the kernel's iterative reducer."""
     if m in memo:
         return memo[m]
@@ -261,7 +261,7 @@ def _reference_reduce(amb, m, memo):
     acc = {}
     for child, coeff in rule:
         for mono, c in _reference_reduce(amb, child, memo).items():
-            acc[mono] = pt.p_add(acc.get(mono, {}), pt.p_mul(coeff, c))
+            acc[mono] = pt.p_add(acc.get(mono, ()), pt.p_mul(coeff, c))
     memo[m] = {mono: c for mono, c in acc.items() if c}
     return memo[m]
 
@@ -285,7 +285,7 @@ def test_reducer_matches_recursive_reference():
                          rng.randint(0, 40), rng.randint(0, 40),
                          rng.random() < 0.2, rng.random() < 0.2)
         amb = pj.Ambient(p, q)
-        got = {m: dict(c) for m, c in amb.reduce_mono(mono)}
+        got = dict(amb.reduce_mono(mono))
         assert got == _reference_reduce(amb, mono, {}), (p, q, mono)
         if not amb.is_normal_mono(mono):
             # a fresh space memoises the whole rewrite DAG of a small
@@ -320,6 +320,49 @@ def test_large_reductions_are_normal_and_keep_shadows(p, q, z0, z1, cw, ccw, div
     mz0, mz1, mcw, mccw = mono
     assert cls.fixed() == ({} if mz0 > 0 or mcw >= p else {mcw: 1},
                            {} if mz1 > 0 or mccw >= q else {mccw: 1})
+
+
+@pytest.mark.parametrize("k", [72, 73, 74, 150, 200])
+def test_long_zeta0_chains_reduce(k):
+    """zeta0^(k+2) c_w^k on P(C^(k+1) + C^(k+1) sigma): a rewrite path
+    from a large root down to small monomials.  From k = 73 on (k = 73 is
+    Ambient(74, 74) and (75, 0, 73, 0)), this tripped a depth guard that
+    took its bound from the child."""
+    amb = pj.Ambient(k + 1, k + 1)
+    mono = (k + 2, 0, k, 0)
+    cls = pj.ProjClass(amb, amb.reduce_mono(mono))
+    assert cls.terms and all(amb.is_normal_mono(m) for m, _ in cls.terms)
+    assert cls.degree() == pj.mono_degree_pib(mono)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(0, 12), q=st.integers(0, 12),
+       z0=st.integers(-30, 30), z1=st.integers(-30, 30),
+       cw=st.integers(0, 30), ccw=st.integers(0, 30), chain=st.booleans())
+def test_every_rewrite_lowers_the_path_measure(p, q, z0, z1, cw, ccw, chain):
+    """The depth guard bounds a path by the root's measure, which holds
+    only if every rule lowers the measure."""
+    if p + q == 0:
+        return
+    amb = pj.Ambient(p, q)
+    m = (cw + 2, 0, cw, ccw) if chain else (z0, z1, cw, ccw)
+    try:
+        rule = amb._rewrite(m)
+    except pj.KernelError:  # stuck: a negative Chern exponent
+        return
+    for child, _ in rule or ():
+        assert 0 <= amb._measure(child) < amb._measure(m), (p, q, m, child)
+
+
+def test_faulty_rules_raise_instead_of_looping():
+    amb = pj.Ambient(2, 2)
+    amb._rewrite = lambda m: ((m, pj.ONE),)                   # a self-loop
+    with pytest.raises(pj.KernelError, match="did not terminate"):
+        amb.reduce_mono((0, 0, 3, 0))
+    amb = pj.Ambient(2, 2)
+    amb._rewrite = lambda m: (((m[0] + 1,) + m[1:], pj.ONE),)  # diverges
+    with pytest.raises(pj.KernelError, match="did not terminate"):
+        amb.reduce_mono((0, 0, 3, 0))
 
 
 def test_large_bases_have_full_rank():
@@ -644,7 +687,8 @@ def test_from_mono_normalizes_pair_coefficients():
 
 
 def test_scale_point_matches_the_reference():
-    """scale_point against a sum of from_mono over the terms."""
+    """scale_point against a sum of from_mono over the terms, and
+    against a class product."""
     rng = random.Random(5074)
     hs = [pt.p_int(0), pt.p_int(-3), pt.p_kappa(), pt.p_one_minus_kappa(),
           pt.p_sym(("tin", 1)), pt.p_sym(("e", 1), 2), pt.p_sym(("exi", 1, 1)),
@@ -658,3 +702,4 @@ def test_scale_point_matches_the_reference():
                     want = want + pj.ProjClass.from_mono(amb, m, pt.p_mul(h, c))
                 got = cls.scale_point(h)
                 assert got == want and got.terms == want.terms, (cls, h)
+                assert got == pj.ProjClass.from_point(amb, h) * cls, (cls, h)

@@ -234,6 +234,8 @@ def test_special_case_hypothesis_guards():
         sb.special_case("dim0", inv)
     with pytest.raises(ValueError):
         sb.special_case("nope", inv)
+    with pytest.raises(TypeError):
+        sb.special_case("codim1", inv, notation="dim")
 
 
 def test_renderings():
