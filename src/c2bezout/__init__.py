@@ -14,7 +14,6 @@ from .bundles import (BundleSum, BundleInvariants, ContextViolation,
 from .schubert import (BezoutExpansion, BinatePair, FixedPoint, FreeOrbit,
                        InvariantChain, bezout_expansion, chiQ_class, class_of,
                        expansion_class, special_case)
-from .verify import SweepConfig, VerifyReport, run_verify
 
 __version__ = "0.1.0"
 
@@ -31,3 +30,20 @@ __all__ = [
     "special_case",
     "SweepConfig", "VerifyReport", "run_verify",
 ]
+
+# The sweep harness, and the names the package exports from it, load on
+# first use: importing the package, or running the CLI's euler, bezout,
+# basis and point-table, leaves it out.
+_LAZY = ("SweepConfig", "VerifyReport", "run_verify", "verify")
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from importlib import import_module
+        verify = import_module(f"{__name__}.verify")
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})

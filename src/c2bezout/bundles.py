@@ -7,16 +7,17 @@ tensored with the sign line.  A bundle token reads O(<int>) or xO(<int>).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from . import point as pt
-from .grading import OMEGA, CHI_OMEGA, TWO, SIGMA, PiBDegree
+from .grading import OMEGA, CHI_OMEGA, TWO, SIGMA, FrozenRecord, PiBDegree
 from .projective import (UNIT, Ambient, ProjClass, class_Q, class_chi_Q,
                          linear_combination, proj_tau, pushed_s_kernel,
                          gen_zeta0, gen_zeta1)
 
 FAMILIES = ("I", "II", "III", "IV")
+
+_set = object.__setattr__
 
 # equivariant rank of one line bundle from each family
 FAMILY_DEGREE = {
@@ -41,18 +42,57 @@ class ContextViolation(ValueError):
         super().__init__("context violated: " + "; ".join(self.violations))
 
 
-@dataclass(frozen=True, order=True)
-class LineBundleSpec:
-    family: str
-    degree: int
+class LineBundleSpec(FrozenRecord):
+    """One line bundle: its family and degree.  Specs order as the tuple
+    (family, degree), compared field by field without building it."""
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        odd = self.family in ("I", "III")
-        if self.degree % 2 != (1 if odd else 0):
+    __slots__ = ("family", "degree")
+
+    def __init__(self, family: str, degree: int) -> None:
+        _set(self, "family", family)
+        _set(self, "degree", degree)
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        odd = family in ("I", "III")
+        if degree % 2 != (1 if odd else 0):
             raise ValueError(
-                f"degree {self.degree} has the wrong parity for family {self.family}")
+                f"degree {degree} has the wrong parity for family {family}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.degree) == (other.family, other.degree)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.degree))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.family != other.family:
+            return self.family < other.family
+        return self.degree < other.degree
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.family != other.family:
+            return self.family <= other.family
+        return self.degree <= other.degree
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.family != other.family:
+            return self.family > other.family
+        return self.degree > other.degree
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.family != other.family:
+            return self.family >= other.family
+        return self.degree >= other.degree
 
     @property
     def twisted(self) -> bool:
@@ -96,13 +136,23 @@ def parse_bundles(s: str) -> tuple:
     return tuple(specs)
 
 
-@dataclass(frozen=True)
-class BundleSum:
-    ambient: tuple  # (p, q)
-    bundles: tuple = field(default=())
+class BundleSum(FrozenRecord):
+    """A sum of line bundles on the space (p, q); the bundles are kept
+    sorted."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "bundles", tuple(sorted(self.bundles)))
+    __slots__ = ("ambient", "bundles")
+
+    def __init__(self, ambient: tuple, bundles: tuple = ()) -> None:
+        _set(self, "ambient", ambient)
+        _set(self, "bundles", tuple(sorted(bundles)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient, self.bundles) == (other.ambient, other.bundles)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.bundles))
 
     @property
     def n(self) -> int:
@@ -112,28 +162,54 @@ class BundleSum:
         return ",".join(b.token() for b in self.bundles)
 
 
-@dataclass(frozen=True)
-class BundleInvariants:
-    p: int
-    q: int
-    n: int
-    n_by_family: dict
-    d_by_family: dict
-    n0: int
-    n1: int
-    Delta: int
-    Delta0: int
-    Delta1: int
-    m: int
-    m0: int
-    m1: int
-    ell: int
-    k0: int
-    k1: int
-    eps: int
-    DeltaMin: int
-    DeltaMax: int
-    context_violations: tuple
+class BundleInvariants(FrozenRecord):
+    """The counts and degree products of a bundle sum that the closed
+    forms and the expansion read; built by bundle_invariants."""
+
+    __slots__ = ("p", "q", "n", "n_by_family", "d_by_family", "n0", "n1",
+                 "Delta", "Delta0", "Delta1", "m", "m0", "m1", "ell", "k0",
+                 "k1", "eps", "DeltaMin", "DeltaMax", "context_violations")
+
+    def __init__(self, p: int, q: int, n: int, n_by_family: dict,
+                 d_by_family: dict, n0: int, n1: int, Delta: int, Delta0: int,
+                 Delta1: int, m: int, m0: int, m1: int, ell: int, k0: int,
+                 k1: int, eps: int, DeltaMin: int, DeltaMax: int,
+                 context_violations: tuple) -> None:
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "n", n)
+        _set(self, "n_by_family", n_by_family)
+        _set(self, "d_by_family", d_by_family)
+        _set(self, "n0", n0)
+        _set(self, "n1", n1)
+        _set(self, "Delta", Delta)
+        _set(self, "Delta0", Delta0)
+        _set(self, "Delta1", Delta1)
+        _set(self, "m", m)
+        _set(self, "m0", m0)
+        _set(self, "m1", m1)
+        _set(self, "ell", ell)
+        _set(self, "k0", k0)
+        _set(self, "k1", k1)
+        _set(self, "eps", eps)
+        _set(self, "DeltaMin", DeltaMin)
+        _set(self, "DeltaMax", DeltaMax)
+        _set(self, "context_violations", context_violations)
+
+    def _values(self) -> tuple:
+        return (self.p, self.q, self.n, self.n_by_family, self.d_by_family,
+                self.n0, self.n1, self.Delta, self.Delta0, self.Delta1,
+                self.m, self.m0, self.m1, self.ell, self.k0, self.k1,
+                self.eps, self.DeltaMin, self.DeltaMax,
+                self.context_violations)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())   # a TypeError, as two fields are dicts
 
     @property
     def context_ok(self) -> bool:

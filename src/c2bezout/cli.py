@@ -9,7 +9,6 @@ or resource failure (an error, not a verdict).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import bundles as bd
@@ -17,11 +16,19 @@ from . import point as pt
 from . import projective as pj
 from . import render
 from . import schubert as sb
-from . import verify as vf
+
+# json, and verify (the sweep harness), are imported only by the commands
+# that use them, so that a one-shot euler, bezout, basis or point-table
+# loads neither.
 
 
 class _UsageError(Exception):
     pass
+
+
+def _print_json(payload) -> None:
+    import json
+    print(json.dumps(payload, indent=2))
 
 
 def _ambient(args) -> pj.Ambient:
@@ -60,7 +67,7 @@ def cmd_euler(args) -> int:
             "agrees": out["agrees"],
             "context_violations": out["context_violations"],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     latex = args.format == "latex"
     print(f"e(F) product     = {render.proj_text(product, latex)}")
@@ -92,7 +99,7 @@ def cmd_bezout(args) -> int:
             "class": render.proj_json(cls),
             "agrees_with_product": cls == product,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0 if cls == product else 1
     latex = args.format == "latex"
     print(f"e(F) = {render.expansion_text(exp, amb, args.notation, latex)}")
@@ -110,7 +117,7 @@ def cmd_basis(args) -> int:
         payload = [{"monomial": list(mono),
                     "degree": pj.mono_degree_pib(mono).as_list()}
                    for mono in basis]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     latex = args.format == "latex"
     names = [render.mono_text(mono, latex) for mono in basis]
@@ -143,21 +150,29 @@ def _print_basis_diagram(basis, m: int) -> None:
 
 
 def cmd_point_table(args) -> int:
+    try:
+        census = pt.point_census(args.window)
+    except ValueError as exc:  # a window outside 0..WINDOW_MAX
+        raise _UsageError(str(exc)) from None
     rows = []
-    for (a, b), syms in sorted(vf.point_census(args.window).items()):
+    for (a, b), syms in sorted(census.items()):
         gens = [pt.p_text(pt.p_sym(s)) for s in sorted(syms)]
-        rows.append((a, b, vf.point_group(syms), gens))
+        rows.append((a, b, pt.point_group(syms), gens))
     if args.format == "json":
         payload = [{"degree": [a, b], "group": group, "generators": gens}
                    for a, b, group, gens in rows]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     for a, b, group, gens in rows:
         print(f"degree {a:+d}{b:+d}sigma : {group:5s} <{', '.join(gens)}>")
     return 0
 
 
-def _sweep_config(path: str) -> vf.SweepConfig:
+def _sweep_config(path: str):
+    """The verify.SweepConfig read from a JSON file."""
+    import json
+
+    from . import verify as vf
     try:
         with open(path) as fh:
             return vf.SweepConfig.from_json(json.load(fh))
@@ -169,6 +184,7 @@ def _sweep_config(path: str) -> vf.SweepConfig:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf
     cfg = _sweep_config(args.sweep_config) if args.sweep_config else vf.SweepConfig()
     if args.seed is not None:
         cfg.seed = args.seed
@@ -180,7 +196,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:  # an unknown group; the groups catch their own
         raise _UsageError(str(exc)) from None
     if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        _print_json(report.to_json())
     else:
         print(vf.report_text(report))
     return 0 if report.passed else 1

@@ -9,19 +9,57 @@ and the triple determines the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class GradingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ROC2Degree:
+_set = object.__setattr__
+
+
+class FrozenRecord:
+    """Base of the package's immutable value records.
+
+    A subclass lists its fields in ``__slots__``, in constructor order,
+    and sets them in its own ``__init__`` through ``object.__setattr__``;
+    it also writes its own ``__eq__`` and ``__hash__``.  Here: assignment
+    and deletion raise ``AttributeError`` as on a frozen dataclass, the
+    repr is the dataclass repr ``Name(field=value, ...)``, and pickling
+    and copying go through the constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class ROC2Degree(FrozenRecord):
     """a + b*sigma with integer a (trivial rank) and b (sign rank)."""
 
-    trivial_rank: int
-    sign_rank: int
+    __slots__ = ("trivial_rank", "sign_rank")
+
+    def __init__(self, trivial_rank: int, sign_rank: int) -> None:
+        _set(self, "trivial_rank", trivial_rank)
+        _set(self, "sign_rank", sign_rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.trivial_rank, self.sign_rank)
+                    == (other.trivial_rank, other.sign_rank))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.trivial_rank, self.sign_rank))
 
     def to_pib(self) -> "PiBDegree":
         a, b = self.trivial_rank, self.sign_rank
@@ -37,17 +75,26 @@ class ROC2Degree:
         return f"{a}{'+' if b > 0 else ''}{sig}"
 
 
-@dataclass(frozen=True)
-class PiBDegree:
+class PiBDegree(FrozenRecord):
     """Rank triple (total, fixed0, fixed1); fixed ranks have equal parity."""
 
-    total_rank: int
-    fixed_rank_0: int
-    fixed_rank_1: int
+    __slots__ = ("total_rank", "fixed_rank_0", "fixed_rank_1")
 
-    def __post_init__(self) -> None:
-        if (self.fixed_rank_0 - self.fixed_rank_1) % 2 != 0:
+    def __init__(self, total_rank: int, fixed_rank_0: int, fixed_rank_1: int) -> None:
+        _set(self, "total_rank", total_rank)
+        _set(self, "fixed_rank_0", fixed_rank_0)
+        _set(self, "fixed_rank_1", fixed_rank_1)
+        if (fixed_rank_0 - fixed_rank_1) % 2 != 0:
             raise GradingError(f"fixed ranks must share parity: {self}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.total_rank, self.fixed_rank_0, self.fixed_rank_1)
+                    == (other.total_rank, other.fixed_rank_0, other.fixed_rank_1))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.total_rank, self.fixed_rank_0, self.fixed_rank_1))
 
     def __add__(self, other: "PiBDegree") -> "PiBDegree":
         return PiBDegree(

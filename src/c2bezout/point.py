@@ -308,6 +308,56 @@ def p_degrees(a: Coeff) -> set:
 
 
 # ---------------------------------------------------------------------------
+# the census of a degree window
+
+# The largest window the census takes: a window w has about w^2 / 4
+# symbols, so 256 (about 17,000 symbols) lists in a fraction of a second.
+WINDOW_MAX = 256
+
+
+def point_symbols_in_window(window: int) -> list:
+    """The canonical symbols of degree a + b sigma with |a|, |b| <= window.
+    A window outside 0..WINDOW_MAX is a ValueError, raised before any
+    symbol is built."""
+    if not 0 <= window <= WINDOW_MAX:
+        raise ValueError(f"window must be between 0 and {WINDOW_MAX}, got {window}")
+    syms = [S_ONE, S_G]
+    syms += [("e", m) for m in range(1, window + 1)]
+    syms += [("eik", m) for m in range(1, window + 1)]
+    syms += [("xi", n) for n in range(1, window // 2 + 1)]
+    syms += [("tin", k) for k in range(1, window // 2 + 1)]
+    for n in range(1, window // 2 + 1):
+        for m in range(1, window - 2 * n + 1):
+            syms.append(("exi", m, n))
+    out = []
+    for s in syms:
+        a, b = sym_ranks(s)
+        if abs(a) <= window and abs(b) <= window:
+            out.append(s)
+    return out
+
+
+def point_census(window: int) -> dict:
+    """{(a, b): the window's symbols of degree a + b sigma}."""
+    census: dict = {}
+    for s in point_symbols_in_window(window):
+        census.setdefault(sym_ranks(s), []).append(s)
+    return census
+
+
+def point_group(syms: list) -> str:
+    """The group of one degree of the point ring, read off the symbols
+    spanning it: A(C2) for {1, g}, Z/2 for one 2-torsion e^m xi^n, Z for
+    any other single symbol, 0 for none.  Any other span is named by its
+    size, which matches no group of Fig. 1."""
+    if sorted(syms) == [S_ONE, S_G]:
+        return "A(C2)"
+    if len(syms) == 1:
+        return "Z/2" if syms[0][0] == "exi" else "Z"
+    return f"{len(syms)} symbols" if syms else "0"
+
+
+# ---------------------------------------------------------------------------
 # rendering
 
 def _sym_text(s: Sym) -> str:

@@ -22,28 +22,39 @@ term, whose class is twice an honest monomial class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Optional, Union
 
 from . import bundles as bd
 from .bundles import BundleInvariants, ContextViolation, beta, rem2
-from .grading import PiBDegree
+from .grading import FrozenRecord, PiBDegree
 from .laurent import mono_degree
 from .projective import (Ambient, ProjClass, class_chi_Q, linear_combination,
                          proj_tau, pushed_s_kernel)
+
+
+_set = object.__setattr__
 
 
 class InfeasibleTerm(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FreeOrbit:
+class FreeOrbit(FrozenRecord):
     """C2 x (nonequivariant variety of affine dimension affine_dim)."""
 
-    affine_dim: int
-    target: PiBDegree
+    __slots__ = ("affine_dim", "target")
+
+    def __init__(self, affine_dim: int, target: PiBDegree) -> None:
+        _set(self, "affine_dim", affine_dim)
+        _set(self, "target", target)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.affine_dim, self.target) == (other.affine_dim, other.target)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.affine_dim, self.target))
 
     def codim(self, amb: Ambient) -> int:
         return amb.p + amb.q - self.affine_dim
@@ -58,18 +69,29 @@ class FreeOrbit:
                 f"free orbit target {self.target} has the wrong total rank")
 
 
-@dataclass(frozen=True)
-class InvariantChain:
+class InvariantChain(FrozenRecord):
     """[X^{pp,qq}; X^{pp-j,qq} u X^{pp,qq-i}; X^{pp-j,qq-i}]^*.
 
     i = 0 or j = 0 degenerate to a single singular level, i = j = 0 to
     the plain invariant subvariety.
     """
 
-    pp: int
-    qq: int
-    i: int
-    j: int
+    __slots__ = ("pp", "qq", "i", "j")
+
+    def __init__(self, pp: int, qq: int, i: int, j: int) -> None:
+        _set(self, "pp", pp)
+        _set(self, "qq", qq)
+        _set(self, "i", i)
+        _set(self, "j", j)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.pp, self.qq, self.i, self.j)
+                    == (other.pp, other.qq, other.i, other.j))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pp, self.qq, self.i, self.j))
 
     def validate(self, amb: Ambient) -> None:
         if not (0 <= self.pp <= amb.p and 0 <= self.qq <= amb.q):
@@ -78,8 +100,7 @@ class InvariantChain:
             raise InfeasibleTerm(f"chain indices out of range in {self}")
 
 
-@dataclass(frozen=True)
-class BinatePair:
+class BinatePair(FrozenRecord):
     """Desingularized binate variety with affine data (i, p_i, q_i).
 
     p_i, q_i may be negative; the underlying space clamps them at 0 but
@@ -88,14 +109,24 @@ class BinatePair:
     (i-1, p_i, q_i-1) and "zeta1" for (i-1, p_i-1, q_i).
     """
 
-    i: int
-    p_i: int
-    q_i: int
-    singular: Optional[str] = None
+    __slots__ = ("i", "p_i", "q_i", "singular")
 
-    def __post_init__(self):
-        if self.singular not in (None, "zeta0", "zeta1"):
-            raise ValueError(f"bad singular tag {self.singular!r}")
+    def __init__(self, i: int, p_i: int, q_i: int, singular: str | None = None) -> None:
+        _set(self, "i", i)
+        _set(self, "p_i", p_i)
+        _set(self, "q_i", q_i)
+        _set(self, "singular", singular)
+        if singular not in (None, "zeta0", "zeta1"):
+            raise ValueError(f"bad singular tag {singular!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.i, self.p_i, self.q_i, self.singular)
+                    == (other.i, other.p_i, other.q_i, other.singular))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.i, self.p_i, self.q_i, self.singular))
 
     @property
     def defect(self) -> int:
@@ -116,15 +147,26 @@ class BinatePair:
         return (amb.p + amb.q - self.i, amb.p - self.p_i, amb.q - self.q_i)
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(FrozenRecord):
     """A fixed point of the indicated component, regraded to its slot in
     the Euler-class degree.  component 0 lies in the pointwise-fixed
     projective subspace, component 1 in the twisted one."""
 
-    component: int
-    regrade: int  # m1 for component 0, m0 for component 1; <= 1
-    target: PiBDegree
+    __slots__ = ("component", "regrade", "target")
+
+    def __init__(self, component: int, regrade: int, target: PiBDegree) -> None:
+        _set(self, "component", component)
+        _set(self, "regrade", regrade)   # m1 for component 0, m0 for 1; <= 1
+        _set(self, "target", target)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.component, self.regrade, self.target)
+                    == (other.component, other.regrade, other.target))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.component, self.regrade, self.target))
 
     def validate(self, amb: Ambient) -> None:
         if self.component not in (0, 1):
@@ -133,7 +175,9 @@ class FixedPoint:
             raise InfeasibleTerm(f"{amb!r} has no fixed component {self.component}")
 
 
-GeometricTerm = Union[FreeOrbit, InvariantChain, BinatePair, FixedPoint]
+# The four kinds of geometric term, as a tuple: an annotation names one
+# of them, and isinstance(term, GeometricTerm) tests for any.
+GeometricTerm = (FreeOrbit, InvariantChain, BinatePair, FixedPoint)
 
 
 def class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
@@ -204,19 +248,36 @@ def chiQ_class(amb: Ambient):
 # ---------------------------------------------------------------------------
 # expansions
 
-@dataclass
 class BezoutExpansion:
-    ambient: tuple
-    invariants: BundleInvariants
-    terms: list  # [(numerator, GeometricTerm)]; coefficient = numerator / 2
-    label: str = "bezout"
+    """Terms [(numerator, GeometricTerm)], each with coefficient
+    numerator / 2, of an expansion of the Euler class of a sum.  A mutable
+    record: it compares by value, so (defining __eq__ alone) it is not
+    hashable."""
 
-    def __post_init__(self):
-        for num, term in self.terms:
+    __slots__ = ("ambient", "invariants", "terms", "label")
+
+    def __init__(self, ambient: tuple, invariants: BundleInvariants,
+                 terms: list, label: str = "bezout") -> None:
+        for num, term in terms:
             if num % 2 and not (isinstance(term, BinatePair)
                                 and term.defect == 0 and term.singular is None):
                 raise ArithmeticError(
                     f"half-integral coefficient {num}/2 on non-divisible term {term}")
+        self.ambient = ambient
+        self.invariants = invariants
+        self.terms = terms
+        self.label = label
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.ambient, self.invariants, self.terms, self.label)
+                    == (other.ambient, other.invariants, other.terms, other.label))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(ambient={self.ambient!r}, "
+                f"invariants={self.invariants!r}, terms={self.terms!r}, "
+                f"label={self.label!r})")
 
 
 def codim_data_roundtrip(term: GeometricTerm, amb: Ambient) -> bool:

@@ -14,7 +14,6 @@ import random
 import time
 from dataclasses import dataclass, field, asdict
 from math import comb
-from typing import Callable
 
 from . import point as pt
 from . import projective as pj
@@ -125,49 +124,60 @@ class VerifyReport:
 
 
 class Recorder:
+    """Verdicts merged into one record per (identity, params).
+
+    A record is indexed by its name and its params, sorted and repr'd.
+    Loops pass the same params object to many verdicts, so the index key
+    is built once per name and params object: each name remembers the
+    params object of its last verdict and that key.  A params dict must
+    not change once passed, as its record keeps it."""
+
     def __init__(self):
         self.records: list = []
-        self._index: dict = {}
+        self._index: dict = {}   # key -> record
+        self._last: dict = {}    # name -> (params object, key) of its last verdict
 
-    @staticmethod
-    def _key(name: str, params: dict):
-        return (name, tuple(sorted([(k, repr(v)) for k, v in params.items()])))
+    def _key(self, name: str, params: dict) -> tuple:
+        last = self._last.get(name)
+        if last is None or last[0] is not params:
+            last = self._last[name] = (
+                params, (name, tuple(sorted([(k, repr(v)) for k, v in params.items()]))))
+        return last[1]
 
-    def _find(self, name: str, params: dict) -> IdentityRecord | None:
-        return self._index.get(self._key(name, params))
-
-    def _insert(self, rec: IdentityRecord) -> None:
+    def _insert(self, key: tuple, rec: IdentityRecord) -> None:
         self.records.append(rec)
-        self._index[self._key(rec.name, rec.params)] = rec
+        self._index[key] = rec
 
     def ok(self, name: str, params: dict, cases: int = 1) -> None:
-        r = self._find(name, params)
+        key = self._key(name, params)
+        r = self._index.get(key)
         if r is None:
-            self._insert(IdentityRecord(name, params, "pass", cases))
+            self._insert(key, IdentityRecord(name, params, "pass", cases))
         elif r.status == "pass":
             r.cases += cases
 
     def fail(self, name: str, params: dict, detail: str = "",
              lhs: str | None = None, rhs: str | None = None) -> None:
-        r = self._find(name, params)
+        key = self._key(name, params)
+        r = self._index.get(key)
         if r is not None and r.status != "fail":
             self.records.remove(r)
-            del self._index[self._key(name, params)]
             r = None
         if r is None:
-            self._insert(IdentityRecord(name, params, "fail", 1,
-                                        detail, lhs, rhs))
+            self._insert(key, IdentityRecord(name, params, "fail", 1,
+                                             detail, lhs, rhs))
 
     def skip(self, name: str, params: dict, detail: str, cases: int = 1) -> None:
-        r = self._find(name, params)
+        key = self._key(name, params)
+        r = self._index.get(key)
         if r is None:
-            self._insert(IdentityRecord(name, params, "skipped",
-                                        cases, detail))
+            self._insert(key, IdentityRecord(name, params, "skipped",
+                                             cases, detail))
         else:
             r.cases += cases
 
     def eq(self, name: str, params: dict, lhs: pj.ProjClass, rhs: pj.ProjClass,
-           detail: Callable[[], dict] | None = None) -> bool:
+           detail=None) -> bool:
         """Record lhs == rhs; detail() gives extra params for a failure."""
         if lhs == rhs:
             self.ok(name, params)
@@ -205,49 +215,15 @@ def _fig1_expected(a: int, b: int) -> str:
     return "0"
 
 
-def point_symbols_in_window(window: int) -> list:
-    syms = [pt.S_ONE, pt.S_G]
-    syms += [("e", m) for m in range(1, window + 1)]
-    syms += [("eik", m) for m in range(1, window + 1)]
-    syms += [("xi", n) for n in range(1, window // 2 + 1)]
-    syms += [("tin", k) for k in range(1, window // 2 + 1)]
-    for n in range(1, window // 2 + 1):
-        for m in range(1, window - 2 * n + 1):
-            syms.append(("exi", m, n))
-    return [s for s in syms
-            if abs(pt.sym_degree(s).trivial_rank) <= window
-            and abs(pt.sym_degree(s).sign_rank) <= window]
-
-
-def point_census(window: int) -> dict:
-    """{(a, b): the window's symbols of degree a + b sigma}."""
-    census: dict = {}
-    for s in point_symbols_in_window(window):
-        census.setdefault(pt.sym_ranks(s), []).append(s)
-    return census
-
-
-def point_group(syms: list) -> str:
-    """The group of one degree of the point ring, read off the symbols
-    spanning it: A(C2) for {1, g}, Z/2 for one 2-torsion e^m xi^n, Z for
-    any other single symbol, 0 for none.  Any other span is named by its
-    size, which matches no group of Fig. 1."""
-    if sorted(syms) == [pt.S_ONE, pt.S_G]:
-        return "A(C2)"
-    if len(syms) == 1:
-        return "Z/2" if syms[0][0] == "exi" else "Z"
-    return f"{len(syms)} symbols" if syms else "0"
-
-
 def check_point_table(rec: Recorder, window: int = 8) -> None:
-    census = point_census(window)
+    census = pt.point_census(window)
     name = "point_table_fig1"
     params = {"window": window}
     for a in range(-window, window + 1):
         for b in range(-window, window + 1):
             want = _fig1_expected(a, b)
             syms = census.get((a, b), [])
-            if point_group(syms) != want:
+            if pt.point_group(syms) != want:
                 rec.fail(name, dict(params, a=a, b=b),
                          f"expected {want}, found symbols {syms}")
                 return
@@ -260,12 +236,12 @@ def check_point_table(rec: Recorder, window: int = 8) -> None:
 
 
 def check_point_axioms(rec: Recorder, window: int = 8) -> None:
-    syms = point_symbols_in_window(window)
+    syms = pt.point_symbols_in_window(window)
     vals = [pt.p_sym(s) for s in syms]
     ok_comm = all(pt.p_mul(x, y) == pt.p_mul(y, x)
                   for x, y in itertools.combinations(vals, 2))
     rec.check("point_mul_commutative", {"window": window}, ok_comm)
-    small = [pt.p_sym(s) for s in point_symbols_in_window(4)]
+    small = [pt.p_sym(s) for s in pt.point_symbols_in_window(4)]
     ok_assoc = all(pt.p_mul(pt.p_mul(x, y), z) == pt.p_mul(x, pt.p_mul(y, z))
                    for x, y, z in itertools.product(small, repeat=3))
     rec.check("point_mul_associative", {"window": 4}, ok_assoc)

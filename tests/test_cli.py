@@ -315,3 +315,20 @@ def test_bad_sweep_config_is_a_usage_error(capsys, tmp_path, content, want):
     assert out == ""
     assert err.startswith("error: ") and want in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("window", ["-3", "-1", str(pt.WINDOW_MAX + 1), "100000000"])
+def test_point_table_window_out_of_range_is_a_usage_error(capsys, window):
+    # refused before any symbol is built, so the huge window returns at once
+    code, out, err = run(capsys, "point-table", "--window", window)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: window must be between 0 and {pt.WINDOW_MAX}, got {window}\n"
+
+
+def test_point_table_window_bounds_are_inclusive(capsys):
+    code, out, _ = run(capsys, "point-table", "--window", "0")
+    assert code == 0 and out == "degree +0+0sigma : A(C2) <1, g>\n"
+    assert len(pt.point_symbols_in_window(pt.WINDOW_MAX)) > pt.WINDOW_MAX ** 2 // 4
+    with pytest.raises(ValueError, match="between 0 and"):
+        pt.point_census(-1)

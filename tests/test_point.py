@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from c2bezout import point as pt
-from c2bezout.verify import _fig1_expected, point_symbols_in_window
+from c2bezout.point import point_symbols_in_window
+from c2bezout.verify import _fig1_expected
 
 
 G = pt.p_sym(pt.S_G)

@@ -215,3 +215,20 @@ def test_grid_failure_records_the_sum(monkeypatch):
     assert rec.detail == "normal forms differ"
     assert rec.lhs != rec.rhs
     assert not any(r.status == "pass" and r.name == rec.name for r in rep.records)
+
+
+def test_recorder_merges_verdicts_by_name_and_params_value():
+    rec = vf.Recorder()
+    params = {"p": 1, "q": 2}
+    rec.ok("x", params)
+    rec.ok("x", params, cases=2)          # the same params object
+    rec.ok("x", {"q": 2, "p": 1})         # equal params, another object and order
+    rec.ok("y", params)
+    rec.ok("x", {"p": True, "q": 2})      # repr 'True' is not '1': a record of its own
+    rec.fail("x", params, "boom")         # a failure replaces the pass record
+    rec.ok("x", params)                   # and a later pass leaves it failed
+    rec.skip("z", {"p": 1}, "why", cases=3)
+    rec.skip("z", {"p": 1}, "why")
+    assert [(r.name, r.params, r.status, r.cases) for r in rec.records] == [
+        ("y", params, "pass", 1), ("x", {"p": True, "q": 2}, "pass", 1),
+        ("x", params, "fail", 1), ("z", {"p": 1}, "skipped", 4)]
