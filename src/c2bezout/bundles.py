@@ -230,23 +230,18 @@ def bundle_invariants(bs: BundleSum) -> BundleInvariants:
     for b in bs.bundles:
         counts[b.family] += 1
         degs[b.family] *= b.degree
-    n = bs.n
+    n = len(bs.bundles)
     n0 = counts["I"] + counts["II"]
     n1 = counts["II"] + counts["III"]
     Delta = degs["I"] * degs["II"] * degs["III"] * degs["IV"]
     Delta0 = degs["I"] * degs["II"] if n0 < p else 0
     Delta1 = degs["II"] * degs["III"] if n1 < q else 0
-    m = p + q - n
-    m0 = p - n0
-    m1 = q - n1
+    # positional, in field order (this runs once per sum and per query)
     return BundleInvariants(
-        p=p, q=q, n=n, n_by_family=dict(counts), d_by_family=dict(degs),
-        n0=n0, n1=n1, Delta=Delta, Delta0=Delta0, Delta1=Delta1,
-        m=m, m0=m0, m1=m1, ell=n - n0 - n1, k0=n - n0, k1=n - n1,
-        eps=Delta0 % 2,
-        DeltaMin=min(Delta0, Delta1), DeltaMax=max(Delta0, Delta1),
-        context_violations=violations_from_counts(p, q, n, n0, n1),
-    )
+        p, q, n, counts, degs, n0, n1, Delta, Delta0, Delta1,
+        p + q - n, p - n0, q - n1, n - n0 - n1, n - n0, n - n1,
+        Delta0 % 2, min(Delta0, Delta1), max(Delta0, Delta1),
+        violations_from_counts(p, q, n, n0, n1))
 
 
 def context_violations(bs: BundleSum) -> tuple:

@@ -8,6 +8,7 @@ randomness is seeded, so reports are reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -382,13 +383,21 @@ def check_freeness(rec: Recorder, cfg: SweepConfig) -> None:
                          for avals in a_values.values())
             rec.check("basis_at_most_two_slots", params, ok_two)
             pairs = [(ma, mb) for i, ma in enumerate(monos) for mb in monos[i:]]
+            # product monomials whose reduction passed: many pairs share
+            # one, and each is reduced once.  A monomial enters only after
+            # it passed, so the first failing pair is still the one found.
+            reduced = set()
 
             def escape(pair):
-                prod = pj.ProjClass.from_mono(amb, pj.mono_mul(*pair))
+                mono = pj.mono_mul(*pair)
+                if mono in reduced:
+                    return None
+                prod = pj.ProjClass.from_mono(amb, mono)
                 try:
                     prod.reduce_to_basis()
                 except Exception as exc:  # escape from the basis = bug
                     return exc
+                reduced.add(mono)
                 return None
 
             bad = _first_failure(pairs, escape)
@@ -399,16 +408,19 @@ def check_freeness(rec: Recorder, cfg: SweepConfig) -> None:
                 rec.fail("freeness_products", dict(params, a=ma, b=mb), f"{exc}")
 
 
+# the coefficients of the random classes, in the order rng.choice reads them
+_RANDOM_COEFFS = (pt.p_int(1), pt.p_int(2), pt.p_int(-1), pt.p_sym(pt.S_G),
+                  pt.p_sym(("e", 1)), pt.p_sym(("e", 2)), pt.p_sym(("xi", 1)),
+                  pt.p_sym(("eik", 2)), pt.p_sym(("tin", 1)), pt.p_kappa())
+
+
 def _random_class(rng: random.Random, amb: pj.Ambient) -> pj.ProjClass:
-    pool = [pt.p_int(1), pt.p_int(2), pt.p_int(-1), pt.p_sym(pt.S_G),
-            pt.p_sym(("e", 1)), pt.p_sym(("e", 2)), pt.p_sym(("xi", 1)),
-            pt.p_sym(("eik", 2)), pt.p_sym(("tin", 1)), pt.p_kappa()]
     out = pj.ProjClass.zero(amb)
     for _ in range(rng.randint(1, 3)):
         m = rng.randint(-(amb.p + amb.q), amb.p + amb.q)
         basis = amb.basis(m)
         mono = basis[rng.randrange(len(basis))]
-        out = out + pj.ProjClass.from_mono(amb, mono, rng.choice(pool))
+        out = out + pj.ProjClass.from_mono(amb, mono, rng.choice(_RANDOM_COEFFS))
     return out
 
 
@@ -478,6 +490,7 @@ def check_lemma_suite(rec: Recorder, cfg: SweepConfig) -> None:
         params = {"p": amb.p, "q": amb.q}
         p, q = amb.p, amb.q
         Q = pj.class_Q(amb)
+        Q_pow = functools.cache(Q.__pow__)   # each Q ** k once, through __pow__
         chiQ = pj.class_chi_Q(amb)
         z0, z1 = pj.gen_zeta0(amb), pj.gen_zeta1(amb)
         cw, cxw = pj.gen_cw(amb), pj.gen_cxw(amb)
@@ -486,7 +499,7 @@ def check_lemma_suite(rec: Recorder, cfg: SweepConfig) -> None:
 
         # powers of the quadric class, both stated forms
         for k in range(kmax + 1):
-            rec.eq("lemma_q_powers", dict(params, k=k), Q ** k,
+            rec.eq("lemma_q_powers", dict(params, k=k), Q_pow(k),
                    _q_power_closed(amb, k))
         for k in range(1, kmax + 1):
             second = pj.tau_c_power(amb, k).scale(1 << (k - 1))
@@ -496,30 +509,30 @@ def check_lemma_suite(rec: Recorder, cfg: SweepConfig) -> None:
                 acc = pt.p_mul(acc, eik)
             second = second + pj.ProjClass.from_mono(amb, (0, 0, k, k), acc)
             rec.eq("lemma_q_powers_second_form", dict(params, k=k),
-                   Q ** k, second)
+                   Q_pow(k), second)
 
         # conversion of zeta powers against quadric powers
         for i in range(1, min(p + q + 2, 6)):
             for k in range(0, i):
                 rec.eq("lemma_q_conversion_i", dict(params, i=i, k=k),
-                       (z0 ** i) * (Q ** k),
+                       (z0 ** i) * Q_pow(k),
                        ((z0 ** (i - k)) * (cxw ** k)).scale(1 << k))
                 rec.eq("lemma_q_conversion_ii", dict(params, i=i, k=k),
-                       (z1 ** i) * (Q ** k),
+                       (z1 ** i) * Q_pow(k),
                        ((z1 ** (i - k)) * (cw ** k)).scale(1 << k))
         for k in range(1, min(p + q + 1, 5) + 1):
             for i in range(1, k + 1):
                 rec.eq("lemma_q_conversion_iii", dict(params, i=i, k=k),
-                       (z0 ** i) * (Q ** k),
-                       (z0 * (cxw ** (i - 1)) * (Q ** (k - i + 1))).scale(1 << (i - 1)))
+                       (z0 ** i) * Q_pow(k),
+                       (z0 * (cxw ** (i - 1)) * Q_pow(k - i + 1)).scale(1 << (i - 1)))
                 rec.eq("lemma_q_conversion_iv", dict(params, i=i, k=k),
-                       (z1 ** i) * (Q ** k),
-                       (z1 * (cw ** (i - 1)) * (Q ** (k - i + 1))).scale(1 << (i - 1)))
+                       (z1 ** i) * Q_pow(k),
+                       (z1 * (cw ** (i - 1)) * Q_pow(k - i + 1)).scale(1 << (i - 1)))
 
         # xi Q^k = 2^{k-1} tau(iota^2 c^k)
         for k in range(1, p + q + 1):
             rhs = pj.proj_tau(amb, {(2, 0, k): 1 << (k - 1)})
-            rec.eq("lemma_xi_q", dict(params, k=k), xi * (Q ** k), rhs)
+            rec.eq("lemma_xi_q", dict(params, k=k), xi * Q_pow(k), rhs)
 
         # twisted powers with binary-digit coefficients
         for k in range(kmax + 1):
@@ -549,24 +562,24 @@ def check_lemma_suite(rec: Recorder, cfg: SweepConfig) -> None:
 
         # divisibility and product identities for saturated powers
         for k in range(0, min(p, 4) + 1):
-            target = (cw ** (p - k)) * (Q ** k)
+            target = (cw ** (p - k)) * Q_pow(k)
             for i in range(1, 4):
                 quot = _saturated_quotient(amb, 0, k, i)
                 rec.eq("lemma_simplification_div0",
                        dict(params, k=k, i=i), (z0 ** i) * quot, target)
             for i in range(1, 3):
-                lhs = (Q ** i) * target
+                lhs = Q_pow(i) * target
                 rhs = ((cxw ** i) * _saturated_quotient(amb, 0, k, i)).scale(1 << i)
                 rec.eq("lemma_simplification_prod0",
                        dict(params, k=k, i=i), lhs, rhs)
         for k in range(0, min(q, 4) + 1):
-            target = (cxw ** (q - k)) * (Q ** k)
+            target = (cxw ** (q - k)) * Q_pow(k)
             for i in range(1, 4):
                 quot = _saturated_quotient(amb, 1, k, i)
                 rec.eq("lemma_simplification_div1",
                        dict(params, k=k, i=i), (z1 ** i) * quot, target)
             for i in range(1, 3):
-                lhs = (Q ** i) * target
+                lhs = Q_pow(i) * target
                 rhs = ((cw ** i) * _saturated_quotient(amb, 1, k, i)).scale(1 << i)
                 rec.eq("lemma_simplification_prod1",
                        dict(params, k=k, i=i), lhs, rhs)
@@ -609,6 +622,12 @@ def check_base_case(rec: Recorder, cfg: SweepConfig) -> None:
                        bd.euler_line(amb, spec), bd.euler_line_raw(amb, spec))
 
 
+def _line_classes(amb: pj.Ambient):
+    """line(fam, d): the Euler class of the line bundle (fam, d) on amb,
+    computed on its first use and shared after."""
+    return functools.cache(lambda fam, d: bd.euler_line(amb, bd.LineBundleSpec(fam, d)))
+
+
 def check_type_blocks(rec: Recorder, cfg: SweepConfig) -> None:
     deg_options = {
         "I": [2 * k + 1 for k in range(-4, 5)],
@@ -618,23 +637,31 @@ def check_type_blocks(rec: Recorder, cfg: SweepConfig) -> None:
     }
     for (p, q) in _BLOCK_AMBIENTS:
         amb = pj.ambient(p, q)
+        line = _line_classes(amb)
+        # the closed forms read only (size, degree product), which
+        # multisets share: each is computed once
+        binomial = functools.cache(functools.partial(bd.euler_type_block_binomial, amb))
         for fam in bd.FAMILIES:
             params = {"p": p, "q": q, "family": fam}
+            closed = functools.cache(functools.partial(bd.euler_type_block, amb, fam))
+            # (degree product, unit * L(d1) * L(d2) * ...) of each multiset,
+            # its prefix's product times one more line class
+            prods = {(): (1, pj.ProjClass.unit(amb))}
             for size in range(0, 4):
                 for degs in itertools.combinations_with_replacement(
                         deg_options[fam], size):
-                    dprod = 1
-                    prod = pj.ProjClass.unit(amb)
-                    for d in degs:
-                        dprod *= d
-                        prod = prod * bd.euler_line(amb, bd.LineBundleSpec(fam, d))
-                    block = bd.euler_type_block(amb, fam, size, dprod)
+                    if degs not in prods:
+                        dprod, prod = prods[degs[:-1]]
+                        prods[degs] = (dprod * degs[-1],
+                                       prod * line(fam, degs[-1]))
+                    dprod, prod = prods[degs]
+                    block = closed(size, dprod)
                     if not rec.eq("type_block_vs_product",
                                   dict(params, degrees=list(degs)),
                                   block, prod):
                         return
                     if fam == "IV":
-                        alt = bd.euler_type_block_binomial(amb, size, dprod)
+                        alt = binomial(size, dprod)
                         rec.eq("type_block_iv_binomial",
                                dict(params, degrees=list(degs)), block, alt)
     # the odd-by-odd closed product
@@ -688,21 +715,15 @@ def bundle_grid(cfg: SweepConfig, amb: pj.Ambient) -> tuple:
     cap = min(cfg.max_bundles_total, amb.p + amb.q - 1)
     fams = {f: [t for t in _family_multisets(cfg, f) if len(t) <= cap]
             for f in bd.FAMILIES}
-    lines = {}
-
-    def line(fam, d):
-        key = (fam, d)
-        if key not in lines:
-            lines[key] = bd.euler_line(amb, bd.LineBundleSpec(fam, d))
-        return lines[key]
-
-    def block(fam, degs):
-        out = pj.ProjClass.unit(amb)
-        for d in degs:
-            out = out * line(fam, d)
-        return out
-
-    blocks = {f: {t: block(f, t) for t in fams[f]} for f in bd.FAMILIES}
+    line = _line_classes(amb)
+    blocks = {}
+    for f in bd.FAMILIES:
+        # unit * L(d1) * L(d2) * ... of each multiset: its prefix's class
+        # times one line class (prefixes come first in fams[f])
+        b = blocks[f] = {(): pj.ProjClass.unit(amb)}
+        for t in fams[f]:
+            if t:
+                b[t] = b[t[:-1]] * line(f, t[-1])
 
     def half(fa, fb):
         # (count of fa, count of fb, specs, class) of each pair of blocks

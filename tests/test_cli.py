@@ -265,6 +265,10 @@ def test_cache_size_env_respected():
          "rep = vf.run_verify(cfg, groups=('point_axioms', 'euler_grid',\n"
          "                                 'dictionary'))\n"
          "assert rep.passed and rep.summary()['cases'] > 1000\n"
+         "# the groups that share work between cases, under eviction\n"
+         "rep = vf.run_verify(cfg, groups=('freeness', 'type_blocks',\n"
+         "                                 'lemma_suite', 'random_homs'))\n"
+         "assert rep.passed and rep.summary()['cases'] > 10000\n"
          "amb = pj.ambient(3, 3)\n"
          "sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
          "assert max(sizes) <= 64, sizes\n"

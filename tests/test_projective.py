@@ -294,16 +294,26 @@ def test_reducer_matches_recursive_reference():
     assert regimes == {False, True}
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(p=st.integers(0, 1000), q=st.integers(0, 1000),
        z0=st.integers(-250, 250), z1=st.integers(-250, 250),
        cw=st.integers(0, 300), ccw=st.integers(0, 300),
-       divided=st.booleans())
-def test_large_reductions_are_normal_and_keep_shadows(p, q, z0, z1, cw, ccw, divided):
+       shape=st.sampled_from(("raw", "divided", "chain")),
+       slack=st.integers(-1, 1))
+def test_large_reductions_are_normal_and_keep_shadows(p, q, z0, z1, cw, ccw,
+                                                      shape, slack):
+    if shape == "chain":
+        # zeta0^(c_w + 2) c_w^k, give or take one zeta0, on a space just
+        # above c_w: a long zeta0^2 c_w path from a large root down to
+        # small monomials (see test_long_zeta0_chains_reduce)
+        p, q = cw + 1 + p % 3, cw + 1 + q % 3
+        mono = (cw + 2 + slack, 0, cw, ccw % 4)
     if p + q == 0:
         return
     amb = pj.ambient(p, q)
-    if divided:
+    if shape == "chain":
+        cls = pj.ProjClass.from_mono(amb, mono)
+    elif shape == "divided":
         # zeta0^-k c_w^p or zeta1^-k c_xw^q, times further Euler classes
         which = z0 % 2
         k = abs(z1)

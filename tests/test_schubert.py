@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from c2bezout import bundles as bd
 from c2bezout import projective as pj
@@ -180,6 +181,41 @@ def test_bezout_matches_product_on_mixed_cases():
         inv = bd.bundle_invariants(bs)
         exp = sb.bezout_expansion(inv)
         assert sb.expansion_class(exp, amb) == bd.euler_product(amb, bs)
+
+
+@st.composite
+def _valid_sums(draw):
+    """A bundle sum on a space with p + q <= 160 inside the closed-form
+    hypotheses: n < p + q, n - q <= n0 <= n and n - p <= n1 <= n, with
+    odd degrees in +-1..+-49 and even ones in +-2..+-48."""
+    s = draw(st.integers(2, 160))
+    p = draw(st.integers(0, s))
+    q = s - p
+    n = draw(st.integers(1, s - 1))
+    n0 = draw(st.integers(max(0, n - q), n))
+    n1 = draw(st.integers(max(0, n - p), n))
+    both = draw(st.integers(max(0, n0 + n1 - n), min(n0, n1)))
+    counts = {"I": n0 - both, "II": both, "III": n1 - both,
+              "IV": n - n0 - n1 + both}
+    odd = st.integers(-24, 24).map(lambda k: 2 * k + 1)
+    even = st.integers(1, 24).flatmap(lambda k: st.sampled_from((2 * k, -2 * k)))
+    specs = [bd.LineBundleSpec(fam, draw(odd if fam in ("I", "III") else even))
+             for fam in bd.FAMILIES for _ in range(counts[fam])]
+    return bd.BundleSum((p, q), specs)
+
+
+@seed(20231)
+@settings(max_examples=120, deadline=None)
+@given(bs=_valid_sums())
+def test_main_theorem_on_large_spaces(bs):
+    """Product, closed form and Bezout expansion agree beyond the sweep's
+    p + q <= 7."""
+    amb = pj.ambient(*bs.ambient)
+    inv = bd.bundle_invariants(bs)
+    assert inv.context_ok
+    product = bd.euler_product(amb, bs)
+    assert bd.euler_closed_form(amb, inv) == product
+    assert sb.expansion_class(sb.bezout_expansion(inv), amb) == product
 
 
 def test_dim1_middle_cell_structure():

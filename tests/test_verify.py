@@ -147,6 +147,95 @@ def test_freeness_records_the_first_escape(monkeypatch):
     assert fails[0].detail == "escaped (6, 0, 0, 0)"
 
 
+def _freeness_pairs(amb):
+    """The product pairs check_freeness enumerates on amb, in its order."""
+    n = amb.p + amb.q
+    monos = [m for c in range(-(n + 2), n + 3) for m in amb.basis(c)]
+    return [(a, b) for i, a in enumerate(monos) for b in monos[i:]]
+
+
+def test_freeness_reduces_each_product_once_and_records_the_first_escape(monkeypatch):
+    cfg = vf.SweepConfig(pq_sum_max=3)
+    spaces = [(p, s - p) for s in range(1, 4) for p in range(s + 1)]
+    target = pj.ambient(1, 2)
+    target_pairs = _freeness_pairs(target)
+    products = [pj.mono_mul(*pair) for pair in target_pairs]
+    earlier = {pj.mono_mul(*pair) for p, q in spaces[:spaces.index((1, 2))]
+               for pair in _freeness_pairs(pj.ambient(p, q))}
+    normal = {m: target.reduce_mono(m) for m in products}
+    # a product M of several pairs, not of the first one, that is also a
+    # product on an earlier space, and whose normal form no other
+    # product shares, so the planted escape below hits M alone
+    bad = next(m for m in products
+               if m != products[0] and products.count(m) > 1 and m in earlier
+               and list(normal.values()).count(normal[m]) == 1)
+    first = products.index(bad)
+    reduce_to_basis = pj.ProjClass.reduce_to_basis
+    calls = {}
+
+    def planted(cls):
+        key = (cls.amb.p, cls.amb.q)
+        calls[key] = calls.get(key, 0) + 1
+        if cls.amb is target and cls.terms == normal[bad]:
+            raise pj.KernelError("planted escape")
+        return reduce_to_basis(cls)
+
+    monkeypatch.setattr(pj.ProjClass, "reduce_to_basis", planted)
+    rep = vf.run_verify(cfg, groups=("freeness",))
+    ma, mb = target_pairs[first]
+    assert [(r.name, r.params, r.detail) for r in rep.failures] == [
+        ("freeness_products", {"p": 1, "q": 2, "a": ma, "b": mb}, "planted escape")]
+    passes = {(r.params["p"], r.params["q"]): r.cases for r in rep.records
+              if r.name == "freeness_products" and r.status == "pass"}
+    assert sorted(passes) == sorted(set(spaces) - {(1, 2)})
+    for p, q in passes:
+        pairs = _freeness_pairs(pj.ambient(p, q))
+        assert passes[p, q] == len(pairs)
+        # every pair is counted, each distinct product reduced once
+        assert calls[p, q] == len({pj.mono_mul(*pair) for pair in pairs})
+    assert calls[1, 2] == len(set(products[:first + 1]))
+
+
+@pytest.mark.parametrize("fault", ["wrong_class", "raises"])
+def test_type_block_failure_stops_at_the_first_multiset_with_the_degree(
+        monkeypatch, fault):
+    """Line classes are computed lazily and products share prefixes, so a
+    bad line class of III(-3) on P(C^2 + C^2 sigma) shows at the multiset
+    (-3,) of that space, as it would with every product built afresh."""
+    euler_line = bd.euler_line
+    target = pj.ambient(2, 2)
+
+    def faulty(amb, spec):
+        out = euler_line(amb, spec)
+        if amb is target and (spec.family, spec.degree) == ("III", -3):
+            if fault == "raises":
+                raise pj.KernelError("planted line fault")
+            out = out + pj.ProjClass.unit(amb)
+        return out
+
+    monkeypatch.setattr(bd, "euler_line", faulty)
+    rep = vf.run_verify(vf.SweepConfig(), groups=("type_blocks",))
+    *before, last = rep.records
+    blocks = [r.params["degrees"] for r in before
+              if (r.params["p"], r.params["q"], r.params["family"]) == (2, 2, "III")]
+    assert blocks == [[], [-7], [-5]]
+    if fault == "raises":
+        assert (last.name, last.status) == ("type_blocks_escape", "fail")
+        assert last.detail == "KernelError: planted line fault"
+    else:
+        assert (last.name, last.status) == ("type_block_vs_product", "fail")
+        assert last.params == {"p": 2, "q": 2, "family": "III", "degrees": [-3]}
+    assert rep.failures == [last]
+    # the spaces before the fault are checked in full, nothing after it
+    per_space = {}
+    for r in before:
+        per_space.setdefault((r.params["p"], r.params["q"]), []).append(r)
+    assert list(per_space) == [(1, 1), (2, 2)]
+    assert len(per_space[1, 1]) == 4 * 220 + 220   # IV also in binomial form
+    assert all(r.status == "pass" and r.name.startswith("type_block")
+               for r in before)
+
+
 # ---------------------------------------------------------------------------
 # the Euler grid
 
