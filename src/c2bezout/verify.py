@@ -80,7 +80,12 @@ class IdentityRecord:
     rhs: str | None = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # asdict's field order, without its deep copy of params: a report
+        # serialises every record at once, and params never change once
+        # recorded (see Recorder)
+        return {"name": self.name, "params": self.params, "status": self.status,
+                "cases": self.cases, "detail": self.detail, "lhs": self.lhs,
+                "rhs": self.rhs}
 
     @classmethod
     def from_json(cls, data: dict) -> "IdentityRecord":

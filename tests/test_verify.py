@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -39,6 +40,17 @@ def test_report_json_roundtrip():
     back = vf.VerifyReport.from_json(data)
     assert back.records == rep.records
     assert back.summary()["pass"] == rep.summary()["pass"]
+
+
+def test_record_json_is_the_dataclass_dict():
+    cfg = vf.SweepConfig(p_max=2, q_max=2, pq_sum_max=3)
+    records = vf.run_verify(cfg, groups=("proj_relations", "euler_grid")).records
+    records = records + [vf.IdentityRecord(
+        "x", {"a": (1, 0, 2, 0), "degrees": [3, 5]}, "fail", 1, "why", "1", "2")]
+    for r in records:
+        want = dataclasses.asdict(r)
+        assert list(r.to_json().items()) == list(want.items())
+        assert json.dumps(r.to_json()) == json.dumps(want)
 
 
 def test_failures_come_first():
