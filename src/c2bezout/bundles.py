@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import comb
 
 from . import point as pt
-from .grading import OMEGA, CHI_OMEGA, TWO, SIGMA, FrozenRecord, PiBDegree
+from .grading import FrozenRecord, PiBDegree
 from .projective import (UNIT, Ambient, ProjClass, class_Q, class_chi_Q,
                          linear_combination, proj_tau, pushed_s_kernel,
                          gen_zeta0, gen_zeta1)
@@ -18,15 +18,6 @@ from .projective import (UNIT, Ambient, ProjClass, class_Q, class_chi_Q,
 FAMILIES = ("I", "II", "III", "IV")
 
 _set = object.__setattr__
-
-# equivariant rank of one line bundle from each family
-FAMILY_DEGREE = {
-    "I": OMEGA,
-    "II": TWO,
-    "III": CHI_OMEGA,
-    "IV": 2 * SIGMA,
-}
-
 
 class BundleParseError(ValueError):
     def __init__(self, msg: str, pos: int):
@@ -44,7 +35,7 @@ class ContextViolation(ValueError):
 
 class LineBundleSpec(FrozenRecord):
     """One line bundle: its family and degree.  Specs order as the tuple
-    (family, degree), compared field by field without building it."""
+    (family, degree)."""
 
     __slots__ = ("family", "degree")
 
@@ -67,32 +58,24 @@ class LineBundleSpec(FrozenRecord):
         return hash((self.family, self.degree))
 
     def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.family != other.family:
-            return self.family < other.family
-        return self.degree < other.degree
+        if other.__class__ is self.__class__:
+            return (self.family, self.degree) < (other.family, other.degree)
+        return NotImplemented
 
     def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.family != other.family:
-            return self.family <= other.family
-        return self.degree <= other.degree
+        if other.__class__ is self.__class__:
+            return (self.family, self.degree) <= (other.family, other.degree)
+        return NotImplemented
 
     def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.family != other.family:
-            return self.family > other.family
-        return self.degree > other.degree
+        if other.__class__ is self.__class__:
+            return (self.family, self.degree) > (other.family, other.degree)
+        return NotImplemented
 
     def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.family != other.family:
-            return self.family >= other.family
-        return self.degree >= other.degree
+        if other.__class__ is self.__class__:
+            return (self.family, self.degree) >= (other.family, other.degree)
+        return NotImplemented
 
     @property
     def twisted(self) -> bool:
@@ -242,15 +225,6 @@ def bundle_invariants(bs: BundleSum) -> BundleInvariants:
         p + q - n, p - n0, q - n1, n - n0 - n1, n - n0, n - n1,
         Delta0 % 2, min(Delta0, Delta1), max(Delta0, Delta1),
         violations_from_counts(p, q, n, n0, n1))
-
-
-def context_violations(bs: BundleSum) -> tuple:
-    """The closed-form hypotheses the sum violates, as bundle_invariants
-    reports them, without computing the other invariants."""
-    p, q = bs.ambient
-    n0 = sum(b.family in ("I", "II") for b in bs.bundles)
-    n1 = sum(b.family in ("II", "III") for b in bs.bundles)
-    return violations_from_counts(p, q, bs.n, n0, n1)
 
 
 def violations_from_counts(p: int, q: int, n: int, n0: int, n1: int) -> tuple:

@@ -37,6 +37,16 @@ Coeff = tuple  # an element: ((symbol, coefficient), ...) in symbol order
 # reduction, basis and class caches in projective
 CACHE_LIMIT = int(os.environ.get("C2BEZOUT_CACHE_SIZE", "2000000"))
 
+
+def cache_insert(cache: dict, key, value):
+    """cache[key] = value, emptying the cache first when it holds
+    CACHE_LIMIT entries: the one eviction policy of every cache."""
+    if len(cache) >= CACHE_LIMIT:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
 S_ONE: Sym = ("1",)
 S_G: Sym = ("g",)
 
@@ -214,11 +224,7 @@ _PRODUCTS: dict = {}
 
 
 def _product_entry(a: Sym, b: Sym) -> Coeff:
-    entry = p_normalize(_mul_sym(a, b))
-    if len(_PRODUCTS) >= CACHE_LIMIT:
-        _PRODUCTS.clear()
-    _PRODUCTS[(a, b)] = entry
-    return entry
+    return cache_insert(_PRODUCTS, (a, b), p_normalize(_mul_sym(a, b)))
 
 
 def p_mul(a: Coeff, b: Coeff) -> Coeff:
@@ -301,10 +307,6 @@ def p_fixed(a: Coeff) -> int:
             total += 2 * c
         # g, xi, exi, tin all have fixed value 0
     return total
-
-
-def p_degrees(a: Coeff) -> set:
-    return {sym_degree(s) for s, _ in a}
 
 
 # ---------------------------------------------------------------------------

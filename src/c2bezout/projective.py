@@ -57,6 +57,14 @@ def mono_degree_pib(m: Mono) -> PiBDegree:
     return PiBDegree(*mono_ranks(m))
 
 
+def term_ranks(m: Mono, s: pt.Sym) -> tuple:
+    """Ranks of the degree of the point symbol s times the monomial m.
+    A symbol of degree a + b sigma has ranks (a + b, a, a)."""
+    t, f0, f1 = mono_ranks(m)
+    a, b = pt.sym_ranks(s)
+    return (t + a + b, f0 + a, f1 + a)
+
+
 def mono_coset(m: Mono) -> int:
     z0, z1, cw, ccw = m
     return -z0 + z1 + cw - ccw
@@ -67,8 +75,6 @@ def mono_rho(m: Mono) -> tuple:
     z0, z1, cw, ccw = m
     return (2 * z0 + 2 * ccw, -z0 + z1 + cw - ccw, cw + ccw)
 
-
-_CACHE_LIMIT = pt.CACHE_LIMIT
 
 # A cache miss whose rewrite DAG has at most this many new monomials is
 # evaluated bottom-up, memoising every one of them: later calls ask for
@@ -111,7 +117,7 @@ class Ambient:
         """The class memoised under key, made by build() on a miss."""
         terms = self._memo.get(key)
         if terms is None:
-            terms = _remember(self._memo, key, build().terms)
+            terms = pt.cache_insert(self._memo, key, build().terms)
         return ProjClass(self, terms)
 
     # -- normal monomial predicate ---------------------------------------
@@ -199,7 +205,7 @@ class Ambient:
                         _add_scaled(acc, known[child], coeff)
                     out = _freeze_terms(acc)
                 self._check_degrees(m, out)
-                known[m] = _remember(cache, m, out)
+                known[m] = pt.cache_insert(cache, m, out)
             return known[root]
         weight = {root: ONE}
         acc = {}
@@ -220,17 +226,14 @@ class Ambient:
                     weight[child] = c if cur is None else pt.p_add(cur, c)
         out = _freeze_terms(acc)
         self._check_degrees(root, out)
-        return _remember(cache, root, out)
+        return pt.cache_insert(cache, root, out)
 
     def _check_degrees(self, m: Mono, out: tuple) -> None:
-        """Every rewrite is degree-honest; check each stored normal form.
-        A point symbol of degree a + b sigma has ranks (a + b, a, a)."""
+        """Every rewrite is degree-honest; check each stored normal form."""
         want = mono_ranks(m)
         for mono, coeff in out:
-            t, f0, f1 = mono_ranks(mono)
             for s, _ in coeff:
-                a, b = pt.sym_ranks(s)
-                if (t + a + b, f0 + a, f1 + a) != want:
+                if term_ranks(mono, s) != want:
                     raise KernelError(
                         f"degree drift reducing {m}: term {mono} carries {s}")
 
@@ -289,13 +292,13 @@ class Ambient:
         """Ordered free basis of the coset m*omega + RO(C2)."""
         got = self._basis.get(m)
         if got is None:
-            got = _remember(self._basis, m, _basis_of(self.p, self.q, m))
+            got = pt.cache_insert(self._basis, m, _basis_of(self.p, self.q, m))
         return got
 
     def basis_set(self, m: int) -> frozenset:
         got = self._basis_sets.get(m)
         if got is None:
-            got = _remember(self._basis_sets, m, frozenset(self.basis(m)))
+            got = pt.cache_insert(self._basis_sets, m, frozenset(self.basis(m)))
         return got
 
 
@@ -317,14 +320,6 @@ def _basis_of(p: int, q: int, m: int) -> tuple:
     else:
         out.extend((0, m - j, cw + j, ccw) for j in range(p))
     return tuple(out)
-
-
-def _remember(cache: dict, key, value):
-    """cache[key] = value, emptying the cache first when it is full."""
-    if len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    cache[key] = value
-    return value
 
 
 def _add_scaled(acc: dict, terms: tuple, coeff) -> None:
@@ -470,12 +465,8 @@ class ProjClass:
     # degree ----------------------------------------------------------------
 
     def degrees(self) -> set:
-        out = set()
-        for m, c in self.terms:
-            dm = mono_degree_pib(m)
-            for d in pt.p_degrees(c):
-                out.add(dm + d.to_pib())
-        return out
+        ranks = {term_ranks(m, s) for m, c in self.terms for s, _ in c}
+        return {PiBDegree(*r) for r in ranks}
 
     def degree(self) -> PiBDegree:
         ds = self.degrees()

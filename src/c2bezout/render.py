@@ -13,7 +13,7 @@ from .grading import PiBDegree
 from .laurent import l_text
 from .projective import ProjClass, mono_degree_pib, mono_rho
 from .schubert import (BezoutExpansion, BinatePair, FixedPoint, FreeOrbit,
-                       InvariantChain)
+                       InvariantChain, has_half)
 
 _GEN_TEXT = ("zeta0", "zeta1", "c_w", "c_xw")
 _GEN_LATEX = (r"\zeta_0", r"\zeta_1", r"\widehat{c}_\omega", r"\widehat{c}_{\chi\omega}")
@@ -175,8 +175,7 @@ def expansion_text(exp: BezoutExpansion, amb, notation: str = "dim",
     for num, term in exp.terms:
         if num == 0:
             continue
-        if (isinstance(term, BinatePair) and term.defect == 0
-                and term.singular is None):
+        if has_half(term):
             # the class is twice an invariant subvariety; display it that
             # way, as the worked special cases do
             term = InvariantChain(term.p_i, term.q_i, 0, 0)

@@ -217,11 +217,18 @@ def _class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
     return ProjClass.from_mono(amb, zeta) * base
 
 
+def has_half(term: GeometricTerm) -> bool:
+    """True iff the term's class is 2-divisible by construction: a
+    defect-0 binate term without a singular part, the only kind an
+    expansion may give an odd numerator."""
+    return (isinstance(term, BinatePair)
+            and term.defect == 0 and term.singular is None)
+
+
 def half_class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
-    """Half the class, defined exactly when the class is 2-divisible by
-    construction (defect-0 binate terms)."""
+    """Half the class, defined exactly when `has_half(term)`."""
     term.validate(amb)
-    if isinstance(term, BinatePair) and term.defect == 0 and term.singular is None:
+    if has_half(term):
         return _binate_base(term, amb, numerator=1)
     raise InfeasibleTerm(f"{term} has no canonical half")
 
@@ -259,8 +266,7 @@ class BezoutExpansion:
     def __init__(self, ambient: tuple, invariants: BundleInvariants,
                  terms: list, label: str = "bezout") -> None:
         for num, term in terms:
-            if num % 2 and not (isinstance(term, BinatePair)
-                                and term.defect == 0 and term.singular is None):
+            if num % 2 and not has_half(term):
                 raise ArithmeticError(
                     f"half-integral coefficient {num}/2 on non-divisible term {term}")
         self.ambient = ambient

@@ -11,10 +11,10 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field, asdict
-from math import comb
 
 from . import point as pt
 from . import projective as pj
@@ -39,17 +39,32 @@ class SweepConfig:
     random_pairs: int = 200
 
     def __post_init__(self):
+        self.odd_degrees = tuple(self.odd_degrees)
+        self.even_degrees = tuple(self.even_degrees)
+        # a bool is an int to Python, but not a bound, seed or degree
+        for name in ("p_max", "q_max", "pq_sum_max", "max_bundles_per_family",
+                     "max_bundles_total", "seed", "random_pairs"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("odd_degrees", "even_degrees"):
+            value = getattr(self, name)
+            if not all(type(d) is int for d in value):
+                raise ValueError(f"{name} must list integers, got {value!r}")
+        if type(self.include_negative_degrees) is not bool:
+            raise ValueError("include_negative_degrees must be true or false, "
+                             f"got {self.include_negative_degrees!r}")
         if min(self.p_max, self.q_max, self.pq_sum_max,
                self.max_bundles_per_family, self.max_bundles_total) <= 0:
             raise ValueError("all sweep bounds must be positive")
+        if self.random_pairs < 0:
+            raise ValueError(f"random_pairs must be >= 0, got {self.random_pairs}")
         for d in self.odd_degrees:
             if d % 2 == 0:
                 raise ValueError(f"odd degree list contains even {d}")
         for d in self.even_degrees:
             if d % 2:
                 raise ValueError(f"even degree list contains odd {d}")
-        self.odd_degrees = tuple(self.odd_degrees)
-        self.even_degrees = tuple(self.even_degrees)
 
     def degrees(self, family: str) -> tuple:
         base = self.odd_degrees if family in ("I", "III") else self.even_degrees
@@ -221,7 +236,14 @@ def _fig1_expected(a: int, b: int) -> str:
     return "0"
 
 
-def check_point_table(rec: Recorder, window: int = 8) -> None:
+# the degree window of the point-ring checks, and the rank bound of the
+# grading check
+_POINT_WINDOW = 8
+_GRADING_BOUND = 4
+
+
+def check_point_table(rec: Recorder, cfg: SweepConfig) -> None:
+    window = _POINT_WINDOW
     census = pt.point_census(window)
     name = "point_table_fig1"
     params = {"window": window}
@@ -241,7 +263,8 @@ def check_point_table(rec: Recorder, window: int = 8) -> None:
               "2 e xi should vanish while e xi does not")
 
 
-def check_point_axioms(rec: Recorder, window: int = 8) -> None:
+def check_point_axioms(rec: Recorder, cfg: SweepConfig) -> None:
+    window = _POINT_WINDOW
     syms = pt.point_symbols_in_window(window)
     vals = [pt.p_sym(s) for s in syms]
     ok_comm = all(pt.p_mul(x, y) == pt.p_mul(y, x)
@@ -294,7 +317,8 @@ def _first_failure(cases, failure):
     return None
 
 
-def check_grading(rec: Recorder, bound: int = 4) -> None:
+def check_grading(rec: Recorder, cfg: SweepConfig) -> None:
+    bound = _GRADING_BOUND
     degs = []
     for t in range(-bound, bound + 1):
         for f0 in range(-bound, bound + 1):
@@ -543,7 +567,7 @@ def check_lemma_suite(rec: Recorder, cfg: SweepConfig) -> None:
         for k in range(kmax + 1):
             rhs = pj.ProjClass.zero(amb)
             for j in range(k + 1):
-                if comb(k, j) % 2:
+                if math.comb(k, j) % 2:
                     rhs = rhs + pj.ProjClass.from_mono(amb, (j, k - j, j, k - j))
             c = ((1 << k) - (1 << bd.beta(k))) // 2
             if c:
@@ -627,10 +651,25 @@ def check_base_case(rec: Recorder, cfg: SweepConfig) -> None:
                        bd.euler_line(amb, spec), bd.euler_line_raw(amb, spec))
 
 
-def _line_classes(amb: pj.Ambient):
-    """line(fam, d): the Euler class of the line bundle (fam, d) on amb,
-    computed on its first use and shared after."""
-    return functools.cache(lambda fam, d: bd.euler_line(amb, bd.LineBundleSpec(fam, d)))
+def _block_products(amb: pj.Ambient):
+    """block(fam, degs): unit * L(d1) * L(d2) * ... on amb for the line
+    bundles (fam, d) with d in the tuple degs, built as its prefix's
+    block times one line class.  Blocks and line classes are computed on
+    first use and shared after, so a failure surfaces at the first block
+    that needs it."""
+    line = functools.cache(lambda fam, d: bd.euler_line(amb, bd.LineBundleSpec(fam, d)))
+    blocks = {(fam, ()): pj.ProjClass.unit(amb) for fam in bd.FAMILIES}
+
+    def block(fam: str, degs: tuple) -> pj.ProjClass:
+        n = len(degs)
+        while (fam, degs[:n]) not in blocks:
+            n -= 1
+        cls = blocks[fam, degs[:n]]
+        for k in range(n, len(degs)):
+            cls = blocks[fam, degs[:k + 1]] = cls * line(fam, degs[k])
+        return cls
+
+    return block
 
 
 def check_type_blocks(rec: Recorder, cfg: SweepConfig) -> None:
@@ -642,24 +681,18 @@ def check_type_blocks(rec: Recorder, cfg: SweepConfig) -> None:
     }
     for (p, q) in _BLOCK_AMBIENTS:
         amb = pj.ambient(p, q)
-        line = _line_classes(amb)
+        block_product = _block_products(amb)
         # the closed forms read only (size, degree product), which
         # multisets share: each is computed once
         binomial = functools.cache(functools.partial(bd.euler_type_block_binomial, amb))
         for fam in bd.FAMILIES:
             params = {"p": p, "q": q, "family": fam}
             closed = functools.cache(functools.partial(bd.euler_type_block, amb, fam))
-            # (degree product, unit * L(d1) * L(d2) * ...) of each multiset,
-            # its prefix's product times one more line class
-            prods = {(): (1, pj.ProjClass.unit(amb))}
             for size in range(0, 4):
                 for degs in itertools.combinations_with_replacement(
                         deg_options[fam], size):
-                    if degs not in prods:
-                        dprod, prod = prods[degs[:-1]]
-                        prods[degs] = (dprod * degs[-1],
-                                       prod * line(fam, degs[-1]))
-                    dprod, prod = prods[degs]
+                    prod = block_product(fam, degs)
+                    dprod = math.prod(degs)
                     block = closed(size, dprod)
                     if not rec.eq("type_block_vs_product",
                                   dict(params, degrees=list(degs)),
@@ -720,15 +753,8 @@ def bundle_grid(cfg: SweepConfig, amb: pj.Ambient) -> tuple:
     cap = min(cfg.max_bundles_total, amb.p + amb.q - 1)
     fams = {f: [t for t in _family_multisets(cfg, f) if len(t) <= cap]
             for f in bd.FAMILIES}
-    line = _line_classes(amb)
-    blocks = {}
-    for f in bd.FAMILIES:
-        # unit * L(d1) * L(d2) * ... of each multiset: its prefix's class
-        # times one line class (prefixes come first in fams[f])
-        b = blocks[f] = {(): pj.ProjClass.unit(amb)}
-        for t in fams[f]:
-            if t:
-                b[t] = b[t[:-1]] * line(f, t[-1])
+    block_product = _block_products(amb)
+    blocks = {f: {t: block_product(f, t) for t in fams[f]} for f in bd.FAMILIES}
 
     def half(fa, fb):
         # (count of fa, count of fb, specs, class) of each pair of blocks
@@ -988,7 +1014,7 @@ def check_corollaries(rec: Recorder, cfg: SweepConfig) -> None:
 # ---------------------------------------------------------------------------
 # harness soundness
 
-def check_soundness(rec: Recorder) -> None:
+def check_soundness(rec: Recorder, cfg: SweepConfig) -> None:
     """With one rewrite rule perturbed, at least one identity must fail.
 
     The perturbed ring lives on a private ambient of its own (twice the
@@ -1014,9 +1040,9 @@ def check_soundness(rec: Recorder) -> None:
 # runner
 
 CHECK_GROUPS = (
-    ("point_table", lambda rec, cfg: check_point_table(rec)),
-    ("point_axioms", lambda rec, cfg: check_point_axioms(rec)),
-    ("grading", lambda rec, cfg: check_grading(rec)),
+    ("point_table", check_point_table),
+    ("point_axioms", check_point_axioms),
+    ("grading", check_grading),
     ("proj_relations", check_proj_relations),
     ("freeness", check_freeness),
     ("random_homs", check_random_homs),
@@ -1027,7 +1053,7 @@ CHECK_GROUPS = (
     ("euler_grid", check_euler_grid),
     ("dictionary", check_dictionary),
     ("corollaries", check_corollaries),
-    ("soundness", lambda rec, cfg: check_soundness(rec)),
+    ("soundness", check_soundness),
 )
 
 

@@ -283,7 +283,7 @@ def test_cache_size_env_respected():
          "sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
          "assert max(sizes) <= 64, sizes\n"
          "assert all(type(v) is tuple for v in pt._PRODUCTS.values())\n"
-         "print(pj._CACHE_LIMIT)"],
+         "print(pt.CACHE_LIMIT)"],
         env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "64"
@@ -308,7 +308,13 @@ def test_unknown_verify_group_is_a_usage_error(capsys):
     ("not json {", "bad sweep config"),
     ('{"bogus": 1}', "unexpected keyword argument 'bogus'"),
     ('{"p_max": 0}', "all sweep bounds must be positive"),
-], ids=["missing", "not_json", "unknown_key", "bad_bound"])
+    ('{"random_pairs": -5}', "random_pairs must be >= 0"),
+    ('{"p_max": 2.5}', "p_max must be an integer"),
+    ('{"odd_degrees": [1.5]}', "odd_degrees must list integers"),
+    ('{"include_negative_degrees": "no"}',
+     "include_negative_degrees must be true or false"),
+], ids=["missing", "not_json", "unknown_key", "bad_bound", "negative_pairs",
+        "float_bound", "float_degree", "string_flag"])
 def test_bad_sweep_config_is_a_usage_error(capsys, tmp_path, content, want):
     path = tmp_path / "cfg.json"
     if content is not None:

@@ -9,6 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from c2bezout import grading as gr
 from c2bezout import point as pt
 from c2bezout import projective as pj
 from c2bezout import render
@@ -332,6 +333,21 @@ def test_large_reductions_are_normal_and_keep_shadows(p, q, z0, z1, cw, ccw,
                            {} if mz1 > 0 or mccw >= q else {mccw: 1})
 
 
+def test_degrees_of_an_inhomogeneous_class():
+    """Two degrees from two monomials, and two from one monomial whose
+    coefficient has two symbols; degree() refuses either class."""
+    amb = pj.ambient(2, 2)
+    two_monos = pj.gen_cw(amb) + pj.gen_cxw(amb)
+    assert two_monos.degrees() == {gr.DEG_CW, gr.DEG_CXW}
+    two_syms = pj.ProjClass.from_mono(amb, pj.MONO_CW, {("e", 1): 1, pt.S_G: 3})
+    assert len(two_syms.terms) == 1
+    assert two_syms.degrees() == {gr.DEG_CW + gr.DEG_E, gr.DEG_CW}
+    for cls in (two_monos, two_syms):
+        with pytest.raises(GradingError, match="not homogeneous"):
+            cls.degree()
+    assert pj.ProjClass.zero(amb).degrees() == set()
+
+
 @pytest.mark.parametrize("k", [72, 73, 74, 150, 200])
 def test_long_zeta0_chains_reduce(k):
     """zeta0^(k+2) c_w^k on P(C^(k+1) + C^(k+1) sigma): a rewrite path
@@ -386,9 +402,10 @@ def test_large_bases_have_full_rank():
 _THREADED_SCRIPT = textwrap.dedent("""
     import sys
     import threading
+    from c2bezout import point as pt
     from c2bezout import projective as pj
 
-    assert pj._CACHE_LIMIT == 64
+    assert pt.CACHE_LIMIT == 64
     p, q = 6, 5
     monos = [(z0, z1, cw, ccw) for z0 in (-3, 0, 2, 7) for z1 in (0, 1, 5)
              for cw in (0, 3, 6, 20) for ccw in (0, 2, 5, 15)

@@ -297,3 +297,48 @@ def test_renderings():
     latex = render.expansion_text(
         sb.bezout_expansion(inv32), pj.ambient(3, 2), "dim", latex=True)
     assert r"\widetilde{S}" in latex
+
+
+def _one_term_of_each_kind():
+    """(ambient, invariants, term, halvable) for each kind of term, each
+    term a valid stratum of its space."""
+    inv43 = mkinv(4, 3, "O(2),xO(3),O(5)")
+    inv21 = mkinv(2, 1, "O(3),xO(1)")
+    return [
+        ((4, 3), inv43, sb.BinatePair(3, 2, 1), True),
+        ((4, 3), inv43, sb.BinatePair(4, 2, 1), False),
+        ((4, 3), inv43, sb.BinatePair(3, 2, 1, "zeta0"), False),
+        ((4, 3), inv43, sb.InvariantChain(2, 2, 1, 0), False),
+        ((4, 3), inv43, sb.FreeOrbit(4, inv43.euler_degree()), False),
+        ((2, 1), inv21, sb.FixedPoint(0, 0, inv21.euler_degree()), False),
+    ]
+
+
+@pytest.mark.parametrize(
+    "pq, inv, term, halvable", _one_term_of_each_kind(),
+    ids=["binate_defect0", "binate_defect1", "binate_singular", "chain",
+         "free_orbit", "fixed_point"])
+def test_one_halving_rule_for_expansion_half_class_and_text(pq, inv, term, halvable):
+    amb = pj.ambient(*pq)
+    whole = sb.class_of(term, amb)
+    assert not whole.is_zero()
+    assert sb.has_half(term) is halvable
+    # the expansion takes an odd numerator exactly on a halvable term
+    if halvable:
+        sb.BezoutExpansion(pq, inv, [(1, term)])
+    else:
+        with pytest.raises(ArithmeticError, match="half-integral"):
+            sb.BezoutExpansion(pq, inv, [(1, term)])
+    # ... exactly where the half class exists
+    if halvable:
+        assert sb.half_class_of(term, amb).scale(2) == whole
+    else:
+        with pytest.raises(sb.InfeasibleTerm, match="no canonical half"):
+            sb.half_class_of(term, amb)
+    # ... and exactly where the text shows the term as a doubled chain
+    text = render.expansion_text(sb.BezoutExpansion(pq, inv, [(2, term)]), amb)
+    if halvable:
+        chain = sb.InvariantChain(term.p_i, term.q_i, 0, 0)
+        assert text == "2 " + render.term_text(chain, amb)
+    else:
+        assert text == render.term_text(term, amb)

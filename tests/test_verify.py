@@ -84,6 +84,22 @@ def test_sweep_config_validation():
     assert cfg.degrees("I") == (1, 3)
     neg = vf.SweepConfig(include_negative_degrees=True)
     assert -2 in neg.degrees("II")
+    assert vf.SweepConfig(random_pairs=0).random_pairs == 0
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("random_pairs", -5, "random_pairs must be >= 0"),
+    ("p_max", 2.5, "p_max must be an integer"),
+    ("max_bundles_total", True, "max_bundles_total must be an integer"),
+    ("seed", "7", "seed must be an integer"),
+    ("odd_degrees", (1.5,), "odd_degrees must list integers"),
+    ("even_degrees", (2, False), "even_degrees must list integers"),
+    ("include_negative_degrees", "no", "include_negative_degrees must be true or false"),
+    ("include_negative_degrees", 1, "include_negative_degrees must be true or false"),
+])
+def test_sweep_config_refuses_wrong_types(field, value, want):
+    with pytest.raises(ValueError, match=want):
+        vf.SweepConfig(**{field: value})
 
 
 def test_soundness_group():
@@ -253,7 +269,8 @@ def test_type_block_failure_stops_at_the_first_multiset_with_the_degree(
 
 def _brute_force_grid(cfg, amb):
     """Every bundle multiset of the grid on amb in enumeration order,
-    judged by bd.context_violations: (admitted sums, number skipped)."""
+    judged by their invariants' context_violations: (admitted sums,
+    number skipped)."""
     cap = min(cfg.max_bundles_total, amb.p + amb.q - 1)
     fams = {f: vf._family_multisets(cfg, f) for f in bd.FAMILIES}
     admitted, skipped = [], 0
@@ -270,7 +287,7 @@ def _brute_force_grid(cfg, amb):
                              (("I", tI), ("II", tII), ("III", tIII), ("IV", tIV))
                              for d in t]
                     bs = bd.BundleSum((amb.p, amb.q), specs)
-                    if bd.context_violations(bs):
+                    if bd.bundle_invariants(bs).context_violations:
                         skipped += 1
                     else:
                         admitted.append(bs)
