@@ -147,7 +147,7 @@ class BundleSum(FrozenRecord):
 
 class BundleInvariants(FrozenRecord):
     """The counts and degree products of a bundle sum that the closed
-    forms and the expansion read; built by bundle_invariants."""
+    forms and the expansion read; built by invariants_from_counts."""
 
     __slots__ = ("p", "q", "n", "n_by_family", "d_by_family", "n0", "n1",
                  "Delta", "Delta0", "Delta1", "m", "m0", "m1", "ell", "k0",
@@ -213,7 +213,14 @@ def bundle_invariants(bs: BundleSum) -> BundleInvariants:
     for b in bs.bundles:
         counts[b.family] += 1
         degs[b.family] *= b.degree
-    n = len(bs.bundles)
+    return invariants_from_counts(p, q, counts, degs)
+
+
+def invariants_from_counts(p: int, q: int, counts: dict, degs: dict) -> BundleInvariants:
+    """The invariants of a sum on the space (p, q) with counts[f] bundles
+    of family f, whose degrees multiply to degs[f]; both dicts have a key
+    for every family, in FAMILIES order."""
+    n = counts["I"] + counts["II"] + counts["III"] + counts["IV"]
     n0 = counts["I"] + counts["II"]
     n1 = counts["II"] + counts["III"]
     Delta = degs["I"] * degs["II"] * degs["III"] * degs["IV"]

@@ -138,10 +138,6 @@ class PiBDegree(FrozenRecord):
         return f"({self.total_rank},{self.fixed_rank_0},{self.fixed_rank_1})"
 
 
-def degree_add(a: PiBDegree, b: PiBDegree) -> PiBDegree:
-    return a + b
-
-
 ZERO = PiBDegree(0, 0, 0)
 ONE = PiBDegree(1, 1, 1)
 SIGMA = PiBDegree(1, 0, 0)

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import os
 
-from .grading import ROC2Degree
-
 Sym = tuple
 Coeff = tuple  # an element: ((symbol, coefficient), ...) in symbol order
 
@@ -72,10 +70,6 @@ def sym_ranks(s: Sym) -> tuple:
     if kind == "tin":
         return (2 * s[1], -2 * s[1])
     raise ValueError(f"unknown symbol {s}")
-
-
-def sym_degree(s: Sym) -> ROC2Degree:
-    return ROC2Degree(*sym_ranks(s))
 
 
 def _put(out: dict, s: Sym, c: int) -> None:

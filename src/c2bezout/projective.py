@@ -147,13 +147,36 @@ class Ambient:
 
     def reduce_mono(self, m: Mono) -> tuple:
         """Basis coordinates ((normal_mono, coeff), ...) of a raw monomial."""
-        cached = self._reduce.get(m)
+        cache = self._reduce
+        cached = cache.get(m)
         if cached is not None:
             return cached
-        return self._reduce_walk(m)
+        # most misses are one rewrite step: m is normal, vanishes, or its
+        # rule leads only to cached monomials
+        rule = self._rewrite(m)
+        if rule:
+            children = [cache.get(child) for child, _ in rule]
+            if None in children:
+                return self._reduce_walk(m, rule)
+            return self._settle(m, rule, children)
+        return self._settle(m, rule, ())
 
-    def _reduce_walk(self, root: Mono) -> tuple:
-        """Normal form of a monomial missing from the cache.
+    def _settle(self, m: Mono, rule, children) -> tuple:
+        """Cache and return the normal form of m, from its rule and the
+        normal forms of the rule's children, in rule order."""
+        if rule is None:
+            out = ((m, ONE),)
+        else:
+            acc: dict = {}
+            for (_, coeff), terms in zip(rule, children):
+                _add_scaled(acc, terms, coeff)
+            out = _freeze_terms(acc)
+        self._check_degrees(m, out)
+        return pt.cache_insert(self._reduce, m, out)
+
+    def _reduce_walk(self, root: Mono, rule) -> tuple:
+        """Normal form of a monomial missing from the cache, given its
+        rule.
 
         Walks the rewrite DAG below root with an explicit stack, stopping
         at cached and normal monomials; a monomial met again on its own
@@ -170,8 +193,8 @@ class Ambient:
         done: set = set()
         order: list = []    # new monomials, children before parents
         limit = self._measure(root)
-        edges[root] = self._rewrite(root)
-        stack = [(root, iter(edges[root] or ()))]   # the current path
+        edges[root] = rule
+        stack = [(root, iter(rule or ()))]   # the current path
         while stack:
             m, children = stack[-1]
             for child, _ in children:
@@ -197,15 +220,8 @@ class Ambient:
         if len(order) <= _MEMO_DAG_NODES:
             for m in order:
                 rule = edges[m]
-                if rule is None:
-                    out = ((m, ONE),)
-                else:
-                    acc: dict = {}
-                    for child, coeff in rule:
-                        _add_scaled(acc, known[child], coeff)
-                    out = _freeze_terms(acc)
-                self._check_degrees(m, out)
-                known[m] = pt.cache_insert(cache, m, out)
+                known[m] = self._settle(
+                    m, rule, [known[child] for child, _ in rule or ()])
             return known[root]
         weight = {root: ONE}
         acc = {}

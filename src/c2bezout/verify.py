@@ -8,6 +8,7 @@ randomness is seeded, so reports are reproducible.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -740,50 +741,85 @@ def _family_multisets(cfg: SweepConfig, family: str) -> list:
     return out
 
 
+class _GridHalf:
+    """The bundles of a grid sum from two families, I and II or III and
+    IV: a degree tuple per family, their counts and degree products, and
+    their Euler class, computed on first use."""
+
+    def __init__(self, block, families: tuple, degrees: tuple):
+        self._block = block
+        self.families = families
+        self.degrees = degrees
+        self.shape = (len(degrees[0]), len(degrees[1]))
+        self.counts = dict(zip(families, self.shape))
+        self.degs = {f: math.prod(t) for f, t in zip(families, degrees)}
+
+    @functools.cached_property
+    def cls(self) -> pj.ProjClass:
+        (fa, fb), (ta, tb) = self.families, self.degrees
+        return self._block(fa, ta) * self._block(fb, tb)
+
+    def specs(self) -> tuple:
+        return tuple(bd.LineBundleSpec(f, d)
+                     for f, t in zip(self.families, self.degrees) for d in t)
+
+
 def bundle_grid(cfg: SweepConfig, amb: pj.Ambient) -> tuple:
     """The bundle multisets of the grid on amb that satisfy the
-    closed-form hypotheses, with the Euler classes of their two halves:
-    families I+II and families III+IV.
+    closed-form hypotheses, each split into its halves: families I+II
+    and families III+IV.
 
-    Returns ([(bundle sum, left class, right class), ...], the number of
-    multisets skipped for violating the hypotheses); the Euler class of
-    a sum is left * right, which the caller forms.  The hypotheses are
-    decided from the family counts, so a BundleSum is built only for the
-    sums returned.  Partial products are shared across the enumeration."""
+    Returns ([(left half, right half), ...], the number of multisets
+    skipped for violating the hypotheses); the Euler class of a sum is
+    left.cls * right.cls, which the caller forms.  The hypotheses read
+    only the family counts, so they are decided once per count shape and
+    the skipped multisets are counted, not visited.  A half's class is
+    built when a sum first uses it, from block products shared across
+    the enumeration."""
     cap = min(cfg.max_bundles_total, amb.p + amb.q - 1)
     fams = {f: [t for t in _family_multisets(cfg, f) if len(t) <= cap]
             for f in bd.FAMILIES}
-    block_product = _block_products(amb)
-    blocks = {f: {t: block_product(f, t) for t in fams[f]} for f in bd.FAMILIES}
+    block = _block_products(amb)
 
-    def half(fa, fb):
-        # (count of fa, count of fb, specs, class) of each pair of blocks
-        # within cap
-        out = []
-        for ta in fams[fa]:
-            for tb in fams[fb]:
-                if len(ta) + len(tb) <= cap:
-                    specs = tuple(bd.LineBundleSpec(fa, d) for d in ta) + \
-                        tuple(bd.LineBundleSpec(fb, d) for d in tb)
-                    out.append((len(ta), len(tb), specs,
-                                blocks[fa][ta] * blocks[fb][tb]))
-        return out
+    def halves(fa, fb):
+        return [_GridHalf(block, (fa, fb), (ta, tb))
+                for ta in fams[fa] for tb in fams[fb] if len(ta) + len(tb) <= cap]
 
-    left, right = half("I", "II"), half("III", "IV")
-    # right halves with at most k bundles, in enumeration order
-    right_upto = [[r for r in right if r[0] + r[1] <= k] for k in range(cap + 1)]
-    p, q = amb.p, amb.q
-    sums, skipped = [], 0
-    for nI, nII, lspecs, lcls in left:
-        for nIII, nIV, rspecs, rcls in right_upto[cap - nI - nII]:
+    left, right = halves("I", "II"), halves("III", "IV")
+    right_shapes = collections.Counter(r.shape for r in right)
+
+    @functools.cache
+    def partners(shape):
+        # the right halves that make a sum inside the hypotheses with a
+        # left half of this count shape, and the number that make one
+        # outside them
+        nI, nII = shape
+        inside, outside = set(), 0
+        for (nIII, nIV), count in right_shapes.items():
             n = nI + nII + nIII + nIV
-            if not n:
+            if not n or n > cap:
                 continue
-            if bd.violations_from_counts(p, q, n, nI + nII, nII + nIII):
-                skipped += 1
+            if bd.violations_from_counts(amb.p, amb.q, n, nI + nII, nII + nIII):
+                outside += count
             else:
-                sums.append((bd.BundleSum((p, q), lspecs + rspecs), lcls, rcls))
+                inside.add((nIII, nIV))
+        return [r for r in right if r.shape in inside], outside
+
+    sums, skipped = [], 0
+    for lh in left:
+        rights, outside = partners(lh.shape)
+        sums.extend((lh, rh) for rh in rights)
+        skipped += outside
     return sums, skipped
+
+
+def _grid_invariants(amb: pj.Ambient, left: _GridHalf, right: _GridHalf) -> bd.BundleInvariants:
+    return bd.invariants_from_counts(amb.p, amb.q, left.counts | right.counts,
+                                     left.degs | right.degs)
+
+
+def _grid_sum(amb: pj.Ambient, left: _GridHalf, right: _GridHalf) -> bd.BundleSum:
+    return bd.BundleSum((amb.p, amb.q), left.specs() + right.specs())
 
 
 def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
@@ -796,11 +832,11 @@ def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
             def case():
                 # params of a failure record: the sum under check, read
                 # when the record fails
-                return dict(params, bundles=bs.token())
+                return dict(params, bundles=_grid_sum(amb, left, right).token())
 
-            for bs, left, right in sums:
-                inv = bd.bundle_invariants(bs)
-                product = left * right
+            for left, right in sums:
+                inv = _grid_invariants(amb, left, right)
+                product = left.cls * right.cls
                 branch = "closed_form_low" if inv.ell <= 0 else "closed_form_high"
                 closed = bd.euler_closed_form(amb, inv)
                 if not rec.eq(branch, params, closed, product, detail=case):

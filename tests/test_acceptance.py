@@ -92,17 +92,27 @@ def test_criterion_8_harness_soundness():
 
 
 # the default report, pinned: its summary, and the SHA-256 of its JSON
-# without the wall times and with the records sorted
+# without the wall times, with the records sorted and in report order
 DEFAULT_SUMMARY = {"pass": 16483, "fail": 0, "skipped": 32, "cases": 325428}
 DEFAULT_DIGEST = "04d77dd5ff44355d67fb8af9a9a25d9ee7fc15a450ebba87d3de542eda5465ef"
+DEFAULT_ORDERED_DIGEST = "39723f1587b9ddd2d5c339d67f069d14c922d7dd4ab6026d310c2c7af7b77068"
 
 
-def _report_digest(rep) -> str:
+def _report_json(rep) -> dict:
     data = rep.to_json()
     data.pop("wall_time_s")
     data["summary"].pop("wall_time_s")
+    return data
+
+
+def _report_digest(rep) -> str:
+    data = _report_json(rep)
     data["records"] = sorted(json.dumps(r, sort_keys=True) for r in data["records"])
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def _ordered_report_digest(rep) -> str:
+    return hashlib.sha256(json.dumps(_report_json(rep)).encode()).hexdigest()
 
 
 def test_full_default_run_exit_condition():
@@ -115,3 +125,4 @@ def test_full_default_run_exit_condition():
     summary = rep.summary()
     assert {k: summary[k] for k in DEFAULT_SUMMARY} == DEFAULT_SUMMARY
     assert _report_digest(rep) == DEFAULT_DIGEST
+    assert _ordered_report_digest(rep) == DEFAULT_ORDERED_DIGEST

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from c2bezout.grading import (CHI_OMEGA, DEG_ZETA0, DEG_ZETA1, OMEGA, OMEGA0,
                               OMEGA1, SIGMA, GradingError, PiBDegree,
-                              ROC2Degree, degree_add, standard_degrees)
+                              ROC2Degree, standard_degrees)
 
 
 def test_componentwise_addition():
@@ -15,7 +15,7 @@ def test_zeta_degrees_multiply_to_xi():
     # grad zeta0 = chi omega - 2, grad zeta1 = omega - 2, zeta0 zeta1 = xi
     assert DEG_ZETA0 == PiBDegree(0, -2, 0)
     assert DEG_ZETA1 == PiBDegree(0, 0, -2)
-    total = degree_add(DEG_ZETA0, DEG_ZETA1)
+    total = DEG_ZETA0 + DEG_ZETA1
     assert total == PiBDegree(0, -2, -2)
     assert total == (2 * SIGMA - 2 * PiBDegree(1, 1, 1))
 

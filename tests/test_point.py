@@ -86,8 +86,7 @@ def test_negative_kappa_exponent_collapses():
 def test_window_census_matches_figure():
     census = {}
     for s in point_symbols_in_window(8):
-        d = pt.sym_degree(s)
-        census.setdefault((d.trivial_rank, d.sign_rank), []).append(s)
+        census.setdefault(pt.sym_ranks(s), []).append(s)
     for (a, b), syms in census.items():
         want = _fig1_expected(a, b)
         assert want != "0", (a, b, syms)

@@ -7,7 +7,7 @@ import textwrap
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from c2bezout import grading as gr
 from c2bezout import point as pt
@@ -359,6 +359,59 @@ def test_long_zeta0_chains_reduce(k):
     cls = pj.ProjClass(amb, amb.reduce_mono(mono))
     assert cls.terms and all(amb.is_normal_mono(m) for m, _ in cls.terms)
     assert cls.degree() == pj.mono_degree_pib(mono)
+
+
+_MONO_DRAW = st.tuples(
+    st.sampled_from(("normal", "vanishing", "one_step", "raw", "peel_chain")),
+    st.integers(-6, 6), st.integers(-6, 6), st.integers(0, 9), st.integers(0, 9),
+    st.booleans(), st.booleans())
+
+
+def _drawn_monos(amb, kind, z0, z1, cw, ccw, sat0, sat1):
+    """The monomials to reduce, in order, for one draw: a one-step draw
+    reduces its rule's children first, so they are cached."""
+    p, q = amb.p, amb.q
+    if kind == "normal":
+        basis = amb.basis(z0)
+        return [basis[cw % len(basis)]]
+    if kind == "vanishing":
+        return [(z0, z1, p + cw, q + ccw)]
+    if kind == "peel_chain":
+        # c_w^(p + k) or c_xw^(q + k) peels k times, each peel in two
+        return [(abs(z0), 0, p + 3 * cw, 0) if sat0 else (0, abs(z1), 0, q + 3 * ccw)]
+    if kind == "one_step":
+        # one peel of c_w or c_xw, or a raw monomial, after its children
+        if sat1:
+            mono = _raw_mono(p, q, z0, z1, cw, ccw, sat0, False)
+        elif sat0:
+            mono = (abs(z0), 0, p + 1 + cw % 2, ccw % max(q, 1))
+        else:
+            mono = (0, abs(z1), cw % max(p, 1), q + 1 + ccw % 2)
+        return [child for child, _ in amb._rewrite(mono) or ()] + [mono]
+    return [_raw_mono(p, q, z0, z1, cw, ccw, sat0, sat1)]
+
+
+@seed(20241)
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(0, 5), q=st.integers(0, 5),
+       draws=st.lists(_MONO_DRAW, min_size=1, max_size=6))
+def test_one_step_reductions_match_the_walker(p, q, draws):
+    """reduce_mono settles a miss of one rewrite step itself and leaves
+    the rest to _reduce_walk: on two fresh ambients fed the same
+    monomials, it gives what the walker alone gives, and caches the same
+    normal forms."""
+    if p + q == 0:
+        return
+    fast, walked = pj.Ambient(p, q), pj.Ambient(p, q)
+
+    def walk(m):
+        cached = walked._reduce.get(m)
+        return cached if cached is not None else walked._reduce_walk(m, walked._rewrite(m))
+
+    for draw in draws:
+        for m in _drawn_monos(fast, *draw):
+            assert fast.reduce_mono(m) == walk(m), (p, q, m)
+    assert fast._reduce == walked._reduce
 
 
 @settings(max_examples=300, deadline=None)

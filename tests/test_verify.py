@@ -305,11 +305,13 @@ def test_grid_admits_exactly_the_sums_inside_the_hypotheses(cfg):
             amb = pj.ambient(p, s - p)
             sums, skipped = vf.bundle_grid(cfg, amb)
             want, want_skipped = _brute_force_grid(cfg, amb)
-            assert [bs for bs, _, _ in sums] == want, amb
+            assert [vf._grid_sum(amb, lh, rh) for lh, rh in sums] == want, amb
+            assert [vf._grid_invariants(amb, lh, rh) for lh, rh in sums] == \
+                [bd.bundle_invariants(bs) for bs in want], amb
             assert skipped == want_skipped, amb
             total += len(want) + want_skipped
-            for bs, left, right in sums[::97]:
-                assert left * right == bd.euler_product(amb, bs), bs.token()
+            for (left, right), bs in list(zip(sums, want))[::97]:
+                assert left.cls * right.cls == bd.euler_product(amb, bs), bs.token()
     if not cfg.include_negative_degrees:
         assert total == 73505
 
@@ -328,11 +330,34 @@ def test_grid_failure_records_the_sum(monkeypatch):
     assert len(fails) == 1
     rec = fails[0]
     assert rec.name in ("closed_form_low", "closed_form_high")
-    first = vf.bundle_grid(cfg, pj.ambient(0, 2))[0][0][0]
+    amb = pj.ambient(0, 2)
+    first = vf._grid_sum(amb, *vf.bundle_grid(cfg, amb)[0][0])
     assert rec.params == {"p": 0, "q": 2, "bundles": first.token()}
     assert rec.detail == "normal forms differ"
     assert rec.lhs != rec.rhs
     assert not any(r.status == "pass" and r.name == rec.name for r in rep.records)
+
+
+def test_grid_line_fault_is_one_escape_record(monkeypatch):
+    """A line class that raises on one space stops the grid there with
+    one euler_grid_escape record, though half classes are built lazily."""
+    euler_line = bd.euler_line
+    target = pj.ambient(2, 1)
+
+    def faulty(amb, spec):
+        if amb is target and (spec.family, spec.degree) == ("III", 3):
+            raise pj.KernelError("planted line fault")
+        return euler_line(amb, spec)
+
+    monkeypatch.setattr(bd, "euler_line", faulty)
+    rep = vf.run_verify(vf.SweepConfig(pq_sum_max=4), groups=("euler_grid",))
+    escapes = [r for r in rep.records if r.name == "euler_grid_escape"]
+    assert len(escapes) == 1
+    assert rep.failures == escapes == [rep.records[-1]]
+    assert escapes[0].detail == "KernelError: planted line fault"
+    # the spaces before (2, 1) are checked, nothing after it
+    spaces = [(r.params["p"], r.params["q"]) for r in rep.records[:-1]]
+    assert spaces[-1] == (2, 1) and (3, 0) not in spaces
 
 
 def test_recorder_merges_verdicts_by_name_and_params_value():
