@@ -13,7 +13,7 @@ from . import point as pt
 from .grading import FrozenRecord, PiBDegree
 from .projective import (UNIT, Ambient, ProjClass, class_Q, class_chi_Q,
                          linear_combination, proj_tau, pushed_s_kernel,
-                         gen_zeta0, gen_zeta1)
+                         s_kernel_pair, tau_pairs, gen_zeta0, gen_zeta1)
 
 FAMILIES = ("I", "II", "III", "IV")
 
@@ -370,10 +370,10 @@ def euler_type_block_binomial(amb: Ambient, count: int, degree_product: int) -> 
     return out
 
 
-def _free_orbit_tau(amb: Ambient, inv: BundleInvariants, coeff: int) -> ProjClass:
+def _free_orbit_pairs(amb: Ambient, inv: BundleInvariants, coeff: int) -> list:
     if coeff == 0:
-        return ProjClass.zero(amb)
-    return proj_tau(
+        return []
+    return tau_pairs(
         amb, {(2 * inv.k0, inv.k1 - inv.k0, amb.p + amb.q - inv.m): coeff})
 
 
@@ -407,53 +407,57 @@ def euler_closed_form(amb: Ambient, inv: BundleInvariants) -> ProjClass:
     return _closed_form_high(amb, inv)
 
 
+# The closed forms are linear combinations of memoised unit classes
+# (S-kernels and transfers) and reduced monomials, each summed in one pass.
+
 def _closed_form_low(amb: Ambient, inv: BundleInvariants) -> ProjClass:
     p, q = amb.p, amb.q
     l = -inv.ell
     k0, k1 = inv.k0, inv.k1
     if inv.m0 <= 0 and inv.m1 <= 0:
-        return _free_orbit_tau(amb, inv, _exact_half(inv.Delta, "Delta"))
-    if inv.m0 <= 0:
+        pairs = _free_orbit_pairs(amb, inv, _exact_half(inv.Delta, "Delta"))
+    elif inv.m0 <= 0:
         # Delta0 is zeroed; the lead term rides the saturated c_w^p power.
         j = inv.m - inv.m1
-        out = pushed_s_kernel(amb, (inv.m0, 0, k1, q - inv.m), j, inv.Delta1)
-        return out + _free_orbit_tau(
+        pairs = [s_kernel_pair(amb, (inv.m0, 0, k1, q - inv.m), j, inv.Delta1)]
+        pairs += _free_orbit_pairs(
             amb, inv, _exact_half(inv.Delta - inv.Delta1, "Delta - Delta1"))
-    if inv.m1 <= 0:
+    elif inv.m1 <= 0:
         j = inv.m - inv.m0
-        out = pushed_s_kernel(amb, (0, inv.m1, p - inv.m, k0), j, inv.Delta0)
-        return out + _free_orbit_tau(
+        pairs = [s_kernel_pair(amb, (0, inv.m1, p - inv.m, k0), j, inv.Delta0)]
+        pairs += _free_orbit_pairs(
             amb, inv, _exact_half(inv.Delta - inv.Delta0, "Delta - Delta0"))
-    dstar = pick_delta_star(inv)
-    parts = [(1, pushed_s_kernel(amb, (0, 0, k1, k0), l, dstar))]
-    if inv.Delta0 != dstar:
-        parts.append((1, pushed_s_kernel(amb, (0, 1, k1 - 1, k0), l + 1, inv.Delta0 - dstar)))
-    if inv.Delta1 != dstar:
-        parts.append((1, pushed_s_kernel(amb, (1, 0, k1, k0 - 1), l + 1, inv.Delta1 - dstar)))
-    dmax = inv.Delta0 + inv.Delta1 - dstar
-    parts.append((1, _free_orbit_tau(
-        amb, inv, _exact_half(inv.Delta - dmax, "Delta - Delta_max"))))
-    return linear_combination(amb, parts)
+    else:
+        dstar = pick_delta_star(inv)
+        pairs = [s_kernel_pair(amb, (0, 0, k1, k0), l, dstar)]
+        if inv.Delta0 != dstar:
+            pairs.append(s_kernel_pair(amb, (0, 1, k1 - 1, k0), l + 1, inv.Delta0 - dstar))
+        if inv.Delta1 != dstar:
+            pairs.append(s_kernel_pair(amb, (1, 0, k1, k0 - 1), l + 1, inv.Delta1 - dstar))
+        dmax = inv.Delta0 + inv.Delta1 - dstar
+        pairs += _free_orbit_pairs(
+            amb, inv, _exact_half(inv.Delta - dmax, "Delta - Delta_max"))
+    return linear_combination(amb, pairs)
 
 
 def _closed_form_high(amb: Ambient, inv: BundleInvariants) -> ProjClass:
     ell, k0, k1 = inv.ell, inv.k0, inv.k1
     eps = inv.eps
-    parts = []
+    pairs = []
     if eps:
         for j in range(1, ell):
             if comb(ell, j) % 2:
-                parts.append((1, ProjClass.from_mono(
+                pairs.append((1, ProjClass.from_mono(
                     amb, (j, ell - j, inv.n0 + j, k0 - j))))
     if inv.Delta0:
-        parts.append((inv.Delta0, ProjClass.from_mono(amb, (0, ell, inv.n0, k0))))
+        pairs.append((inv.Delta0, ProjClass.from_mono(amb, (0, ell, inv.n0, k0))))
     if inv.Delta1:
-        parts.append((inv.Delta1, ProjClass.from_mono(amb, (ell, 0, k1, inv.n1))))
+        pairs.append((inv.Delta1, ProjClass.from_mono(amb, (ell, 0, k1, inv.n1))))
     cfree = _exact_half(
         inv.Delta - inv.Delta0 - inv.Delta1 - eps * ((1 << beta(ell)) - 2),
         "free-orbit numerator")
-    parts.append((1, _free_orbit_tau(amb, inv, cfree)))
-    return linear_combination(amb, parts)
+    pairs += _free_orbit_pairs(amb, inv, cfree)
+    return linear_combination(amb, pairs)
 
 
 def euler_I_and_III(amb: Ambient, nI: int, dI: int, nIII: int, dIII: int) -> ProjClass:

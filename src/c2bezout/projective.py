@@ -591,6 +591,12 @@ def proj_tau(amb: Ambient, x: LTerms, target: PiBDegree | None = None) -> ProjCl
     outside the supported subring.  The transfer of each monomial with
     coefficient 1 is memoised per ambient and scaled by the coefficient.
     """
+    return linear_combination(amb, tau_pairs(amb, x, target))
+
+
+def tau_pairs(amb: Ambient, x: LTerms, target: PiBDegree | None = None) -> list:
+    """The (coefficient, memoised unit transfer) pairs whose linear
+    combination is proj_tau(amb, x, target), with its checks."""
     pairs = []
     for (a, b, k), coeff in x.items():
         if target is not None and mono_degree((a, b, k)) != target:
@@ -605,7 +611,7 @@ def proj_tau(amb: Ambient, x: LTerms, target: PiBDegree | None = None) -> ProjCl
         if coeff and k < amb.p + amb.q:
             unit = amb.memo(("tau", a, b, k), lambda: _unit_tau(amb, a, b, k))
             pairs.append((coeff, unit))
-    return linear_combination(amb, pairs)
+    return pairs
 
 
 def _unit_tau(amb: Ambient, a: int, b: int, k: int) -> ProjClass:
@@ -649,16 +655,23 @@ def pushed_s_kernel(amb: Ambient, mono: Mono, defect: int, numerator: int) -> Pr
     zeta exponents riding a saturated power).  The unit kernel mono * S_k
     is memoised per ambient and scaled by numerator/2.
     """
+    n, unit = s_kernel_pair(amb, mono, defect, numerator)
+    return unit.scale(n)
+
+
+def s_kernel_pair(amb: Ambient, mono: Mono, defect: int, numerator: int) -> tuple:
+    """(n, unit) with n * unit = pushed_s_kernel(amb, mono, defect,
+    numerator): the reduced monomial for defect 0, else the memoised unit
+    kernel mono * S_k."""
     if defect == 0:
-        return ProjClass.from_mono(amb, mono, numerator)
+        return numerator, ProjClass(amb, amb.reduce_mono(mono))
     if numerator % 2:
         raise ArithmeticError(
             f"coefficient {numerator}/2 on a defect-{defect} term is not integral")
     half = numerator // 2
     if half == 0:
-        return ProjClass.zero(amb)
-    unit = amb.memo(("S", mono, defect), lambda: _unit_s_kernel(amb, mono, defect))
-    return unit.scale(half)
+        return 0, ProjClass.zero(amb)
+    return half, amb.memo(("S", mono, defect), lambda: _unit_s_kernel(amb, mono, defect))
 
 
 def _unit_s_kernel(amb: Ambient, mono: Mono, defect: int) -> ProjClass:

@@ -169,24 +169,34 @@ def _chain_one_text(pp, qq, amb, notation, latex) -> str:
     return _x_text(pp, qq, latex)
 
 
+def display_term(term) -> tuple:
+    """(factor, shown): an expansion prints num/2 * term as the
+    coefficient (factor * num)/2 on the term shown.  A term with a
+    canonical half (see `has_half`) is twice an invariant subvariety and
+    shows as that, as the worked special cases do."""
+    if has_half(term):
+        return 2, InvariantChain(term.p_i, term.q_i, 0, 0)
+    return 1, term
+
+
+def numerator_text(num: int, latex: bool = False) -> str:
+    """The coefficient num/2 as printed before its term, with the
+    separating space; empty for the coefficient 1."""
+    if num == 2:
+        return ""
+    if num % 2 == 0:
+        return f"{num // 2} "
+    return rf"\tfrac{{{num}}}{{2}} " if latex else f"{num}/2 "
+
+
 def expansion_text(exp: BezoutExpansion, amb, notation: str = "dim",
                    latex: bool = False) -> str:
     parts = []
     for num, term in exp.terms:
-        if num == 0:
-            continue
-        if has_half(term):
-            # the class is twice an invariant subvariety; display it that
-            # way, as the worked special cases do
-            term = InvariantChain(term.p_i, term.q_i, 0, 0)
-            num = 2 * num
-        ts = term_text(term, amb, notation, latex)
-        if num == 2:
-            parts.append(ts)
-        elif num % 2 == 0:
-            parts.append(f"{num // 2} {ts}")
-        else:
-            parts.append(rf"\tfrac{{{num}}}{{2}} {ts}" if latex else f"{num}/2 {ts}")
+        if num:
+            factor, shown = display_term(term)
+            parts.append(numerator_text(factor * num, latex)
+                         + term_text(shown, amb, notation, latex))
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 

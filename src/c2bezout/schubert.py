@@ -142,10 +142,6 @@ class BinatePair(FrozenRecord):
         if not ok:
             raise InfeasibleTerm(f"{self} is not realizable in {amb!r}")
 
-    def codim_data(self, amb: Ambient) -> tuple:
-        """(lambda1, lambda1_plus, lambda1_minus) of the main stratum."""
-        return (amb.p + amb.q - self.i, amb.p - self.p_i, amb.q - self.q_i)
-
 
 class FixedPoint(FrozenRecord):
     """A fixed point of the indicated component, regraded to its slot in
@@ -284,29 +280,6 @@ class BezoutExpansion:
         return (f"{type(self).__qualname__}(ambient={self.ambient!r}, "
                 f"invariants={self.invariants!r}, terms={self.terms!r}, "
                 f"label={self.label!r})")
-
-
-def codim_data_roundtrip(term: GeometricTerm, amb: Ambient) -> bool:
-    """Both notations must name the same stratum: converting the affine
-    data to codimension data and back is the identity."""
-    p, q = amb.p, amb.q
-    if isinstance(term, FreeOrbit):
-        lam = term.codim(amb)
-        return p + q - lam == term.affine_dim
-    if isinstance(term, InvariantChain):
-        lam, lp, lm = p + q - term.pp - term.qq, p - term.pp, q - term.qq
-        return (p - lp, q - lm) == (term.pp, term.qq) and lam == lp + lm
-    if isinstance(term, BinatePair):
-        lam, lp, lm = term.codim_data(amb)
-        return (p + q - lam, p - lp, q - lm) == (term.i, term.p_i, term.q_i)
-    if isinstance(term, FixedPoint):
-        # pt+ and pt- are the chains X^{1,0} and X^{0,1}
-        if term.component not in (0, 1):
-            return False
-        pp, qq = 1 - term.component, term.component
-        lam, lp, lm = p + q - pp - qq, p - pp, q - qq
-        return (p - lp, q - lm) == (pp, qq) and lam == lp + lm
-    raise TypeError(f"unknown term {term!r}")
 
 
 def expansion_class(exp: BezoutExpansion, amb: Ambient) -> ProjClass:

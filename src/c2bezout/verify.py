@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -828,6 +829,7 @@ def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
             amb = pj.ambient(p, s - p)
             params = {"p": amb.p, "q": amb.q}
             sums, n_skip = bundle_grid(cfg, amb)
+            reader = _NotationReader(amb)
 
             def case():
                 # params of a failure record: the sum under check, read
@@ -845,12 +847,9 @@ def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
                 cls = sb.expansion_class(exp, amb)
                 if not rec.eq("bezout_theorem", params, cls, product, detail=case):
                     return
-                ok_round = all(sb.codim_data_roundtrip(t, amb)
-                               for _, t in exp.terms)
-                ok_render = bool(render.expansion_text(exp, amb, "dim")) and \
-                    bool(render.expansion_text(exp, amb, "codim"))
-                rec.check("bezout_two_notations", params,
-                          ok_round and ok_render)
+                fault = reader.fault(exp.terms)
+                rec.check("bezout_two_notations", params, not fault,
+                          fault and f"{fault} for {case()}")
                 if inv.m == 1:
                     d0 = sb.special_case("dim0", inv)
                     rec.eq("corollary_dim0", params,
@@ -871,6 +870,159 @@ def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
             if n_skip:
                 rec.skip("context_violations", params,
                          "outside the closed-form hypotheses", cases=n_skip)
+
+
+# ---------------------------------------------------------------------------
+# the printed notations, read back
+
+class _NotationReader:
+    """Checks that an expansion prints as what it is, on one ambient.
+
+    Every printed term is read back into numbers in both notations once
+    per distinct term, and every printed coefficient once per distinct
+    (numerator, halving); an expansion then only looks its pairs up."""
+
+    def __init__(self, amb: pj.Ambient):
+        self.amb = amb
+        self._terms: dict = {}    # term -> (has_half(term), its fault)
+        self._coeffs: dict = {}   # (numerator, halving) -> its fault
+
+    def fault(self, terms: list) -> str:
+        """The first fault among the printed (numerator, term) pairs of
+        an expansion, or "" if every one reads back right."""
+        for num, term in terms:
+            if not num:
+                continue
+            read = self._terms.get(term)
+            if read is None:
+                read = self._terms[term] = (sb.has_half(term),
+                                            _term_fault(term, self.amb))
+            halving, fault = read
+            if fault:
+                return fault
+            key = (num, halving)
+            fault = self._coeffs.get(key)
+            if fault is None:
+                fault = self._coeffs[key] = _numerator_fault(num, term)
+            if fault:
+                return f"{fault}, on {term!r}"
+        return ""
+
+
+_LEAF_PATTERNS = {
+    "dim": (("S", re.compile(r"S~\^(-?\d+)_\{(-?\d+),(-?\d+)\}")),
+            ("X", re.compile(r"X\^\{(-?\d+),(-?\d+)\}")),
+            ("Fr", re.compile(r"Fr_(-?\d+)"))),
+    "codim": (("S", re.compile(r"S~_(-?\d+)\((-?\d+),(-?\d+)\)")),
+              ("X", re.compile(r"Y_(-?\d+)\((-?\d+),(-?\d+)\)")),
+              ("Fr", re.compile(r"Fr\((-?\d+)\)"))),
+}
+_NUMERATOR = re.compile(r"(?:(-?\d+)(/2)? )?")
+
+
+def _read_leaf(text: str, amb: pj.Ambient, notation: str):
+    """The stratum one printed leaf names, in affine data: ("S", i, p_i,
+    q_i) for a binate stratum, ("X", pp, qq) for an invariant subvariety
+    X^{pp,qq}, ("Fr", d) for a free orbit of dimension d; None if the
+    text is not a leaf of the notation.  The codimension notation gives
+    lambda = p + q - dimension, lambda+ = p - p_i and lambda- = q - q_i."""
+    if text in ("pt+", "pt-"):
+        return ("X", 1, 0) if text == "pt+" else ("X", 0, 1)
+    p, q = amb.p, amb.q
+    for kind, pattern in _LEAF_PATTERNS[notation]:
+        m = pattern.fullmatch(text)
+        if m is None:
+            continue
+        nums = [int(g) for g in m.groups()]
+        if notation == "dim":
+            return (kind, *nums)
+        if kind == "Fr":
+            return ("Fr", p + q - nums[0])
+        lam, lp, lm = nums
+        if kind == "S":
+            return ("S", p + q - lam, p - lp, q - lm)
+        return ("X", p - lp, q - lm) if lam == lp + lm else None
+    return None
+
+
+def _read_term(text: str, amb: pj.Ambient, notation: str):
+    """A printed term read back: one leaf for a bare term, else a tuple
+    of the ';'-separated pieces of [...]*, each a tuple of the leaves
+    its ' u ' joins."""
+    if text.startswith("[") and text.endswith("]*"):
+        return tuple(tuple(_read_leaf(leaf, amb, notation) for leaf in piece.split(" u "))
+                     for piece in text[1:-2].split("; "))
+    return _read_leaf(text, amb, notation)
+
+
+def _term_reading(term, notation: str):
+    """What the printed term must read back as (see _read_term), from the
+    term's own fields; None for a fixed point of neither component."""
+    if isinstance(term, sb.FreeOrbit):
+        return ("Fr", term.affine_dim)
+    if isinstance(term, sb.FixedPoint):
+        return {0: ("X", 1, 0), 1: ("X", 0, 1)}.get(term.component)
+    if isinstance(term, sb.InvariantChain):
+        pp, qq, i, j = term.pp, term.qq, term.i, term.j
+        pieces = [(("X", pp, qq),)]
+        mids = []
+        if j:
+            mids.append(("X", pp - j, qq))
+        if i:
+            mids.append(("X", pp, qq - i))
+        if mids:
+            pieces.append(tuple(mids))
+        if i and j:
+            pieces.append((("X", pp - j, qq - i),))
+        return tuple(pieces)
+    if isinstance(term, sb.BinatePair):
+        i, p_i, q_i = term.i, term.p_i, term.q_i
+        if sb.has_half(term):
+            # twice the invariant subvariety X^{p_i,q_i}, printed as that
+            return ((("X", p_i, q_i),),)
+        levels = [(i, p_i, q_i)]
+        if term.singular == "zeta0":
+            levels.append((i - 1, p_i, q_i - 1))
+        elif term.singular == "zeta1":
+            levels.append((i - 1, p_i - 1, q_i))
+        if notation == "dim":   # which clamps the fixed indices at 0
+            levels = [(a, max(b, 0), max(c, 0)) for a, b, c in levels]
+        return tuple((("S", *level),) for level in levels)
+    raise TypeError(f"unknown term {term!r}")
+
+
+def _term_fault(term, amb: pj.Ambient) -> str:
+    """Why a term, printed as an expansion prints it, does not read back
+    as its own fields in one of the two notations; "" if it does."""
+    _, shown = render.display_term(term)
+    for notation in ("dim", "codim"):
+        want = _term_reading(term, notation)
+        text = render.term_text(shown, amb, notation)
+        got = _read_term(text, amb, notation)
+        if want is None or got != want:
+            return f"{term!r} prints as {text!r} in {notation} notation, read back as {got}"
+    return ""
+
+
+def _numerator_fault(num: int, term) -> str:
+    """Why the coefficient num/2 of a term, printed as an expansion
+    prints it, does not read back as num/2; "" if it does.  A term with
+    a canonical half prints as the subvariety it is twice of, so its
+    coefficient must read back doubled."""
+    factor, _ = render.display_term(term)
+    text = render.numerator_text(factor * num)
+    m = _NUMERATOR.fullmatch(text)
+    if m is None:
+        got = None
+    elif m.group(1) is None:
+        got = 2
+    else:
+        got = int(m.group(1)) * (1 if m.group(2) else 2)
+    want = 2 * num if sb.has_half(term) else num
+    if got != want:
+        return (f"the coefficient {want}/2 prints as {text!r}, "
+                f"read back as {got}/2")
+    return ""
 
 
 def _dim0_counts(exp: sb.BezoutExpansion) -> tuple:

@@ -1,7 +1,11 @@
+import re
+
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from c2bezout import bundles as bd
 from c2bezout import projective as pj
+from c2bezout import schubert as sb
 
 
 def spec(tok):
@@ -137,6 +141,85 @@ def test_closed_form_negative_degrees():
         bs = mksum(2, 2, tokens)
         inv = bd.bundle_invariants(bs)
         assert bd.euler_closed_form(amb, inv) == bd.euler_product(amb, bs)
+
+
+def _closed_form_branch(inv):
+    """Which branch of the closed form a sum takes."""
+    if inv.ell > 0:
+        return f"high, eps = {inv.eps}"
+    if inv.m0 <= 0 and inv.m1 <= 0:
+        return "low, free orbit alone"
+    if inv.m0 <= 0:
+        return "low, m0 <= 0"
+    if inv.m1 <= 0:
+        return "low, m1 <= 0"
+    return "low, four terms"
+
+
+@st.composite
+def _sums_with_negative_degrees(draw):
+    """A sum inside the closed-form hypotheses on a space with p + q <=
+    12, with up to 3 bundles of each family, odd degrees in +-1..+-9,
+    even ones in +-2..+-8 and at least one degree negative."""
+    counts = {fam: draw(st.integers(0, 3)) for fam in bd.FAMILIES}
+    n = sum(counts.values())
+    # the hypotheses: n < p + q, n - p <= n1 and n - q <= n0
+    p_min = counts["I"] + counts["IV"]
+    q_min = counts["III"] + counts["IV"]
+    assume(0 < n < 12 and p_min + q_min <= 12)
+    p = draw(st.integers(p_min, 12 - q_min))
+    q = draw(st.integers(max(q_min, n + 1 - p), 12 - p))
+    odd = st.integers(-5, 4).map(lambda k: 2 * k + 1)
+    even = st.integers(1, 4).flatmap(lambda k: st.sampled_from((2 * k, -2 * k)))
+    specs = [bd.LineBundleSpec(fam, draw(odd if fam in ("I", "III") else even))
+             for fam in bd.FAMILIES for _ in range(counts[fam])]
+    if all(b.degree > 0 for b in specs):
+        specs[0] = bd.LineBundleSpec(specs[0].family, -specs[0].degree)
+    return bd.BundleSum((p, q), specs)
+
+
+def test_closed_form_product_and_expansion_agree_with_negative_degrees():
+    """Closed form, product and expansion agree on every branch of the
+    closed form, each reached by the draws."""
+    branches = set()
+
+    @seed(20251)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(bs=_sums_with_negative_degrees())
+    def agree(bs):
+        amb = pj.ambient(*bs.ambient)
+        inv = bd.bundle_invariants(bs)
+        assert inv.context_ok
+        product = bd.euler_product(amb, bs)
+        assert bd.euler_closed_form(amb, inv) == product, bs.token()
+        assert sb.expansion_class(sb.bezout_expansion(inv), amb) == product, bs.token()
+        branches.add(_closed_form_branch(inv))
+
+    agree()
+    assert branches == {"low, free orbit alone", "low, m0 <= 0", "low, m1 <= 0",
+                        "low, four terms", "high, eps = 0", "high, eps = 1"}
+
+
+def _crafted(p, q, tokens, **fields):
+    """The invariants of a sum with some fields replaced."""
+    inv = bd.bundle_invariants(mksum(p, q, tokens))
+    return bd.BundleInvariants(
+        *(fields.get(name, getattr(inv, name)) for name in bd.BundleInvariants.__slots__))
+
+
+@pytest.mark.parametrize("p, q, tokens, fields, message", [
+    (1, 1, "O(2)", {"Delta": 3}, "Delta = 3 is not even"),
+    (1, 2, "O(2)", {"Delta": 3}, "Delta - Delta1 = 1 is not even"),
+    (2, 1, "O(2)", {"Delta": 3}, "Delta - Delta0 = 1 is not even"),
+    (2, 2, "O(2)", {"Delta": 3}, "Delta - Delta_max = 1 is not even"),
+    (2, 2, "O(2),xO(2),xO(2)", {"Delta": 9}, "free-orbit numerator = 5 is not even"),
+    (1, 2, "O(2)", {"Delta1": 3}, "coefficient 3/2 on a defect-1 term is not integral"),
+], ids=["delta", "delta_minus_delta1", "delta_minus_delta0", "delta_minus_delta_max",
+        "free_orbit_numerator", "odd_defect_numerator"])
+def test_closed_form_refuses_odd_halves(p, q, tokens, fields, message):
+    inv = _crafted(p, q, tokens, **fields)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        bd.euler_closed_form(pj.ambient(p, q), inv)
 
 
 def test_closed_form_requires_context():

@@ -119,16 +119,6 @@ def test_fixed_point_classes_and_guards():
             sb.class_of(sb.FixedPoint(component, 0, target), pj.ambient(*space))
 
 
-def test_codim_roundtrip_refuses_unknown_terms():
-    amb = pj.ambient(2, 1)
-    target = mkinv(2, 1, "O(3),xO(1)").euler_degree()
-    with pytest.raises(TypeError):
-        sb.codim_data_roundtrip("not a term", amb)
-    assert sb.codim_data_roundtrip(sb.FixedPoint(0, 0, target), amb)
-    assert sb.codim_data_roundtrip(sb.FixedPoint(1, 0, target), amb)
-    assert not sb.codim_data_roundtrip(sb.FixedPoint(2, 0, target), amb)
-
-
 def test_dim0_rendering():
     amb = pj.ambient(2, 1)
     exp = sb.special_case("dim0", mkinv(2, 1, "O(3),xO(1)"))

@@ -6,6 +6,8 @@ import pytest
 from c2bezout import bundles as bd
 from c2bezout import laurent
 from c2bezout import projective as pj
+from c2bezout import render
+from c2bezout import schubert as sb
 from c2bezout import verify as vf
 
 
@@ -358,6 +360,104 @@ def test_grid_line_fault_is_one_escape_record(monkeypatch):
     # the spaces before (2, 1) are checked, nothing after it
     spaces = [(r.params["p"], r.params["q"]) for r in rep.records[:-1]]
     assert spaces[-1] == (2, 1) and (3, 0) not in spaces
+
+
+# ---------------------------------------------------------------------------
+# the notation check
+
+def _swap_codim_binate_pair(monkeypatch):
+    def swapped(i, p_i, q_i, amb, notation, latex):
+        if notation == "codim":
+            return f"S~_{amb.p + amb.q - i}({amb.q - q_i},{amb.p - p_i})"
+        return binate_text(i, p_i, q_i, amb, notation, latex)
+
+    binate_text = render._binate_one_text
+    monkeypatch.setattr(render, "_binate_one_text", swapped)
+
+
+def _drop_singular_parts(monkeypatch):
+    def dropped(term, amb, notation="dim", latex=False):
+        if isinstance(term, sb.BinatePair) and term.singular:
+            term = sb.BinatePair(term.i, term.p_i, term.q_i)
+        return term_text(term, amb, notation, latex)
+
+    term_text = render.term_text
+    monkeypatch.setattr(render, "term_text", dropped)
+
+
+def _shift_even_coefficients(monkeypatch):
+    def shifted(num, latex=False):
+        if num % 2 == 0 and num != 2:
+            return f"{num // 2 + 1} "
+        return numerator_text(num, latex)
+
+    numerator_text = render.numerator_text
+    monkeypatch.setattr(render, "numerator_text", shifted)
+
+
+def _printed_grid(cfg):
+    """{space: [(bundles, dim text, codim text) of each grid sum]}, the
+    spaces and sums in sweep order."""
+    out = {}
+    for s in range(2, cfg.pq_sum_max + 1):
+        for p in range(s + 1):
+            amb = pj.ambient(p, s - p)
+            out[p, s - p] = [
+                (vf._grid_sum(amb, lh, rh).token(),
+                 render.expansion_text(exp, amb, "dim"),
+                 render.expansion_text(exp, amb, "codim"))
+                for lh, rh in vf.bundle_grid(cfg, amb)[0]
+                for exp in [sb.bezout_expansion(vf._grid_invariants(amb, lh, rh))]]
+    return out
+
+
+def _verdicts(report):
+    return {(r.name, repr(r.params)): (r.status, r.cases) for r in report.records}
+
+
+@pytest.mark.parametrize("mutate, reads", [
+    (_swap_codim_binate_pair, "in codim notation, read back as"),
+    (_drop_singular_parts, "in dim notation, read back as"),
+    (_shift_even_coefficients, "the coefficient"),
+], ids=["swapped_codim_pair", "dropped_singular_part", "shifted_coefficient"])
+def test_notation_check_fails_on_each_misprinting_space(monkeypatch, mutate, reads):
+    """A misprint fails bezout_two_notations on exactly the spaces where
+    some sum prints differently, each record naming the first such sum,
+    and changes no other verdict."""
+    cfg = vf.SweepConfig(pq_sum_max=4)
+    clean = vf.run_verify(cfg, groups=("euler_grid",))
+    printed = _printed_grid(cfg)
+    mutate(monkeypatch)
+    misprinted = _printed_grid(cfg)
+    rep = vf.run_verify(cfg, groups=("euler_grid",))
+    first = {}
+    for space, sums in printed.items():
+        bundles = next((was[0] for was, now in zip(sums, misprinted[space])
+                        if was != now), None)
+        if bundles is not None:
+            first[space] = bundles
+    assert first
+    fails = rep.failures
+    assert [(r.name, r.params) for r in fails] == [
+        ("bezout_two_notations", {"p": p, "q": q}) for p, q in first]
+    for r, ((p, q), bundles) in zip(fails, first.items()):
+        assert reads in r.detail
+        assert r.detail.endswith(f" for {dict(p=p, q=q, bundles=bundles)}")
+    want = _verdicts(clean)
+    for p, q in first:
+        want["bezout_two_notations", repr({"p": p, "q": q})] = ("fail", 1)
+    assert _verdicts(rep) == want
+
+
+def test_notation_reader_refuses_unknown_terms():
+    amb = pj.ambient(2, 1)
+    inv = bd.bundle_invariants(bd.BundleSum((2, 1), bd.parse_bundles("O(3),xO(1)")))
+    target = inv.euler_degree()
+    with pytest.raises(TypeError):
+        vf._term_fault("not a term", amb)
+    assert vf._term_fault(sb.FixedPoint(0, 0, target), amb) == ""
+    assert vf._term_fault(sb.FixedPoint(1, 0, target), amb) == ""
+    assert vf._term_fault(sb.FixedPoint(2, 0, target), amb) != ""
 
 
 def test_recorder_merges_verdicts_by_name_and_params_value():
