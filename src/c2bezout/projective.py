@@ -22,6 +22,8 @@ confluence) is enforced by tests, not assumed.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from . import point as pt
 from .grading import PiBDegree, GradingError
 from .laurent import LTerms, mono_degree
@@ -89,10 +91,13 @@ class Ambient:
 
     Holds the per-space caches: reductions of raw monomials, bases of
     cosets, and the memo of unit transfers, unit S-kernels, standard and
-    Schubert classes.  They hold terms, never classes, so an ambient is
-    freed as soon as it is dropped.  Reads are safe from multiple threads;
-    concurrent inserts are idempotent (the value for a key is
-    deterministic), so no locking is needed around the dicts.
+    Schubert classes.  They hold terms, never classes, so no cycle keeps
+    an ambient alive: one built directly is freed as soon as it is
+    dropped.  One returned by `ambient()` is never freed, as that
+    registry keeps every space it returns for the life of the process.
+    Reads are safe from multiple threads; concurrent inserts are
+    idempotent (the value for a key is deterministic), so no locking is
+    needed around the dicts.
 
     `tensor_e2` is the coefficient of e^2 in the tensor relation.  Any
     value but 1 gives a deliberately wrong ring, for the soundness check
@@ -308,7 +313,8 @@ class Ambient:
         """Ordered free basis of the coset m*omega + RO(C2)."""
         got = self._basis.get(m)
         if got is None:
-            got = pt.cache_insert(self._basis, m, _basis_of(self.p, self.q, m))
+            got = pt.cache_insert(self._basis, m,
+                                  tuple(_basis_iter(self.p, self.q, m)))
         return got
 
     def basis_set(self, m: int) -> frozenset:
@@ -318,24 +324,23 @@ class Ambient:
         return got
 
 
-def _basis_of(p: int, q: int, m: int) -> tuple:
-    """The basis of coset m: while both p and q are positive, the head
-    zeta1^m (m >= 0) or zeta0^-m (m < 0) is followed by the basis of the
-    space one smaller in p or q, shifted by c_w or c_xw."""
-    out = []
+def _basis_iter(p: int, q: int, m: int):
+    """The basis of coset m in order; its k-th monomial has c-degree k.
+    While both p and q are positive, the head zeta1^m (m >= 0) or
+    zeta0^-m (m < 0) is followed by the basis of the space one smaller in
+    p or q, shifted by c_w or c_xw."""
     cw = ccw = 0
     while p and q:
         if m >= 0:
-            out.append((0, m, cw, ccw))
+            yield (0, m, cw, ccw)
             p, m, cw = p - 1, m - 1, cw + 1
         else:
-            out.append((-m, 0, cw, ccw))
+            yield (-m, 0, cw, ccw)
             q, m, ccw = q - 1, m + 1, ccw + 1
     if p == 0:
-        out.extend((-m - j, 0, cw, ccw + j) for j in range(q))
+        yield from ((-m - j, 0, cw, ccw + j) for j in range(q))
     else:
-        out.extend((0, m - j, cw + j, ccw) for j in range(p))
-    return tuple(out)
+        yield from ((0, m - j, cw + j, ccw) for j in range(p))
 
 
 def _add_scaled(acc: dict, terms: tuple, coeff) -> None:
@@ -454,14 +459,17 @@ class ProjClass:
     def __pow__(self, n: int) -> "ProjClass":
         if n < 0:
             raise ValueError("negative powers are not defined")
-        out = ProjClass.unit(self.amb)
+        if n == 0:
+            return ProjClass.unit(self.amb)
+        out = None   # the first factor: no product with the unit
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjClass):
@@ -615,14 +623,16 @@ def tau_pairs(amb: Ambient, x: LTerms, target: PiBDegree | None = None) -> list:
 
 
 def _unit_tau(amb: Ambient, a: int, b: int, k: int) -> ProjClass:
-    """tau(iota^a zeta^b c^k) for even a and 0 <= k < p + q: a point
-    transfer times a witness monomial of the right coset."""
-    cw = min(k, amb.p)
-    ccw = k - cw
-    r = b - (cw - ccw)
-    z0, z1 = (0, r) if r >= 0 else (-r, 0)
-    j = (a - 2 * (z0 + ccw)) // 2
-    return ProjClass.from_mono(amb, (z0, z1, cw, ccw), pt.p_tau({2 * j: 1}))
+    """tau(iota^a zeta^b c^k) for even a and 0 <= k < p + q.
+
+    The witness is the k-th monomial m of the basis of coset b: it is
+    normal and rho(m) = iota^(2(z0+ccw)) zeta^b c^k, so by the projection
+    formula tau(iota^a zeta^b c^k) = m * tau(iota^(a - 2(z0+ccw))), one
+    point transfer on a monomial that needs no rewriting.  The witness is
+    read off the basis order without caching the coset's basis."""
+    witness = next(islice(_basis_iter(amb.p, amb.q, b), k, None))
+    z0, _, _, ccw = witness
+    return ProjClass.from_mono(amb, witness, pt.p_tau({a - 2 * (z0 + ccw): 1}))
 
 
 def tau_c_power(amb: Ambient, k: int) -> ProjClass:

@@ -1202,22 +1202,31 @@ def check_corollaries(rec: Recorder, cfg: SweepConfig) -> None:
 # ---------------------------------------------------------------------------
 # harness soundness
 
+def _mini_identities(amb: pj.Ambient) -> Recorder:
+    """Two identities on a small ambient, each broken by the perturbed
+    tensor rule: zeta0^i Q^k = 2^k zeta0^(i-k) c_xw^k (Lemma conversion
+    (i)) and the tensor relation itself."""
+    mini = Recorder()
+    Q = pj.class_Q(amb)
+    z0, z1 = pj.gen_zeta0(amb), pj.gen_zeta1(amb)
+    cxw = pj.gen_cxw(amb)
+    for i in range(2, 4):
+        for k in range(1, i):
+            mini.eq("mini_q_conversion", {"i": i, "k": k}, (z0 ** i) * (Q ** k),
+                    ((z0 ** (i - k)) * (cxw ** k)).scale(1 << k))
+    e2 = pj.ProjClass.from_point(amb, pt.p_sym(("e", 2)))
+    onemk = pj.ProjClass.from_point(amb, pt.p_one_minus_kappa())
+    mini.eq("mini_tensor", {}, z1 * cxw - onemk * z0 * pj.gen_cw(amb), e2)
+    return mini
+
+
 def check_soundness(rec: Recorder, cfg: SweepConfig) -> None:
     """With one rewrite rule perturbed, at least one identity must fail.
 
     The perturbed ring lives on a private ambient of its own (twice the
     e^2 term of the tensor relation), so no registered ambient or cache
     ever sees it."""
-    amb = pj.Ambient(2, 2, tensor_e2=2)
-    mini = Recorder()
-    Q = pj.class_Q(amb)
-    for k in range(0, 4):
-        mini.eq("mini_q_powers", {"k": k}, Q ** k, _q_power_closed(amb, k))
-    z0, z1 = pj.gen_zeta0(amb), pj.gen_zeta1(amb)
-    cxw = pj.gen_cxw(amb)
-    e2 = pj.ProjClass.from_point(amb, pt.p_sym(("e", 2)))
-    onemk = pj.ProjClass.from_point(amb, pt.p_one_minus_kappa())
-    mini.eq("mini_tensor", {}, z1 * cxw - onemk * z0 * pj.gen_cw(amb), e2)
+    mini = _mini_identities(pj.Ambient(2, 2, tensor_e2=2))
     failures = [r for r in mini.records if r.status == "fail"]
     rec.check("harness_soundness", {"perturbed_rule": "tensor-relation e^2"},
               len(failures) >= 1,

@@ -157,6 +157,16 @@ GOLDEN = [
      ". . . * * * *\n"
      ". . * * . . .\n"
      "* * * . . . .\n"),
+    # large spaces, whose transfers and S-kernels build on basis witnesses
+    (("euler", "--p", "32", "--q", "30", "--bundles",
+      "O(3),xO(2),O(1),xO(4),O(2),xO(1),O(5),xO(3),O(3),xO(2),"
+      "O(1),xO(2),O(4),xO(3),O(2),xO(1),O(3),xO(2),O(1),xO(5)"), 0,
+     "sha256:e5e6356e5a817fbc5562f1af6b5068cfcb6dffcc0bfc58734be1fc4c116eb78c"),
+    (("bezout", "--p", "30", "--q", "34", "--bundles",
+      "O(3),O(2),O(1),O(4),O(2),O(1),O(5),O(3),O(3),O(2),O(1),"
+      "O(2),O(4),O(3),O(2),O(1),O(3),O(2),O(1),xO(5),xO(2)",
+      "--format", "json"), 0,
+     "sha256:8e189b2882fb5c4dc41cbe46ed77945fcd99f5d362377d42f2b05234c170c55f"),
     (("point-table", "--window", "8", "--format", "json"), 0,
      "sha256:258bd3932db5b1dc801b0e7c502d1eeaad38b02ba4e23f630ee4d13411cb6fdb"),
 ]

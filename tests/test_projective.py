@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from itertools import islice
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -621,21 +622,27 @@ def test_ambients_share_no_memo_entries():
 # ---------------------------------------------------------------------------
 # memoised unit transfers and kernels, one-pass sums
 
+def _old_witness_tau(amb, a, b, k, coeff=1):
+    """coeff * tau(iota^a zeta^b c^k) on the witness used before basis
+    witnesses: zeta^|r| c_w^min(k,p) c_xw^(k-min(k,p)), which the
+    reducer walks whenever zeta0^2 c_w divides it."""
+    cw = min(k, amb.p)
+    ccw = k - cw
+    r = b - (cw - ccw)
+    z0, z1 = (0, r) if r >= 0 else (-r, 0)
+    j = (a - 2 * (z0 + ccw)) // 2
+    return pj.ProjClass.from_mono(amb, (z0, z1, cw, ccw), pt.p_tau({2 * j: coeff}))
+
+
 def _reference_tau(amb, x):
-    """proj_tau without the memo: each monomial's transfer built with its
-    coefficient inside the point transfer, summed with +."""
+    """proj_tau without the memo: each monomial's transfer built on the
+    old witness with its coefficient inside the point transfer, summed
+    with +."""
     out = pj.ProjClass.zero(amb)
     for (a, b, k), coeff in x.items():
         assert a % 2 == 0 and k >= 0
-        if k >= amb.p + amb.q:
-            continue
-        cw = min(k, amb.p)
-        ccw = k - cw
-        r = b - (cw - ccw)
-        z0, z1 = (0, r) if r >= 0 else (-r, 0)
-        j = (a - 2 * (z0 + ccw)) // 2
-        out = out + pj.ProjClass.from_mono(amb, (z0, z1, cw, ccw),
-                                           pt.p_tau({2 * j: coeff}))
+        if k < amb.p + amb.q:
+            out = out + _old_witness_tau(amb, a, b, k, coeff)
     return out
 
 
@@ -716,6 +723,57 @@ def test_memoised_classes_keep_every_validation():
     with pytest.raises(ArithmeticError,
                        match="coefficient 3/2 on a defect-2 term is not integral"):
         pj.pushed_s_kernel(amb, (0, 0, 1, 1), 2, 3)
+
+
+def test_unit_transfers_match_the_old_witness_route():
+    """_unit_tau on basis witnesses against the old witness route, on
+    fresh ambients: a stride through p, q <= 13, a in {-6,-2,0,2,4,8},
+    |b| <= p + q + 3 and k < p + q (divided witnesses included), and the
+    largest walks of the old route."""
+    cases = [(p, q, a, b, k)
+             for p in range(14) for q in range(14) if p + q
+             for a in (-6, -2, 0, 2, 4, 8)
+             for b in range(-(p + q + 3), p + q + 4) for k in range(p + q)]
+    ambs = {}
+    for p, q, a, b, k in cases[::97]:
+        new, old = ambs.setdefault((p, q), (pj.Ambient(p, q), pj.Ambient(p, q)))
+        assert pj._unit_tau(new, a, b, k).terms == \
+            _old_witness_tau(old, a, b, k).terms, (p, q, a, b, k)
+    assert len(ambs) == 195
+    # old witnesses (36,0,24,0) on (32, 64) and (33,0,21,0) on (44, 48)
+    for (p, q), (b, k) in (((32, 64), (-12, 24)), ((44, 48), (-12, 21))):
+        for a in (-4, 0, 6):
+            assert pj._unit_tau(pj.Ambient(p, q), a, b, k).terms == \
+                _old_witness_tau(pj.Ambient(p, q), a, b, k).terms, (p, q, a)
+
+
+@seed(20261)
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(0, 40), m=st.integers(-50, 50), data=st.data())
+def test_basis_iter_lists_one_monomial_per_c_degree(p, m, data):
+    q = data.draw(st.integers(0 if p else 1, 40 - p))
+    k = data.draw(st.integers(0, p + q - 1))
+    mono = next(islice(pj._basis_iter(p, q, m), k, None))
+    assert mono[2] + mono[3] == k
+    assert pj.mono_coset(mono) == m
+    assert mono == pj.Ambient(p, q).basis(m)[k]
+
+
+def test_large_unit_transfer_needs_no_walk_and_no_basis():
+    """tau(zeta^-12 c^24) on (32, 64) took a 257-node walk on the old
+    witness; on its basis witness it takes none, and caches no basis."""
+    def no_walk(m, rule):
+        raise AssertionError(f"walked {m}")
+
+    amb = pj.Ambient(32, 64)
+    amb._reduce_walk = no_walk
+    got = pj.proj_tau(amb, {(0, -12, 24): 1})
+    assert amb._basis == {} and amb._basis_sets == {}
+    assert got.terms == _old_witness_tau(pj.Ambient(32, 64), 0, -12, 24).terms
+    old = pj.Ambient(32, 64)
+    old._reduce_walk = no_walk
+    with pytest.raises(AssertionError, match="walked"):
+        _old_witness_tau(old, 0, -12, 24)
 
 
 def _random_classes(amb, rng, count):

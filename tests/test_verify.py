@@ -110,6 +110,17 @@ def test_soundness_group():
     assert any(r.name == "harness_soundness" for r in rep.records)
 
 
+def test_every_mini_identity_fails_on_the_perturbed_ring():
+    """The soundness check rests on each of its identities, not on one:
+    each holds on the true ring and fails somewhere on the perturbed one."""
+    good = vf._mini_identities(pj.Ambient(2, 2)).records
+    bad = vf._mini_identities(pj.Ambient(2, 2, tensor_e2=2)).records
+    names = {r.name for r in good}
+    assert names == {"mini_q_conversion", "mini_tensor"}
+    assert all(r.status == "pass" for r in good)
+    assert {r.name for r in bad if r.status == "fail"} == names
+
+
 def test_negative_degree_grid():
     cfg = vf.SweepConfig(pq_sum_max=4, include_negative_degrees=True)
     rep = vf.run_verify(cfg, groups=("euler_grid",))
