@@ -33,7 +33,7 @@ class ContextViolation(ValueError):
         super().__init__("context violated: " + "; ".join(self.violations))
 
 
-class LineBundleSpec(FrozenRecord):
+class LineBundleSpec(FrozenRecord, order=True):
     """One line bundle: its family and degree.  Specs order as the tuple
     (family, degree)."""
 
@@ -48,34 +48,6 @@ class LineBundleSpec(FrozenRecord):
         if degree % 2 != (1 if odd else 0):
             raise ValueError(
                 f"degree {degree} has the wrong parity for family {family}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.degree) == (other.family, other.degree)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.degree))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.degree) < (other.family, other.degree)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.degree) <= (other.family, other.degree)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.degree) > (other.family, other.degree)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.degree) >= (other.family, other.degree)
-        return NotImplemented
 
     @property
     def twisted(self) -> bool:
@@ -129,14 +101,6 @@ class BundleSum(FrozenRecord):
         _set(self, "ambient", ambient)
         _set(self, "bundles", tuple(sorted(bundles)))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ambient, self.bundles) == (other.ambient, other.bundles)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.bundles))
-
     @property
     def n(self) -> int:
         return len(self.bundles)
@@ -178,21 +142,6 @@ class BundleInvariants(FrozenRecord):
         _set(self, "DeltaMin", DeltaMin)
         _set(self, "DeltaMax", DeltaMax)
         _set(self, "context_violations", context_violations)
-
-    def _values(self) -> tuple:
-        return (self.p, self.q, self.n, self.n_by_family, self.d_by_family,
-                self.n0, self.n1, self.Delta, self.Delta0, self.Delta1,
-                self.m, self.m0, self.m1, self.ell, self.k0, self.k1,
-                self.eps, self.DeltaMin, self.DeltaMax,
-                self.context_violations)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())   # a TypeError, as two fields are dicts
 
     @property
     def context_ok(self) -> bool:

@@ -51,31 +51,25 @@ def cmd_euler(args) -> int:
     bs = _parse_sum(args)
     product = bd.euler_product(amb, bs)
     inv = bd.bundle_invariants(bs)
-    out = {"product": product, "closed_form": None, "agrees": None,
-           "context_violations": list(inv.context_violations)}
-    if inv.context_ok:
-        closed = bd.euler_closed_form(amb, inv)
-        out["closed_form"] = closed
-        out["agrees"] = closed == product
+    closed = bd.euler_closed_form(amb, inv) if inv.context_ok else None
+    agrees = None if closed is None else closed == product
     if args.format == "json":
         payload = {
             "p": args.p, "q": args.q, "bundles": bs.token(),
             "degree": None if product.is_zero() else product.degree().as_list(),
             "product": render.proj_json(product),
-            "closed_form": (None if out["closed_form"] is None
-                            else render.proj_json(out["closed_form"])),
-            "agrees": out["agrees"],
-            "context_violations": out["context_violations"],
+            "closed_form": None if closed is None else render.proj_json(closed),
+            "agrees": agrees,
+            "context_violations": list(inv.context_violations),
         }
         _print_json(payload)
         return 0
     latex = args.format == "latex"
     print(f"e(F) product     = {render.proj_text(product, latex)}")
-    if out["closed_form"] is not None:
-        print(f"e(F) closed form = {render.proj_text(out['closed_form'], latex)}")
-        print("AGREES with product" if out["agrees"]
-              else "DISAGREES with product")
-        return 0 if out["agrees"] else 1
+    if closed is not None:
+        print(f"e(F) closed form = {render.proj_text(closed, latex)}")
+        print("AGREES with product" if agrees else "DISAGREES with product")
+        return 0 if agrees else 1
     for v in inv.context_violations:
         print(f"context warning: {v} (closed form skipped)")
     return 0

@@ -9,6 +9,8 @@ and the triple determines the degree.
 
 from __future__ import annotations
 
+from operator import attrgetter, eq, ge, gt, le, lt
+
 
 class GradingError(ValueError):
     pass
@@ -17,17 +19,43 @@ class GradingError(ValueError):
 _set = object.__setattr__
 
 
+def _compare(op):
+    """op on the field tuples of two records of one class."""
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._key(self), other._key(other))
+        return NotImplemented
+    return method
+
+
+_ORDER = tuple(_compare(op) for op in (lt, le, gt, ge))
+
+
 class FrozenRecord:
     """Base of the package's immutable value records.
 
     A subclass lists its fields in ``__slots__``, in constructor order,
-    and sets them in its own ``__init__`` through ``object.__setattr__``;
-    it also writes its own ``__eq__`` and ``__hash__``.  Here: assignment
-    and deletion raise ``AttributeError`` as on a frozen dataclass, the
-    repr is the dataclass repr ``Name(field=value, ...)``, and pickling
-    and copying go through the constructor."""
+    and sets them in its own ``__init__`` through ``object.__setattr__``.
+    Everything else is derived once per class from ``__slots__``, as on a
+    frozen dataclass: equality and hashing on the tuple of fields, which
+    the class's ``_key`` reads (a record equals only a record of its own
+    class), the order methods on the same tuple for a class declared
+    with ``order=True``, the repr
+    ``Name(field=value, ...)``, and pickling and copying through the
+    constructor.  Assignment and deletion raise ``AttributeError``."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, order: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls.__slots__)
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = _ORDER
+
+    __eq__ = _compare(eq)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -51,15 +79,6 @@ class ROC2Degree(FrozenRecord):
     def __init__(self, trivial_rank: int, sign_rank: int) -> None:
         _set(self, "trivial_rank", trivial_rank)
         _set(self, "sign_rank", sign_rank)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.trivial_rank, self.sign_rank)
-                    == (other.trivial_rank, other.sign_rank))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.trivial_rank, self.sign_rank))
 
     def to_pib(self) -> "PiBDegree":
         a, b = self.trivial_rank, self.sign_rank
@@ -86,15 +105,6 @@ class PiBDegree(FrozenRecord):
         _set(self, "fixed_rank_1", fixed_rank_1)
         if (fixed_rank_0 - fixed_rank_1) % 2 != 0:
             raise GradingError(f"fixed ranks must share parity: {self}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.total_rank, self.fixed_rank_0, self.fixed_rank_1)
-                    == (other.total_rank, other.fixed_rank_0, other.fixed_rank_1))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.total_rank, self.fixed_rank_0, self.fixed_rank_1))
 
     def __add__(self, other: "PiBDegree") -> "PiBDegree":
         return PiBDegree(

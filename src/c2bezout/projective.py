@@ -691,10 +691,11 @@ def _unit_s_kernel(amb: Ambient, mono: Mono, defect: int) -> ProjClass:
     return tau_part + ProjClass.from_mono(amb, kappa_mono, pt.p_kappa(2 * defect))
 
 
-def divided(amb: Ambient, k: int, which: int, extra_cw: int = 0, extra_cxw: int = 0) -> ProjClass:
-    """zeta0^-k c_w^p (which=0) or zeta1^-k c_xw^q (which=1), times extras."""
+def divided(amb: Ambient, k: int, which: int, extra_cxw: int = 0) -> ProjClass:
+    """zeta0^-k c_w^p (which=0) or zeta1^-k c_xw^q (which=1), times
+    c_xw^extra_cxw."""
     if k < 0:
         raise ValueError("divide by a positive power")
     if which == 0:
-        return ProjClass.from_mono(amb, (-k, 0, amb.p + extra_cw, extra_cxw))
-    return ProjClass.from_mono(amb, (0, -k, extra_cw, amb.q + extra_cxw))
+        return ProjClass.from_mono(amb, (-k, 0, amb.p, extra_cxw))
+    return ProjClass.from_mono(amb, (0, -k, 0, amb.q + extra_cxw))

@@ -9,7 +9,6 @@ written; everything else prints as coefficient * monomial.
 from __future__ import annotations
 
 from . import point as pt
-from .grading import PiBDegree
 from .laurent import l_text
 from .projective import ProjClass, mono_degree_pib, mono_rho
 from .schubert import (BezoutExpansion, BinatePair, FixedPoint, FreeOrbit,
@@ -86,16 +85,12 @@ def proj_text(cls: ProjClass, latex: bool = False) -> str:
     return " + ".join(chunks).replace("+ -", "- ")
 
 
-def degree_json(d: PiBDegree) -> list:
-    return d.as_list()
-
-
 def proj_json(cls: ProjClass) -> list:
     out = []
     for m, coeff in cls.terms:
         out.append({
             "monomial": list(m),
-            "degree": degree_json(mono_degree_pib(m)),
+            "degree": mono_degree_pib(m).as_list(),
             "coeff": pt.p_json(coeff),
         })
     return out

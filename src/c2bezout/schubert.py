@@ -48,14 +48,6 @@ class FreeOrbit(FrozenRecord):
         _set(self, "affine_dim", affine_dim)
         _set(self, "target", target)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.affine_dim, self.target) == (other.affine_dim, other.target)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.affine_dim, self.target))
-
     def codim(self, amb: Ambient) -> int:
         return amb.p + amb.q - self.affine_dim
 
@@ -84,15 +76,6 @@ class InvariantChain(FrozenRecord):
         _set(self, "i", i)
         _set(self, "j", j)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.pp, self.qq, self.i, self.j)
-                    == (other.pp, other.qq, other.i, other.j))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.pp, self.qq, self.i, self.j))
-
     def validate(self, amb: Ambient) -> None:
         if not (0 <= self.pp <= amb.p and 0 <= self.qq <= amb.q):
             raise InfeasibleTerm(f"{self} does not fit in {amb!r}")
@@ -118,15 +101,6 @@ class BinatePair(FrozenRecord):
         _set(self, "singular", singular)
         if singular not in (None, "zeta0", "zeta1"):
             raise ValueError(f"bad singular tag {singular!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.i, self.p_i, self.q_i, self.singular)
-                    == (other.i, other.p_i, other.q_i, other.singular))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.p_i, self.q_i, self.singular))
 
     @property
     def defect(self) -> int:
@@ -154,15 +128,6 @@ class FixedPoint(FrozenRecord):
         _set(self, "component", component)
         _set(self, "regrade", regrade)   # m1 for component 0, m0 for 1; <= 1
         _set(self, "target", target)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.component, self.regrade, self.target)
-                    == (other.component, other.regrade, other.target))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.component, self.regrade, self.target))
 
     def validate(self, amb: Ambient) -> None:
         if self.component not in (0, 1):

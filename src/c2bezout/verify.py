@@ -79,10 +79,6 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SweepConfig":
-        data = dict(data)
-        for key in ("odd_degrees", "even_degrees"):
-            if key in data:
-                data[key] = tuple(data[key])
         return cls(**data)
 
 
@@ -824,12 +820,13 @@ def _grid_sum(amb: pj.Ambient, left: _GridHalf, right: _GridHalf) -> bd.BundleSu
 
 
 def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
+    coeffs: dict = {}   # (numerator, halving) -> its fault, on every space
     for s in range(2, cfg.pq_sum_max + 1):
         for p in range(s + 1):
             amb = pj.ambient(p, s - p)
             params = {"p": amb.p, "q": amb.q}
             sums, n_skip = bundle_grid(cfg, amb)
-            reader = _NotationReader(amb)
+            reader = _NotationReader(amb, coeffs)
 
             def case():
                 # params of a failure record: the sum under check, read
@@ -880,12 +877,14 @@ class _NotationReader:
 
     Every printed term is read back into numbers in both notations once
     per distinct term, and every printed coefficient once per distinct
-    (numerator, halving); an expansion then only looks its pairs up."""
+    (numerator, halving) in the memo ``coeffs``, which readers on other
+    ambients may share: a coefficient prints the same on every space.
+    An expansion then only looks its pairs up."""
 
-    def __init__(self, amb: pj.Ambient):
+    def __init__(self, amb: pj.Ambient, coeffs: dict):
         self.amb = amb
         self._terms: dict = {}    # term -> (has_half(term), its fault)
-        self._coeffs: dict = {}   # (numerator, halving) -> its fault
+        self._coeffs = coeffs     # (numerator, halving) -> its fault
 
     def fault(self, terms: list) -> str:
         """The first fault among the printed (numerator, term) pairs of

@@ -323,8 +323,11 @@ def test_unknown_verify_group_is_a_usage_error(capsys):
     ('{"odd_degrees": [1.5]}', "odd_degrees must list integers"),
     ('{"include_negative_degrees": "no"}',
      "include_negative_degrees must be true or false"),
+    ('{"odd_degrees": 5}', "'int' object is not iterable"),
+    ("[1, 3]", "bad sweep config"),
 ], ids=["missing", "not_json", "unknown_key", "bad_bound", "negative_pairs",
-        "float_bound", "float_degree", "string_flag"])
+        "float_bound", "float_degree", "string_flag", "scalar_degrees",
+        "not_an_object"])
 def test_bad_sweep_config_is_a_usage_error(capsys, tmp_path, content, want):
     path = tmp_path / "cfg.json"
     if content is not None:

@@ -319,7 +319,8 @@ def test_large_reductions_are_normal_and_keep_shadows(p, q, z0, z1, cw, ccw,
         # zeta0^-k c_w^p or zeta1^-k c_xw^q, times further Euler classes
         which = z0 % 2
         k = abs(z1)
-        cls = pj.divided(amb, k, which, cw, ccw)
+        cls = pj.divided(amb, k, which, ccw) * pj.ProjClass.from_mono(
+            amb, (0, 0, cw, 0))
         mono = (-k, 0, p + cw, ccw) if which == 0 else (0, -k, cw, q + ccw)
     else:
         mono = _raw_mono(p, q, z0, z1, cw, ccw, False, False)

@@ -8,6 +8,7 @@ name, so that even the reprs must agree character for character.
 
 import copy
 import dataclasses
+import operator
 import pickle
 import random
 
@@ -169,6 +170,16 @@ def test_bundle_specs_order_as_the_twin():
         ours[0] < (ours[0].family, ours[0].degree)
     with pytest.raises(TypeError):
         theirs[0] < (theirs[0].family, theirs[0].degree)
+
+
+@pytest.mark.parametrize("cls", [c for c in CASES if c is not bd.LineBundleSpec],
+                         ids=[c.__name__ for c in CASES if c is not bd.LineBundleSpec])
+def test_unordered_records_refuse_order_as_the_twin(cls):
+    (a, ta), (b, tb) = _draws(cls, n=2)
+    for x, y in ((a, b), (ta, tb)):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(x, y)
 
 
 def test_bundle_sum_sorts_its_bundles_as_the_twin():
