@@ -111,17 +111,18 @@ class BundleSum(FrozenRecord):
 
 class BundleInvariants(FrozenRecord):
     """The counts and degree products of a bundle sum that the closed
-    forms and the expansion read; built by invariants_from_counts."""
+    forms and the expansion read; built by invariants_from_counts.  The
+    bundle counts and degree products per family are 4-tuples in
+    FAMILIES order."""
 
     __slots__ = ("p", "q", "n", "n_by_family", "d_by_family", "n0", "n1",
                  "Delta", "Delta0", "Delta1", "m", "m0", "m1", "ell", "k0",
-                 "k1", "eps", "DeltaMin", "DeltaMax", "context_violations")
+                 "k1", "eps", "context_violations")
 
-    def __init__(self, p: int, q: int, n: int, n_by_family: dict,
-                 d_by_family: dict, n0: int, n1: int, Delta: int, Delta0: int,
+    def __init__(self, p: int, q: int, n: int, n_by_family: tuple,
+                 d_by_family: tuple, n0: int, n1: int, Delta: int, Delta0: int,
                  Delta1: int, m: int, m0: int, m1: int, ell: int, k0: int,
-                 k1: int, eps: int, DeltaMin: int, DeltaMax: int,
-                 context_violations: tuple) -> None:
+                 k1: int, eps: int, context_violations: tuple) -> None:
         _set(self, "p", p)
         _set(self, "q", q)
         _set(self, "n", n)
@@ -139,8 +140,6 @@ class BundleInvariants(FrozenRecord):
         _set(self, "k0", k0)
         _set(self, "k1", k1)
         _set(self, "eps", eps)
-        _set(self, "DeltaMin", DeltaMin)
-        _set(self, "DeltaMax", DeltaMax)
         _set(self, "context_violations", context_violations)
 
     @property
@@ -157,30 +156,30 @@ class BundleInvariants(FrozenRecord):
 
 def bundle_invariants(bs: BundleSum) -> BundleInvariants:
     p, q = bs.ambient
-    counts = {f: 0 for f in FAMILIES}
-    degs = {f: 1 for f in FAMILIES}
+    counts = [0, 0, 0, 0]
+    degs = [1, 1, 1, 1]
     for b in bs.bundles:
-        counts[b.family] += 1
-        degs[b.family] *= b.degree
-    return invariants_from_counts(p, q, counts, degs)
+        f = FAMILIES.index(b.family)
+        counts[f] += 1
+        degs[f] *= b.degree
+    return invariants_from_counts(p, q, tuple(counts), tuple(degs))
 
 
-def invariants_from_counts(p: int, q: int, counts: dict, degs: dict) -> BundleInvariants:
-    """The invariants of a sum on the space (p, q) with counts[f] bundles
-    of family f, whose degrees multiply to degs[f]; both dicts have a key
-    for every family, in FAMILIES order."""
-    n = counts["I"] + counts["II"] + counts["III"] + counts["IV"]
-    n0 = counts["I"] + counts["II"]
-    n1 = counts["II"] + counts["III"]
-    Delta = degs["I"] * degs["II"] * degs["III"] * degs["IV"]
-    Delta0 = degs["I"] * degs["II"] if n0 < p else 0
-    Delta1 = degs["II"] * degs["III"] if n1 < q else 0
+def invariants_from_counts(p: int, q: int, counts: tuple, degs: tuple) -> BundleInvariants:
+    """The invariants of a sum on the space (p, q) with counts[i] bundles
+    of family FAMILIES[i], whose degrees multiply to degs[i]."""
+    cI, cII, cIII, cIV = counts
+    dI, dII, dIII, dIV = degs
+    n = cI + cII + cIII + cIV
+    n0 = cI + cII
+    n1 = cII + cIII
+    Delta0 = dI * dII if n0 < p else 0
+    Delta1 = dII * dIII if n1 < q else 0
     # positional, in field order (this runs once per sum and per query)
     return BundleInvariants(
-        p, q, n, counts, degs, n0, n1, Delta, Delta0, Delta1,
+        p, q, n, counts, degs, n0, n1, dI * dII * dIII * dIV, Delta0, Delta1,
         p + q - n, p - n0, q - n1, n - n0 - n1, n - n0, n - n1,
-        Delta0 % 2, min(Delta0, Delta1), max(Delta0, Delta1),
-        violations_from_counts(p, q, n, n0, n1))
+        Delta0 % 2, violations_from_counts(p, q, n, n0, n1))
 
 
 def violations_from_counts(p: int, q: int, n: int, n0: int, n1: int) -> tuple:

@@ -150,7 +150,7 @@ def cmd_point_table(args) -> int:
         raise _UsageError(str(exc)) from None
     rows = []
     for (a, b), syms in sorted(census.items()):
-        gens = [pt.p_text(pt.p_sym(s)) for s in sorted(syms)]
+        gens = [render.point_text(pt.p_sym(s)) for s in sorted(syms)]
         rows.append((a, b, pt.point_group(syms), gens))
     if args.format == "json":
         payload = [{"degree": [a, b], "group": group, "generators": gens}

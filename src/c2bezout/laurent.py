@@ -37,30 +37,3 @@ def l_mul(x: LTerms, y: LTerms, c_trunc: int | None = None) -> LTerms:
 def mono_degree(m) -> PiBDegree:
     a, b, k = m
     return PiBDegree(2 * k, 2 * k - a, 2 * k - a - 2 * b)
-
-
-def l_text(x: LTerms, latex: bool = False) -> str:
-    if not x:
-        return "0"
-    names = (r"\iota", r"\zeta", "c") if latex else ("iota", "zeta", "c")
-    parts = []
-    for m in sorted(x):
-        c = x[m]
-        body = []
-        for e, nm in zip(m, names):
-            if e == 0:
-                continue
-            if e == 1:
-                body.append(nm)
-            else:
-                body.append(f"{nm}^{{{e}}}" if latex else f"{nm}^{e}")
-        s = " ".join(body) if not latex else "".join(body)
-        if not s:
-            s = "1"
-        if c == 1:
-            parts.append(s)
-        elif c == -1:
-            parts.append(f"-{s}")
-        else:
-            parts.append(f"{c} {s}" if not latex else f"{c}{s}")
-    return " + ".join(parts).replace("+ -", "- ")

@@ -1,4 +1,6 @@
-"""Exact arithmetic in the RO(C2)-graded cohomology of a point.
+"""Exact arithmetic in the RO(C2)-graded cohomology of a point, and the
+census of a degree window.  Nothing here prints: `render.point_text` and
+`render.point_json` give an element's text, LaTeX and JSON.
 
 The implemented subring is spanned by the canonical symbols
 
@@ -351,81 +353,3 @@ def point_group(syms: list) -> str:
     if len(syms) == 1:
         return "Z/2" if syms[0][0] == "exi" else "Z"
     return f"{len(syms)} symbols" if syms else "0"
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-def _sym_text(s: Sym) -> str:
-    kind = s[0]
-    if kind == "1":
-        return ""
-    if kind == "g":
-        return "g"
-    if kind == "e":
-        return "e" if s[1] == 1 else f"e^{s[1]}"
-    if kind == "xi":
-        return "xi" if s[1] == 1 else f"xi^{s[1]}"
-    if kind == "exi":
-        m, n = s[1], s[2]
-        e = "e" if m == 1 else f"e^{m}"
-        x = "xi" if n == 1 else f"xi^{n}"
-        return f"{e} {x}"
-    if kind == "eik":
-        return f"e^-{s[1]} kappa"
-    if kind == "tin":
-        return f"tau(iota^-{2 * s[1]})"
-    raise ValueError(s)
-
-
-def _sym_latex(s: Sym) -> str:
-    kind = s[0]
-    if kind == "1":
-        return ""
-    if kind == "g":
-        return "g"
-    if kind == "e":
-        return "e" if s[1] == 1 else f"e^{{{s[1]}}}"
-    if kind == "xi":
-        return r"\xi" if s[1] == 1 else rf"\xi^{{{s[1]}}}"
-    if kind == "exi":
-        return _sym_latex(("e", s[1])) + _sym_latex(("xi", s[2]))
-    if kind == "eik":
-        return rf"e^{{-{s[1]}}}\kappa"
-    if kind == "tin":
-        return rf"\tau(\iota^{{-{2 * s[1]}}})"
-    raise ValueError(s)
-
-
-def _fold_kappa(a: Coeff):
-    """Split off t*(2 - g) when the 1/g coefficients are an exact multiple."""
-    terms = dict(a)
-    c1 = terms.get(S_ONE, 0)
-    cg = terms.get(S_G, 0)
-    if cg != 0 and c1 == -2 * cg:
-        return -cg, [(s, c) for s, c in a if s not in (S_ONE, S_G)]
-    return 0, a
-
-
-def p_text(a: Coeff, latex: bool = False) -> str:
-    if not a:
-        return "0"
-    kap, rest = _fold_kappa(a)
-    pieces = []
-    if kap:
-        name = r"\kappa" if latex else "kappa"
-        pieces.append((kap, name))
-    for s, c in rest:
-        pieces.append((c, _sym_latex(s) if latex else _sym_text(s)))
-    out = ""
-    for c, name in pieces:
-        body = name if name else str(abs(c))
-        if name and abs(c) != 1:
-            body = f"{abs(c)} {name}" if not latex else f"{abs(c)}{name}"
-        sign = "-" if c < 0 else "+"
-        out = body if not out and c > 0 else f"{out} {sign} {body}".strip() if out else f"-{body}"
-    return out
-
-
-def p_json(a: Coeff) -> list:
-    return [{"symbol": s[0], "params": list(s[1:]), "coeff": c} for s, c in a]

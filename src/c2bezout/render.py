@@ -1,44 +1,107 @@
-"""Text, LaTeX and JSON rendering of classes and expansions.
+"""Text, LaTeX and JSON rendering of point elements, monomials, classes,
+geometric terms and expansions; the kernel modules only compute.
 
-Transfer-type coefficients (g, tau(iota^-2k), and even multiples of xi
-powers on monomials with Chern content) are folded into tau(...) of the
-monomial's restriction, which is how the closed formulas are usually
-written; everything else prints as coefficient * monomial.
+Every power and product of powers prints by one rule: `name` for the
+exponent 1, else `name^e` in text and `name^{e}` in LaTeX, the factors
+joined by a space in text and by nothing in LaTeX.  Transfer-type
+coefficients (g, tau(iota^-2k), and even multiples of xi powers on
+monomials with Chern content) are folded into tau(...) of the monomial's
+restriction, which is how the closed formulas are usually written;
+everything else prints as coefficient * monomial.
 """
 
 from __future__ import annotations
 
 from . import point as pt
-from .laurent import l_text
 from .projective import ProjClass, mono_degree_pib, mono_rho
 from .schubert import (BezoutExpansion, BinatePair, FixedPoint, FreeOrbit,
                        InvariantChain, has_half)
 
 _GEN_TEXT = ("zeta0", "zeta1", "c_w", "c_xw")
 _GEN_LATEX = (r"\zeta_0", r"\zeta_1", r"\widehat{c}_\omega", r"\widehat{c}_{\chi\omega}")
+_TAU_TEXT = ("iota", "zeta", "c")
+_TAU_LATEX = (r"\iota", r"\zeta", "c")
 
 
-def mono_text(m, latex: bool = False) -> str:
-    names = _GEN_LATEX if latex else _GEN_TEXT
-    parts = []
-    for e, name in zip(m, names):
-        if e == 0:
-            continue
-        if e == 1:
-            parts.append(name)
-        elif latex:
-            parts.append(f"{name}^{{{e}}}")
-        else:
-            parts.append(f"{name}^{e}")
-    if not parts:
-        return "1"
+def _powers(names, exps, latex: bool) -> str:
+    """The product of the names to the exponents, without the zero
+    exponents; "" when every exponent is 0."""
+    parts = [name if e == 1 else f"{name}^{{{e}}}" if latex else f"{name}^{e}"
+             for name, e in zip(names, exps) if e]
     return ("" if latex else " ").join(parts)
 
 
+def mono_text(m, latex: bool = False) -> str:
+    return _powers(_GEN_LATEX if latex else _GEN_TEXT, m, latex) or "1"
+
+
 def _tau_text(iexp: int, zexp: int, cexp: int, latex: bool) -> str:
-    body = l_text({(iexp, zexp, cexp): 1}, latex=latex)
+    body = _powers(_TAU_LATEX if latex else _TAU_TEXT, (iexp, zexp, cexp), latex) or "1"
     return rf"\tau({body})" if latex else f"tau({body})"
 
+
+# ---------------------------------------------------------------------------
+# point elements
+
+def _sym_name(s: pt.Sym, latex: bool) -> str:
+    """The name of a basis symbol; "" for the unit."""
+    kind = s[0]
+    if kind == "1":
+        return ""
+    if kind == "g":
+        return "g"
+    if kind == "tin":
+        return _tau_text(-2 * s[1], 0, 0, latex)
+    xi, kappa = (r"\xi", r"\kappa") if latex else ("xi", "kappa")
+    if kind == "e":
+        return _powers(("e",), s[1:], latex)
+    if kind == "xi":
+        return _powers((xi,), s[1:], latex)
+    if kind == "exi":
+        return _powers(("e", xi), s[1:], latex)
+    if kind == "eik":
+        return _powers(("e", kappa), (-s[1], 1), latex)
+    raise ValueError(s)
+
+
+def _fold_kappa(a: pt.Coeff):
+    """Split off t*(2 - g) when the 1/g coefficients are an exact multiple."""
+    terms = dict(a)
+    c1 = terms.get(pt.S_ONE, 0)
+    cg = terms.get(pt.S_G, 0)
+    if cg != 0 and c1 == -2 * cg:
+        return -cg, [(s, c) for s, c in a if s not in (pt.S_ONE, pt.S_G)]
+    return 0, a
+
+
+def point_text(a: pt.Coeff, latex: bool = False) -> str:
+    if not a:
+        return "0"
+    kap, rest = _fold_kappa(a)
+    pieces = [(kap, r"\kappa" if latex else "kappa")] if kap else []
+    pieces += [(c, _sym_name(s, latex)) for s, c in rest]
+    chunks = []
+    for c, name in pieces:
+        n = abs(c)
+        if not name:
+            body = str(n)
+        elif n == 1:
+            body = name
+        else:
+            body = f"{n}{name}" if latex else f"{n} {name}"
+        if chunks:
+            chunks.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            chunks.append(f"-{body}" if c < 0 else body)
+    return " ".join(chunks)
+
+
+def point_json(a: pt.Coeff) -> list:
+    return [{"symbol": s[0], "params": list(s[1:]), "coeff": c} for s, c in a]
+
+
+# ---------------------------------------------------------------------------
+# classes
 
 def _split_tau(coeff: pt.Coeff, m) -> tuple:
     """Split a coefficient into tau-foldable pieces and a remainder."""
@@ -68,7 +131,7 @@ def proj_text(cls: ProjClass, latex: bool = False) -> str:
             t = _tau_text(ia + ishift, za, ca, latex)
             chunks.append(t if mult == 1 else f"-{t}" if mult == -1 else f"{mult} {t}")
         if rest:
-            cs = pt.p_text(rest, latex=latex)
+            cs = point_text(rest, latex)
             ms = mono_text(m, latex)
             if ms == "1":
                 chunks.append(cs)
@@ -91,7 +154,7 @@ def proj_json(cls: ProjClass) -> list:
         out.append({
             "monomial": list(m),
             "degree": mono_degree_pib(m).as_list(),
-            "coeff": pt.p_json(coeff),
+            "coeff": point_json(coeff),
         })
     return out
 
@@ -104,7 +167,7 @@ def _x_text(pp: int, qq: int, latex: bool) -> str:
         return r"\mathrm{pt}^+" if latex else "pt+"
     if (pp, qq) == (0, 1):
         return r"\mathrm{pt}^-" if latex else "pt-"
-    return rf"X^{{{pp},{qq}}}" if latex else f"X^{{{pp},{qq}}}"
+    return f"X^{{{pp},{qq}}}"
 
 
 def term_text(term, amb, notation: str = "dim", latex: bool = False) -> str:

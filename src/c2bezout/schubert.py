@@ -28,8 +28,8 @@ from . import bundles as bd
 from .bundles import BundleInvariants, ContextViolation, beta, rem2
 from .grading import FrozenRecord, PiBDegree
 from .laurent import mono_degree
-from .projective import (Ambient, ProjClass, class_chi_Q, linear_combination,
-                         proj_tau, pushed_s_kernel)
+from .projective import (Ambient, ProjClass, linear_combination, proj_tau,
+                         pushed_s_kernel)
 
 
 _set = object.__setattr__
@@ -201,16 +201,14 @@ def _binate_base(term: BinatePair, amb: Ambient, numerator: int) -> ProjClass:
 
 
 def chiQ_class(amb: Ambient):
-    """Two-chain decomposition of the twisted quadric class, with its
-    verified cohomology value."""
+    """Two-chain decomposition of the twisted quadric class, with the
+    class the two chains add up to; the sweep's `prop_chi_q` compares it
+    with `class_chi_Q`."""
     if amb.p < 1 or amb.q < 1:
         raise InfeasibleTerm("the twisted quadric chain needs p, q >= 1")
     terms = [InvariantChain(amb.p - 1, amb.q, 1, 0),
              InvariantChain(amb.p, amb.q - 1, 0, 1)]
-    total = class_of(terms[0], amb) + class_of(terms[1], amb)
-    if total != class_chi_Q(amb):
-        raise AssertionError("twisted quadric decomposition failed")
-    return terms, total
+    return terms, class_of(terms[0], amb) + class_of(terms[1], amb)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +318,8 @@ def _codim1_case(inv: BundleInvariants) -> BezoutExpansion:
         raise ContextViolation([f"codim-1 case needs n = 1, got {inv.n}"])
     inv.require_context()
     p, q = inv.p, inv.q
-    counts = inv.n_by_family
-    fam = next(f for f in counts if counts[f])
-    d = inv.d_by_family[fam]
+    i = next(i for i, count in enumerate(inv.n_by_family) if count)
+    fam, d = bd.FAMILIES[i], inv.d_by_family[i]
     k = d // 2
     top = p + q - 1
     if fam == "I":
@@ -377,7 +374,7 @@ def _dim1_table_case(inv: BundleInvariants) -> BezoutExpansion:
                  (2 * D1, InvariantChain(0, 2, 1, 0)),
                  (D - D0 - D1, fr)]
     elif row == 1 and col == 1:
-        dstar = bd.pick_delta_star(inv)  # = DeltaMin on the standard grid
+        dstar = bd.pick_delta_star(inv)  # = min(D0, D1) on the standard grid
         terms = [(dstar, BinatePair(2, 1, 1)),
                  (D0 - dstar, BinatePair(2, 1, 0, "zeta1")),
                  (D1 - dstar, BinatePair(2, 0, 1, "zeta0")),

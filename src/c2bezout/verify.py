@@ -740,16 +740,15 @@ def _family_multisets(cfg: SweepConfig, family: str) -> list:
 
 class _GridHalf:
     """The bundles of a grid sum from two families, I and II or III and
-    IV: a degree tuple per family, their counts and degree products, and
-    their Euler class, computed on first use."""
+    IV: a degree tuple per family, their counts (the shape) and degree
+    products, and their Euler class, computed on first use."""
 
     def __init__(self, block, families: tuple, degrees: tuple):
         self._block = block
         self.families = families
         self.degrees = degrees
         self.shape = (len(degrees[0]), len(degrees[1]))
-        self.counts = dict(zip(families, self.shape))
-        self.degs = {f: math.prod(t) for f, t in zip(families, degrees)}
+        self.degs = (math.prod(degrees[0]), math.prod(degrees[1]))
 
     @functools.cached_property
     def cls(self) -> pj.ProjClass:
@@ -811,8 +810,8 @@ def bundle_grid(cfg: SweepConfig, amb: pj.Ambient) -> tuple:
 
 
 def _grid_invariants(amb: pj.Ambient, left: _GridHalf, right: _GridHalf) -> bd.BundleInvariants:
-    return bd.invariants_from_counts(amb.p, amb.q, left.counts | right.counts,
-                                     left.degs | right.degs)
+    return bd.invariants_from_counts(amb.p, amb.q, left.shape + right.shape,
+                                     left.degs + right.degs)
 
 
 def _grid_sum(amb: pj.Ambient, left: _GridHalf, right: _GridHalf) -> bd.BundleSum:

@@ -82,7 +82,8 @@ def test_invariants_first_example():
 
 def test_invariants_second_example():
     inv = bd.bundle_invariants(mksum(3, 3, "xO(2)"))
-    assert inv.n_by_family["IV"] == 1
+    assert (inv.n_by_family, inv.d_by_family) == ((0, 0, 0, 1), (1, 1, 1, 2))
+    assert hash(inv) == hash(bd.bundle_invariants(mksum(3, 3, "xO(2)")))
     assert (inv.n, inv.n0, inv.n1) == (1, 0, 0)
     assert (inv.Delta, inv.Delta0, inv.Delta1, inv.eps) == (2, 1, 1, 1)
     assert (inv.m, inv.m0, inv.m1, inv.ell) == (5, 3, 3, 1)

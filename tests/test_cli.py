@@ -169,6 +169,15 @@ GOLDEN = [
      "sha256:8e189b2882fb5c4dc41cbe46ed77945fcd99f5d362377d42f2b05234c170c55f"),
     (("point-table", "--window", "8", "--format", "json"), 0,
      "sha256:258bd3932db5b1dc801b0e7c502d1eeaad38b02ba4e23f630ee4d13411cb6fdb"),
+    # every kind of point symbol as text; LaTeX powers of the generators;
+    # LaTeX point coefficients (\xi, e^{2}) on monomials with zeta0^{-2}
+    (("point-table", "--window", "12"), 0,
+     "sha256:c0e83071cb7167f4f97e0e2751cbec00ad26083e35c79697a8b5eb84f5d4c157"),
+    (("basis", "--p", "4", "--q", "5", "--m", "-3", "--format", "latex"), 0,
+     "sha256:2cbd294c987eae9ae6fa2f2816a9b422dfdb09d44f275a911bc4b3b5e48f746f"),
+    (("euler", "--p", "2", "--q", "2", "--bundles", "O(3),O(3),O(3)",
+      "--format", "latex"), 0,
+     "sha256:508d14233e507026fc448d650e945580a9d3b3d5916ab7dc3b9d6a3cc60ed6c9"),
 ]
 
 

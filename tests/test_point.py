@@ -94,19 +94,6 @@ def test_window_census_matches_figure():
             assert all(s[0] == "exi" for s in syms)
 
 
-def test_text_rendering():
-    assert pt.p_text(pt.p_kappa()) == "kappa"
-    assert pt.p_text(eik(2)) == "e^-2 kappa"
-    assert pt.p_text(pt.p_sym(("tin", 2))) == "tau(iota^-4)"
-    assert pt.p_text(()) == "0"
-    assert pt.p_text(xi(3)) == "xi^3"
-
-
-def test_json_rendering():
-    data = pt.p_json(pt.p_add(G, e(2, -3)))
-    assert {"symbol": "e", "params": [2], "coeff": -3} in data
-
-
 def _direct_product(a, b, n=1):
     """n * a * b straight from the symbol rule, without the table."""
     out = ()

@@ -214,7 +214,7 @@ def test_dim1_middle_cell_structure():
     assert exp.label == "dim1[1,1]"
     # Delta_min on the main binate, the rest on singular pairs and orbits
     nums = [num for num, _ in exp.terms]
-    assert nums[0] == inv.DeltaMin
+    assert nums[0] == min(inv.Delta0, inv.Delta1)
     assert sb.expansion_class(exp, pj.ambient(3, 3)) == bd.euler_product(
         pj.ambient(3, 3),
         bd.BundleSum((3, 3), bd.parse_bundles("O(1),O(2),xO(3),xO(2)")))

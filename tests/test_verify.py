@@ -373,6 +373,37 @@ def test_grid_line_fault_is_one_escape_record(monkeypatch):
     assert spaces[-1] == (2, 1) and (3, 0) not in spaces
 
 
+def test_broken_chi_q_decomposition_is_a_fail_record(monkeypatch):
+    """A decomposition of the twisted quadric that is off on one space
+    fails prop_chi_q there with both normal forms; the group goes on."""
+    class_of = sb.class_of
+    target = pj.ambient(1, 2)
+    chain = sb.InvariantChain(0, 2, 1, 0)   # the first chain on (1, 2)
+
+    def broken(term, amb):
+        cls = class_of(term, amb)
+        if amb is target and term == chain:
+            return cls + pj.ProjClass.unit(amb)
+        return cls
+
+    monkeypatch.setattr(sb, "class_of", broken)
+    rep = vf.run_verify(vf.SweepConfig(p_max=2, q_max=2), groups=("dictionary",))
+    assert not any(r.name == "dictionary_escape" for r in rep.records)
+    chi_q = {(r.params["p"], r.params["q"]): r
+             for r in rep.records if r.name == "prop_chi_q"}
+    assert list(chi_q) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    bad = chi_q.pop((1, 2))
+    assert (bad.status, bad.detail) == ("fail", "normal forms differ")
+    assert bad.lhs == render.proj_text(sb.chiQ_class(target)[1])
+    assert bad.rhs == render.proj_text(pj.class_chi_Q(target))
+    assert bad.lhs != bad.rhs
+    assert all(r.status == "pass" for r in chi_q.values())
+    # the only other failure is the chain's own record
+    others = [r for r in rep.failures if r is not bad]
+    assert [(r.name, r.params) for r in others] == [
+        ("cor_cs_times_zetas", {"p": 1, "q": 2, "pp": 0, "qq": 2, "i": 1, "j": 0})]
+
+
 # ---------------------------------------------------------------------------
 # the notation check
 
