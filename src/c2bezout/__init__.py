@@ -3,7 +3,7 @@ involution: Euler classes of sums of line bundles and their expansion
 into Schubert-variety classes, with a machine-verification harness for
 every identity involved."""
 
-from .grading import PiBDegree, ROC2Degree, standard_degrees
+from .grading import PiBDegree, ROC2Degree
 from .point import OutsideSupportedSubring
 from .projective import (Ambient, ProjClass, ambient, class_Q, class_chi_Q,
                          gen_cw, gen_cxw, gen_zeta0, gen_zeta1, proj_tau)
@@ -18,7 +18,7 @@ from .schubert import (BezoutExpansion, BinatePair, FixedPoint, FreeOrbit,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PiBDegree", "ROC2Degree", "standard_degrees",
+    "PiBDegree", "ROC2Degree",
     "OutsideSupportedSubring",
     "Ambient", "ProjClass", "ambient", "class_Q", "class_chi_Q",
     "gen_cw", "gen_cxw", "gen_zeta0", "gen_zeta1", "proj_tau",

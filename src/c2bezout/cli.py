@@ -122,18 +122,12 @@ def cmd_basis(args) -> int:
 
 
 def _print_basis_diagram(basis, m: int) -> None:
-    pts = []
-    for mono in basis:
-        z0, z1, cw, ccw = mono
-        pts.append((cw - z0, ccw + z0))
-    amin = min(a for a, _ in pts + [(0, 0)])
-    amax = max(a for a, _ in pts + [(0, 0)])
-    bmin = min(b for _, b in pts + [(0, 0)])
-    bmax = max(b for _, b in pts + [(0, 0)])
+    pts = [(cw - z0, ccw + z0) for z0, _, cw, ccw in basis]
+    avals, bvals = zip(*pts, (0, 0))   # the window holds the origin
     print(f"basis of coset m={m}, dot at (a,b) for degree m(omega-2)+2a+2b sigma")
-    for b in range(bmax, bmin - 1, -1):
+    for b in range(max(bvals), min(bvals) - 1, -1):
         row = []
-        for a in range(amin, amax + 1):
+        for a in range(min(avals), max(avals) + 1):
             if (a, b) in pts:
                 row.append("*")
             elif a == 0 and b == 0:
@@ -256,10 +250,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (bd.ContextViolation, pt.OutsideSupportedSubring) as exc:
+    except (_UsageError, bd.ContextViolation, pt.OutsideSupportedSubring) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (pj.KernelError, RecursionError, MemoryError, ArithmeticError) as exc:

@@ -139,17 +139,10 @@ class PiBDegree(FrozenRecord):
     def as_list(self) -> list[int]:
         return [self.total_rank, self.fixed_rank_0, self.fixed_rank_1]
 
-    @classmethod
-    def from_list(cls, triple) -> "PiBDegree":
-        t, f0, f1 = triple
-        return cls(int(t), int(f0), int(f1))
-
     def __str__(self) -> str:
         return f"({self.total_rank},{self.fixed_rank_0},{self.fixed_rank_1})"
 
 
-ZERO = PiBDegree(0, 0, 0)
-ONE = PiBDegree(1, 1, 1)
 SIGMA = PiBDegree(1, 0, 0)
 OMEGA = PiBDegree(2, 2, 0)       # omega = 2 + Omega1
 CHI_OMEGA = PiBDegree(2, 0, 2)   # chi omega = 2 + Omega0
@@ -163,29 +156,3 @@ DEG_ZETA1 = OMEGA - TWO          # = OMEGA1
 DEG_CW = OMEGA
 DEG_CXW = CHI_OMEGA
 DEG_E = SIGMA
-DEG_XI = 2 * SIGMA - 2 * ONE     # (0,-2,-2)
-DEG_IOTA = SIGMA - ONE           # (0,-1,-1)
-DEG_ZETA = OMEGA - TWO           # nonequivariant regrading unit
-DEG_C = TWO                      # nonequivariant Chern class
-
-
-def standard_degrees() -> dict[str, PiBDegree]:
-    """Named degree constants, including all ring generators."""
-    return {
-        "zero": ZERO,
-        "one": ONE,
-        "sigma": SIGMA,
-        "omega": OMEGA,
-        "chi_omega": CHI_OMEGA,
-        "Omega0": OMEGA0,
-        "Omega1": OMEGA1,
-        "zeta0": DEG_ZETA0,
-        "zeta1": DEG_ZETA1,
-        "c_w": DEG_CW,
-        "c_xw": DEG_CXW,
-        "e": DEG_E,
-        "xi": DEG_XI,
-        "iota": DEG_IOTA,
-        "zeta": DEG_ZETA,
-        "c": DEG_C,
-    }

@@ -295,9 +295,7 @@ def p_fixed(a: Coeff) -> int:
     total = 0
     for s, c in a:
         kind = s[0]
-        if kind == "1":
-            total += c
-        elif kind == "e":
+        if kind in ("1", "e"):
             total += c
         elif kind == "eik":
             total += 2 * c

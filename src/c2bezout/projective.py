@@ -97,19 +97,18 @@ class Ambient:
     registry keeps every space it returns for the life of the process.
     Reads are safe from multiple threads; concurrent inserts are
     idempotent (the value for a key is deterministic), so no locking is
-    needed around the dicts.
-
-    `tensor_e2` is the coefficient of e^2 in the tensor relation.  Any
-    value but 1 gives a deliberately wrong ring, for the soundness check
-    of the verification harness; `ambient()` never returns such a space.
+    needed around the dicts.  Two spaces of the same type and (p, q) are
+    equal, so classes on them compare and combine.
     """
 
-    def __init__(self, p: int, q: int, tensor_e2: int = 1):
+    TENSOR_E2 = 1   # the coefficient of e^2 in the tensor relation
+
+    def __init__(self, p: int, q: int):
         if p < 0 or q < 0 or p + q <= 0:
             raise ValueError(f"invalid ambient ({p},{q})")
         self.p = p
         self.q = q
-        self._e2 = pt.p_sym(("e", 2), tensor_e2)
+        self._e2 = pt.p_sym(("e", 2), self.TENSOR_E2)
         self._reduce: dict = {}
         self._basis: dict = {}
         self._basis_sets: dict = {}
@@ -117,6 +116,14 @@ class Ambient:
 
     def __repr__(self) -> str:
         return f"Ambient({self.p},{self.q})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.q) == (other.p, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self.p, self.q))
 
     def memo(self, key, build) -> "ProjClass":
         """The class memoised under key, made by build() on a miss."""
@@ -151,11 +158,16 @@ class Ambient:
     # -- reduction --------------------------------------------------------
 
     def reduce_mono(self, m: Mono) -> tuple:
-        """Basis coordinates ((normal_mono, coeff), ...) of a raw monomial."""
+        """Basis coordinates ((normal_mono, coeff), ...) of a raw monomial
+        of the ring: c exponents >= 0, zeta0^-k only with c_w^p and
+        zeta1^-k only with c_xw^q.  Any other is a ValueError."""
         cache = self._reduce
         cached = cache.get(m)
         if cached is not None:
             return cached
+        z0, z1, cw, ccw = m
+        if cw < 0 or ccw < 0 or (z0 < 0 and cw < self.p) or (z1 < 0 and ccw < self.q):
+            raise ValueError(f"monomial {m} lies outside the ring of {self!r}")
         # most misses are one rewrite step: m is normal, vanishes, or its
         # rule leads only to cached monomials
         rule = self._rewrite(m)
@@ -474,7 +486,8 @@ class ProjClass:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjClass):
             return NotImplemented
-        return self.amb is other.amb and self.terms == other.terms
+        return ((self.amb is other.amb or self.amb == other.amb)
+                and self.terms == other.terms)
 
     def __hash__(self):
         raise TypeError("ProjClass is not hashable")
@@ -483,7 +496,7 @@ class ProjClass:
         return not self.terms
 
     def _check(self, other: "ProjClass") -> None:
-        if self.amb is not other.amb:
+        if self.amb is not other.amb and self.amb != other.amb:
             raise ValueError("ambient mismatch")
 
     # degree ----------------------------------------------------------------
@@ -556,7 +569,7 @@ class ProjClass:
 def linear_combination(amb: Ambient, pairs: list) -> ProjClass:
     """The sum of n * cls over the (n, cls) pairs, added up in one pass."""
     for _, cls in pairs:
-        if cls.amb is not amb:
+        if cls.amb is not amb and cls.amb != amb:
             raise ValueError("ambient mismatch")
     if len(pairs) == 1:
         n, cls = pairs[0]

@@ -3,7 +3,11 @@ geometric terms and expansions; the kernel modules only compute.
 
 Every power and product of powers prints by one rule: `name` for the
 exponent 1, else `name^e` in text and `name^{e}` in LaTeX, the factors
-joined by a space in text and by nothing in LaTeX.  Transfer-type
+joined by a space in text and by nothing in LaTeX.  Every signed sum
+prints by one rule too, `_join`'s: a bare `-` before a negative first
+chunk, then ` - ` or ` + ` before each later one, and `0` for no chunks.
+A point coefficient of several chunks prints in parentheses before its
+monomial; a single chunk lends its sign to the term.  Transfer-type
 coefficients (g, tau(iota^-2k), and even multiples of xi powers on
 monomials with Chern content) are folded into tau(...) of the monomial's
 restriction, which is how the closed formulas are usually written;
@@ -74,9 +78,19 @@ def _fold_kappa(a: pt.Coeff):
     return 0, a
 
 
-def point_text(a: pt.Coeff, latex: bool = False) -> str:
-    if not a:
-        return "0"
+def _join(chunks) -> str:
+    """The signed sum of the (negative, magnitude text) chunks."""
+    out = []
+    for negative, body in chunks:
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"
+
+
+def _point_chunks(a: pt.Coeff, latex: bool) -> list:
     kap, rest = _fold_kappa(a)
     pieces = [(kap, r"\kappa" if latex else "kappa")] if kap else []
     pieces += [(c, _sym_name(s, latex)) for s, c in rest]
@@ -89,11 +103,12 @@ def point_text(a: pt.Coeff, latex: bool = False) -> str:
             body = name
         else:
             body = f"{n}{name}" if latex else f"{n} {name}"
-        if chunks:
-            chunks.append(f"- {body}" if c < 0 else f"+ {body}")
-        else:
-            chunks.append(f"-{body}" if c < 0 else body)
-    return " ".join(chunks)
+        chunks.append((c < 0, body))
+    return chunks
+
+
+def point_text(a: pt.Coeff, latex: bool = False) -> str:
+    return _join(_point_chunks(a, latex))
 
 
 def point_json(a: pt.Coeff) -> list:
@@ -121,31 +136,26 @@ def _split_tau(coeff: pt.Coeff, m) -> tuple:
 
 
 def proj_text(cls: ProjClass, latex: bool = False) -> str:
-    if cls.is_zero():
-        return "0"
     chunks = []
     for m, coeff in cls.terms:
         folded, rest = _split_tau(coeff, m)
         ia, za, ca = mono_rho(m)
         for mult, ishift in folded:
             t = _tau_text(ia + ishift, za, ca, latex)
-            chunks.append(t if mult == 1 else f"-{t}" if mult == -1 else f"{mult} {t}")
-        if rest:
-            cs = point_text(rest, latex)
-            ms = mono_text(m, latex)
-            if ms == "1":
-                chunks.append(cs)
-            elif cs == "1":
-                chunks.append(ms)
-            elif cs == "-1":
-                chunks.append(f"-{ms}")
-            elif cs.startswith("-") and " + " not in cs and " - " not in cs:
-                chunks.append(f"-{cs[1:]} {ms}")
-            else:
-                if (" + " in cs) or (" - " in cs):
-                    cs = f"({cs})"
-                chunks.append(f"{cs} {ms}")
-    return " + ".join(chunks).replace("+ -", "- ")
+            chunks.append((mult < 0, t if abs(mult) == 1 else f"{abs(mult)} {t}"))
+        if not rest:
+            continue
+        cs = _point_chunks(rest, latex)
+        if not any(m):
+            chunks += cs
+            continue
+        ms = mono_text(m, latex)
+        if len(cs) > 1:
+            chunks.append((False, f"({_join(cs)}) {ms}"))
+        else:
+            (negative, body), = cs
+            chunks.append((negative, ms if body == "1" else f"{body} {ms}"))
+    return _join(chunks)
 
 
 def proj_json(cls: ProjClass) -> list:
@@ -162,6 +172,11 @@ def proj_json(cls: ProjClass) -> list:
 # ---------------------------------------------------------------------------
 # geometric terms
 
+def _script(name: str, mark: str, index, latex: bool) -> str:
+    """name with a sub- (mark "_") or superscript (mark "^"), braced in LaTeX."""
+    return f"{name}{mark}{{{index}}}" if latex else f"{name}{mark}{index}"
+
+
 def _x_text(pp: int, qq: int, latex: bool) -> str:
     if (pp, qq) == (1, 0):
         return r"\mathrm{pt}^+" if latex else "pt+"
@@ -172,10 +187,10 @@ def _x_text(pp: int, qq: int, latex: bool) -> str:
 
 def term_text(term, amb, notation: str = "dim", latex: bool = False) -> str:
     if isinstance(term, FreeOrbit):
+        fr = r"\mathrm{Fr}" if latex else "Fr"
         if notation == "dim":
-            return rf"\mathrm{{Fr}}_{{{term.affine_dim}}}" if latex else f"Fr_{term.affine_dim}"
-        lam = term.codim(amb)
-        return rf"\mathrm{{Fr}}({lam})" if latex else f"Fr({lam})"
+            return _script(fr, "_", term.affine_dim, latex)
+        return f"{fr}({term.codim(amb)})"
     if isinstance(term, FixedPoint):
         return _x_text(1, 0, latex) if term.component == 0 else _x_text(0, 1, latex)
     if isinstance(term, InvariantChain):
@@ -207,23 +222,16 @@ def term_text(term, amb, notation: str = "dim", latex: bool = False) -> str:
 
 
 def _binate_one_text(i, p_i, q_i, amb, notation, latex) -> str:
+    s = r"\widetilde{S}" if latex else "S~"
     if notation == "codim":
-        lam, lp, lm = amb.p + amb.q - i, amb.p - p_i, amb.q - q_i
-        if latex:
-            return rf"\widetilde{{S}}_{{{lam}}}({lp},{lm})"
-        return f"S~_{lam}({lp},{lm})"
-    cp, cq = max(p_i, 0), max(q_i, 0)
-    if latex:
-        return rf"\widetilde{{S}}^{{{i}}}_{{{cp},{cq}}}"
-    return f"S~^{i}_{{{cp},{cq}}}"
+        return _script(s, "_", amb.p + amb.q - i, latex) + f"({amb.p - p_i},{amb.q - q_i})"
+    return _script(s, "^", i, latex) + f"_{{{max(p_i, 0)},{max(q_i, 0)}}}"
 
 
 def _chain_one_text(pp, qq, amb, notation, latex) -> str:
     if notation == "codim":
-        lam, lp, lm = amb.p + amb.q - pp - qq, amb.p - pp, amb.q - qq
-        if latex:
-            return rf"Y_{{{lam}}}({lp},{lm})"
-        return f"Y_{lam}({lp},{lm})"
+        lam = amb.p + amb.q - pp - qq
+        return _script("Y", "_", lam, latex) + f"({amb.p - pp},{amb.q - qq})"
     return _x_text(pp, qq, latex)
 
 
@@ -237,25 +245,25 @@ def display_term(term) -> tuple:
     return 1, term
 
 
-def numerator_text(num: int, latex: bool = False) -> str:
-    """The coefficient num/2 as printed before its term, with the
-    separating space; empty for the coefficient 1."""
-    if num == 2:
-        return ""
-    if num % 2 == 0:
-        return f"{num // 2} "
-    return rf"\tfrac{{{num}}}{{2}} " if latex else f"{num}/2 "
+def numerator_text(num: int) -> str:
+    """The magnitude of the coefficient num/2 as printed before its
+    term, with the separating space; empty for the coefficient 1.  An
+    odd num has no printed form: `display_term` doubles every term that
+    carries a half."""
+    if num % 2:
+        raise ArithmeticError(f"half-integral coefficient {num}/2 has no printed form")
+    return "" if num == 2 else f"{abs(num) // 2} "
 
 
 def expansion_text(exp: BezoutExpansion, amb, notation: str = "dim",
                    latex: bool = False) -> str:
-    parts = []
+    chunks = []
     for num, term in exp.terms:
         if num:
             factor, shown = display_term(term)
-            parts.append(numerator_text(factor * num, latex)
-                         + term_text(shown, amb, notation, latex))
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+            chunks.append((num < 0, numerator_text(factor * num)
+                           + term_text(shown, amb, notation, latex)))
+    return _join(chunks)
 
 
 def term_json(term, amb) -> dict:

@@ -671,12 +671,8 @@ def _block_products(amb: pj.Ambient):
 
 
 def check_type_blocks(rec: Recorder, cfg: SweepConfig) -> None:
-    deg_options = {
-        "I": [2 * k + 1 for k in range(-4, 5)],
-        "II": [2 * k for k in range(-4, 5)],
-        "III": [2 * k + 1 for k in range(-4, 5)],
-        "IV": [2 * k for k in range(-4, 5)],
-    }
+    deg_options = {fam: [2 * k + 1 if fam in ("I", "III") else 2 * k
+                         for k in range(-4, 5)] for fam in bd.FAMILIES}
     for (p, q) in _BLOCK_AMBIENTS:
         amb = pj.ambient(p, q)
         block_product = _block_products(amb)
@@ -716,15 +712,8 @@ def check_type_blocks(rec: Recorder, cfg: SweepConfig) -> None:
 
 
 def _odd_products(n: int) -> list:
-    if n == 0:
-        return [1]
-    outs = set()
-    for degs in itertools.combinations_with_replacement((1, 3, 5, 7), n):
-        prod = 1
-        for d in degs:
-            prod *= d
-        outs.add(prod)
-    return sorted(outs)
+    return sorted({math.prod(degs) for degs
+                   in itertools.combinations_with_replacement((1, 3, 5, 7), n)})
 
 
 # ---------------------------------------------------------------------------
@@ -820,12 +809,13 @@ def _grid_sum(amb: pj.Ambient, left: _GridHalf, right: _GridHalf) -> bd.BundleSu
 
 def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
     coeffs: dict = {}   # (numerator, halving) -> its fault, on every space
+    lines: dict = {}    # sign pattern -> its fault, on every space
     for s in range(2, cfg.pq_sum_max + 1):
         for p in range(s + 1):
             amb = pj.ambient(p, s - p)
             params = {"p": amb.p, "q": amb.q}
             sums, n_skip = bundle_grid(cfg, amb)
-            reader = _NotationReader(amb, coeffs)
+            reader = _NotationReader(amb, coeffs, lines)
 
             def case():
                 # params of a failure record: the sum under check, read
@@ -843,7 +833,7 @@ def check_euler_grid(rec: Recorder, cfg: SweepConfig) -> None:
                 cls = sb.expansion_class(exp, amb)
                 if not rec.eq("bezout_theorem", params, cls, product, detail=case):
                     return
-                fault = reader.fault(exp.terms)
+                fault = reader.fault(exp)
                 rec.check("bezout_two_notations", params, not fault,
                           fault and f"{fault} for {case()}")
                 if inv.m == 1:
@@ -875,20 +865,25 @@ class _NotationReader:
     """Checks that an expansion prints as what it is, on one ambient.
 
     Every printed term is read back into numbers in both notations once
-    per distinct term, and every printed coefficient once per distinct
-    (numerator, halving) in the memo ``coeffs``, which readers on other
-    ambients may share: a coefficient prints the same on every space.
-    An expansion then only looks its pairs up."""
+    per distinct term, every printed coefficient once per distinct
+    (numerator, halving) in the memo ``coeffs``, and the joined line once
+    per sign pattern (the signs of the printed terms) in the memo
+    ``lines``.  Readers on other ambients may share both memos, as
+    coefficients and signs print the same on every space.  An expansion
+    then only looks its pairs and its pattern up."""
 
-    def __init__(self, amb: pj.Ambient, coeffs: dict):
+    def __init__(self, amb: pj.Ambient, coeffs: dict, lines: dict):
         self.amb = amb
         self._terms: dict = {}    # term -> (has_half(term), its fault)
         self._coeffs = coeffs     # (numerator, halving) -> its fault
+        self._lines = lines       # sign pattern -> its fault
 
-    def fault(self, terms: list) -> str:
+    def fault(self, exp: sb.BezoutExpansion) -> str:
         """The first fault among the printed (numerator, term) pairs of
-        an expansion, or "" if every one reads back right."""
-        for num, term in terms:
+        an expansion, then of its joined line, or "" if every one reads
+        back right."""
+        pattern = []
+        for num, term in exp.terms:
             if not num:
                 continue
             read = self._terms.get(term)
@@ -904,7 +899,12 @@ class _NotationReader:
                 fault = self._coeffs[key] = _numerator_fault(num, term)
             if fault:
                 return f"{fault}, on {term!r}"
-        return ""
+            pattern.append(num < 0)
+        pattern = tuple(pattern)
+        fault = self._lines.get(pattern)
+        if fault is None:
+            fault = self._lines[pattern] = _line_fault(exp, self.amb)
+        return fault
 
 
 _LEAF_PATTERNS = {
@@ -915,7 +915,8 @@ _LEAF_PATTERNS = {
               ("X", re.compile(r"Y_(-?\d+)\((-?\d+),(-?\d+)\)")),
               ("Fr", re.compile(r"Fr\((-?\d+)\)"))),
 }
-_NUMERATOR = re.compile(r"(?:(-?\d+)(/2)? )?")
+_NUMERATOR = re.compile(r"(?:(\d+) )?")
+_SEPARATOR = re.compile(r" ([+-]) ")
 
 
 def _read_leaf(text: str, amb: pj.Ambient, notation: str):
@@ -1003,23 +1004,39 @@ def _term_fault(term, amb: pj.Ambient) -> str:
 
 
 def _numerator_fault(num: int, term) -> str:
-    """Why the coefficient num/2 of a term, printed as an expansion
-    prints it, does not read back as num/2; "" if it does.  A term with
-    a canonical half prints as the subvariety it is twice of, so its
-    coefficient must read back doubled."""
+    """Why the magnitude of the coefficient num/2 of a term, printed as
+    an expansion prints it, does not read back as |num|/2; "" if it
+    does.  A term with a canonical half prints as the subvariety it is
+    twice of, so its coefficient must read back doubled."""
     factor, _ = render.display_term(term)
     text = render.numerator_text(factor * num)
     m = _NUMERATOR.fullmatch(text)
-    if m is None:
-        got = None
-    elif m.group(1) is None:
-        got = 2
-    else:
-        got = int(m.group(1)) * (1 if m.group(2) else 2)
-    want = 2 * num if sb.has_half(term) else num
+    got = None if m is None else 2 * int(m.group(1) or 1)
+    want = abs(2 * num if sb.has_half(term) else num)
     if got != want:
-        return (f"the coefficient {want}/2 prints as {text!r}, "
+        return (f"the coefficient magnitude {want}/2 prints as {text!r}, "
                 f"read back as {got}/2")
+    return ""
+
+
+def _line_fault(exp: sb.BezoutExpansion, amb: pj.Ambient) -> str:
+    """Why the joined line of an expansion, in one of the two notations,
+    does not split back (inverting the joiner) into the signs of its
+    numerators and the printed magnitudes of its terms; "" if it does."""
+    for notation in ("dim", "codim"):
+        want = [(num < 0, render.numerator_text(factor * num)
+                 + render.term_text(shown, amb, notation))
+                for num, term in exp.terms if num
+                for factor, shown in [render.display_term(term)]] or [(False, "0")]
+        line = render.expansion_text(exp, amb, notation)
+        lead = line.startswith("-")
+        parts = _SEPARATOR.split(line[lead:])
+        got = [(lead, parts[0])] + [(sign == "-", body) for sign, body
+                                    in zip(parts[1::2], parts[2::2])]
+        if got != want:
+            signs = "".join("-" if neg else "+" for neg, _ in want)
+            return (f"a line of signs {signs!r} prints as {line!r} in {notation} "
+                    f"notation, split back as {got}")
     return ""
 
 
@@ -1200,6 +1217,14 @@ def check_corollaries(rec: Recorder, cfg: SweepConfig) -> None:
 # ---------------------------------------------------------------------------
 # harness soundness
 
+class _PerturbedAmbient(pj.Ambient):
+    """A deliberately wrong ring: twice the e^2 term of the tensor
+    relation.  It equals no real space, and `pj.ambient()` never returns
+    one, so no registered ambient or cache ever sees it."""
+
+    TENSOR_E2 = 2
+
+
 def _mini_identities(amb: pj.Ambient) -> Recorder:
     """Two identities on a small ambient, each broken by the perturbed
     tensor rule: zeta0^i Q^k = 2^k zeta0^(i-k) c_xw^k (Lemma conversion
@@ -1219,12 +1244,9 @@ def _mini_identities(amb: pj.Ambient) -> Recorder:
 
 
 def check_soundness(rec: Recorder, cfg: SweepConfig) -> None:
-    """With one rewrite rule perturbed, at least one identity must fail.
-
-    The perturbed ring lives on a private ambient of its own (twice the
-    e^2 term of the tensor relation), so no registered ambient or cache
-    ever sees it."""
-    mini = _mini_identities(pj.Ambient(2, 2, tensor_e2=2))
+    """With one rewrite rule perturbed, on a `_PerturbedAmbient`, at
+    least one identity must fail."""
+    mini = _mini_identities(_PerturbedAmbient(2, 2))
     failures = [r for r in mini.records if r.status == "fail"]
     rec.check("harness_soundness", {"perturbed_rule": "tensor-relation e^2"},
               len(failures) >= 1,

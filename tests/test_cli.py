@@ -147,6 +147,10 @@ GOLDEN = [
      "e(F) = 4 [\\widetilde{S}_{3}(2,3)]^* - 8 \\mathrm{Fr}(3)\n"
      "     = -4 \\tau(\\iota^{2}\\zeta^{-1}c^{3})"
      " + 4e^{-4}\\kappa \\widehat{c}_\\omega^{2}\\widehat{c}_{\\chi\\omega}^{3}\n"),
+    # a leading minus; the coefficient -1 stays printed
+    (("bezout", "--p", "2", "--q", "2", "--bundles", "O(-2),xO(1)"), 0,
+     "e(F) = -1 [S~^2_{1,0}]*\n"
+     "     = -e^-2 kappa c_w c_xw^2 - tau(iota^2 zeta^-1 c^2)\n"),
     (("bezout", "--p", "3", "--q", "2", "--bundles", "O(3)",
       "--format", "json"), 0,
      "sha256:304f28e500a34690c591a9fa99515056918127f927e3d625f0b78d90b9be9d8e"),
@@ -216,9 +220,9 @@ def test_verify_json_roundtrip(capsys, tmp_path):
 
 
 def test_verify_corrupted_rule_fails(capsys):
-    # a perturbed kernel, now an explicit private ambient, must break
+    # a perturbed kernel, the harness's private ambient, must break
     # identities, and the report shows both normal forms
-    amb = pj.Ambient(2, 2, tensor_e2=2)
+    amb = vf._PerturbedAmbient(2, 2)
     z0, z1 = pj.gen_zeta0(amb), pj.gen_zeta1(amb)
     cw, cxw = pj.gen_cw(amb), pj.gen_cxw(amb)
     onemk = pj.ProjClass.from_point(amb, pt.p_one_minus_kappa())

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from c2bezout.grading import (CHI_OMEGA, DEG_ZETA0, DEG_ZETA1, OMEGA, OMEGA0,
                               OMEGA1, SIGMA, GradingError, PiBDegree,
-                              ROC2Degree, standard_degrees)
+                              ROC2Degree)
 
 
 def test_componentwise_addition():
@@ -20,10 +20,9 @@ def test_zeta_degrees_multiply_to_xi():
     assert total == (2 * SIGMA - 2 * PiBDegree(1, 1, 1))
 
 
-def test_standard_degrees_table():
-    t = standard_degrees()
-    assert t["omega"] == PiBDegree(2, 2, 0)
-    assert t["sigma"] == PiBDegree(1, 0, 0)
+def test_named_degrees():
+    assert OMEGA == PiBDegree(2, 2, 0)
+    assert SIGMA == PiBDegree(1, 0, 0)
     assert OMEGA0 + OMEGA1 == 2 * SIGMA - 2 * PiBDegree(1, 1, 1)
 
 
@@ -44,10 +43,8 @@ def test_parity_invariant_enforced():
         PiBDegree(1, 1, 0)
 
 
-def test_json_roundtrip():
-    d = PiBDegree(3, 1, -1)
-    assert PiBDegree.from_list(d.as_list()) == d
-    assert d.as_list() == [3, 1, -1]
+def test_json_form():
+    assert PiBDegree(3, 1, -1).as_list() == [3, 1, -1]
 
 
 pib = st.builds(

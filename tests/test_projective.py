@@ -176,6 +176,47 @@ def test_invalid_ambient():
         pj.Ambient(0, 0)
 
 
+def test_ambients_compare_by_value():
+    a, b = pj.Ambient(3, 2), pj.Ambient(3, 2)
+    assert a == b and hash(a) == hash(b)
+    assert a != pj.Ambient(2, 3)
+    x, y = pj.gen_cw(a), pj.gen_cw(b)
+    assert x == y
+    assert x + y == x.scale(2) == pj.linear_combination(a, [(1, x), (1, y)])
+    assert x * y == pj.gen_cw(a) ** 2
+    # the perturbed ring equals no real space, in either order
+    bad = vf._PerturbedAmbient(3, 2)
+    assert bad != a and a != bad
+    assert pj.gen_cw(bad) != x and x != pj.gen_cw(bad)
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        x + pj.gen_cw(bad)
+
+
+@pytest.mark.parametrize("m", [(0, -1, 0, 0), (0, 0, -1, 0), (-1, 0, 1, 0),
+                               (1, -1, 0, 0)])
+def test_from_mono_refuses_monomials_outside_the_ring(m):
+    amb = pj.Ambient(2, 2)
+    with pytest.raises(ValueError, match="outside the ring"):
+        pj.ProjClass.from_mono(amb, m)
+
+
+def test_ring_domain_is_what_reduces():
+    """A monomial reduces exactly when its c exponents are nonnegative
+    and each negative zeta power rides a saturated c power."""
+    rng = random.Random(4817)
+    for _ in range(400):
+        amb = pj.Ambient(rng.randint(1, 4), rng.randint(0, 4))
+        z0, z1, cw, ccw = m = (rng.randint(-4, 4), rng.randint(-4, 4),
+                               rng.randint(-1, 7), rng.randint(-1, 7))
+        inside = (cw >= 0 and ccw >= 0 and (z0 >= 0 or cw >= amb.p)
+                  and (z1 >= 0 or ccw >= amb.q))
+        if inside:
+            pj.ProjClass.from_mono(amb, m)
+        else:
+            with pytest.raises(ValueError):
+                pj.ProjClass.from_mono(amb, m)
+
+
 def _raw_mono(p, q, z0, z1, cw, ccw, sat0, sat1):
     """A legal raw monomial: negative zeta exponents must ride a
     saturated power of the matching Euler generator."""
@@ -515,7 +556,7 @@ def _tensor_sides(amb):
 
 def test_corrupt_rule_changes_normal_forms():
     # the perturbed ring is a private ambient of its own
-    lhs, rhs = _tensor_sides(pj.Ambient(2, 2, tensor_e2=2))
+    lhs, rhs = _tensor_sides(vf._PerturbedAmbient(2, 2))
     assert lhs != rhs
     lhs, rhs = _tensor_sides(pj.ambient(2, 2))
     assert lhs == rhs
@@ -524,7 +565,7 @@ def test_corrupt_rule_changes_normal_forms():
 def test_perturbed_ambient_leaves_held_ambient_alone():
     held = pj.ambient(3, 3)
     want = render.proj_text(pj.gen_zeta1(held) * pj.gen_cxw(held))
-    bad = pj.Ambient(3, 3, tensor_e2=2)
+    bad = vf._PerturbedAmbient(3, 3)
     assert render.proj_text(pj.gen_zeta1(bad) * pj.gen_cxw(bad)) != want
     assert pj.ambient(3, 3) is held
     assert render.proj_text(pj.gen_zeta1(held) * pj.gen_cxw(held)) == want
@@ -607,7 +648,7 @@ def test_private_ambient_is_freed_without_the_cycle_collector():
 
 def test_ambients_share_no_memo_entries():
     good = pj.Ambient(2, 2)
-    bad = pj.Ambient(2, 2, tensor_e2=2)
+    bad = vf._PerturbedAmbient(2, 2)
     got_bad = bad.memo("tensor", lambda: _tensor_sides(bad)[0])
     got_good = good.memo("tensor", lambda: _tensor_sides(good)[0])
     assert render.proj_text(got_bad) != render.proj_text(got_good)

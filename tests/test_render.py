@@ -1,5 +1,7 @@
 """Text, LaTeX and JSON forms of point elements, as `render` prints them."""
 
+import pytest
+
 from c2bezout import point as pt
 from c2bezout import render
 
@@ -35,3 +37,18 @@ def test_json_rendering():
     data = render.point_json(pt.p_add(sym(pt.S_G), sym(("e", 2), -3)))
     assert data == [{"symbol": "e", "params": [2], "coeff": -3},
                     {"symbol": "g", "params": [], "coeff": 1}]
+
+
+def test_one_joiner_places_every_sign():
+    assert render._join([]) == "0"
+    assert render._join([(False, "a")]) == "a"
+    assert render._join([(True, "a"), (False, "b"), (True, "c")]) == "-a + b - c"
+    assert render._join([(False, "a"), (True, "b")]) == "a - b"
+
+
+def test_numerator_prints_its_magnitude():
+    assert render.numerator_text(2) == ""
+    assert render.numerator_text(-2) == "1 "
+    assert render.numerator_text(6) == render.numerator_text(-6) == "3 "
+    with pytest.raises(ArithmeticError):
+        render.numerator_text(3)

@@ -114,7 +114,7 @@ def test_every_mini_identity_fails_on_the_perturbed_ring():
     """The soundness check rests on each of its identities, not on one:
     each holds on the true ring and fails somewhere on the perturbed one."""
     good = vf._mini_identities(pj.Ambient(2, 2)).records
-    bad = vf._mini_identities(pj.Ambient(2, 2, tensor_e2=2)).records
+    bad = vf._mini_identities(vf._PerturbedAmbient(2, 2)).records
     names = {r.name for r in good}
     assert names == {"mini_q_conversion", "mini_tensor"}
     assert all(r.status == "pass" for r in good)
@@ -428,13 +428,38 @@ def _drop_singular_parts(monkeypatch):
 
 
 def _shift_even_coefficients(monkeypatch):
-    def shifted(num, latex=False):
+    def shifted(num):
         if num % 2 == 0 and num != 2:
-            return f"{num // 2 + 1} "
-        return numerator_text(num, latex)
+            return f"{abs(num) // 2 + 1} "
+        return numerator_text(num)
 
     numerator_text = render.numerator_text
     monkeypatch.setattr(render, "numerator_text", shifted)
+
+
+def _mutate_join(monkeypatch, mutated):
+    join = render._join
+    monkeypatch.setattr(render, "_join", lambda chunks: mutated(join, list(chunks)))
+
+
+def _drop_later_minus(monkeypatch):
+    _mutate_join(monkeypatch, lambda join, chunks: join(
+        [(negative and not k, body) for k, (negative, body) in enumerate(chunks)]))
+
+
+def _unjoined_minus(monkeypatch):
+    # "a + -b" for "a - b"
+    _mutate_join(monkeypatch, lambda join, chunks: join(
+        [(False, f"-{body}") if negative and k else (negative, body)
+         for k, (negative, body) in enumerate(chunks)]))
+
+
+def _leading_plus(monkeypatch):
+    def plus(join, chunks):
+        line = join(chunks)
+        return f"+{line}" if chunks and not chunks[0][0] else line
+
+    _mutate_join(monkeypatch, plus)
 
 
 def _printed_grid(cfg):
@@ -457,16 +482,23 @@ def _verdicts(report):
     return {(r.name, repr(r.params)): (r.status, r.cases) for r in report.records}
 
 
-@pytest.mark.parametrize("mutate, reads", [
-    (_swap_codim_binate_pair, "in codim notation, read back as"),
-    (_drop_singular_parts, "in dim notation, read back as"),
-    (_shift_even_coefficients, "the coefficient"),
-], ids=["swapped_codim_pair", "dropped_singular_part", "shifted_coefficient"])
-def test_notation_check_fails_on_each_misprinting_space(monkeypatch, mutate, reads):
+# negative: the grid with negative degrees, as the default grid prints no
+# minus sign for the joiner's misprints to touch
+@pytest.mark.parametrize("mutate, reads, negative", [
+    (_swap_codim_binate_pair, "in codim notation, read back as", False),
+    (_drop_singular_parts, "in dim notation, read back as", False),
+    (_shift_even_coefficients, "the coefficient", False),
+    (_drop_later_minus, "in dim notation, split back as", True),
+    (_unjoined_minus, "in dim notation, split back as", True),
+    (_leading_plus, "in dim notation, split back as", True),
+], ids=["swapped_codim_pair", "dropped_singular_part", "shifted_coefficient",
+        "dropped_minus", "wrong_separator", "leading_plus"])
+def test_notation_check_fails_on_each_misprinting_space(monkeypatch, mutate, reads,
+                                                        negative):
     """A misprint fails bezout_two_notations on exactly the spaces where
     some sum prints differently, each record naming the first such sum,
     and changes no other verdict."""
-    cfg = vf.SweepConfig(pq_sum_max=4)
+    cfg = vf.SweepConfig(pq_sum_max=4, include_negative_degrees=negative)
     clean = vf.run_verify(cfg, groups=("euler_grid",))
     printed = _printed_grid(cfg)
     mutate(monkeypatch)
