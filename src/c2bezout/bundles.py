@@ -17,7 +17,6 @@ from .projective import (UNIT, Ambient, ProjClass, class_Q, class_chi_Q,
 
 FAMILIES = ("I", "II", "III", "IV")
 
-_set = object.__setattr__
 
 class BundleParseError(ValueError):
     def __init__(self, msg: str, pos: int):
@@ -37,17 +36,17 @@ class LineBundleSpec(FrozenRecord, order=True):
     """One line bundle: its family and degree.  Specs order as the tuple
     (family, degree)."""
 
-    __slots__ = ("family", "degree")
+    __slots__ = ()
+    _fields = ("family", "degree")
 
-    def __init__(self, family: str, degree: int) -> None:
-        _set(self, "family", family)
-        _set(self, "degree", degree)
+    def __new__(cls, family: str, degree: int) -> "LineBundleSpec":
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         odd = family in ("I", "III")
         if degree % 2 != (1 if odd else 0):
             raise ValueError(
                 f"degree {degree} has the wrong parity for family {family}")
+        return tuple.__new__(cls, (family, degree))
 
     @property
     def twisted(self) -> bool:
@@ -95,11 +94,11 @@ class BundleSum(FrozenRecord):
     """A sum of line bundles on the space (p, q); the bundles are kept
     sorted."""
 
-    __slots__ = ("ambient", "bundles")
+    __slots__ = ()
+    _fields = ("ambient", "bundles")
 
-    def __init__(self, ambient: tuple, bundles: tuple = ()) -> None:
-        _set(self, "ambient", ambient)
-        _set(self, "bundles", tuple(sorted(bundles)))
+    def __new__(cls, ambient: tuple, bundles: tuple = ()) -> "BundleSum":
+        return tuple.__new__(cls, (ambient, tuple(sorted(bundles))))
 
     @property
     def n(self) -> int:
@@ -115,32 +114,10 @@ class BundleInvariants(FrozenRecord):
     bundle counts and degree products per family are 4-tuples in
     FAMILIES order."""
 
-    __slots__ = ("p", "q", "n", "n_by_family", "d_by_family", "n0", "n1",
-                 "Delta", "Delta0", "Delta1", "m", "m0", "m1", "ell", "k0",
-                 "k1", "eps", "context_violations")
-
-    def __init__(self, p: int, q: int, n: int, n_by_family: tuple,
-                 d_by_family: tuple, n0: int, n1: int, Delta: int, Delta0: int,
-                 Delta1: int, m: int, m0: int, m1: int, ell: int, k0: int,
-                 k1: int, eps: int, context_violations: tuple) -> None:
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "n", n)
-        _set(self, "n_by_family", n_by_family)
-        _set(self, "d_by_family", d_by_family)
-        _set(self, "n0", n0)
-        _set(self, "n1", n1)
-        _set(self, "Delta", Delta)
-        _set(self, "Delta0", Delta0)
-        _set(self, "Delta1", Delta1)
-        _set(self, "m", m)
-        _set(self, "m0", m0)
-        _set(self, "m1", m1)
-        _set(self, "ell", ell)
-        _set(self, "k0", k0)
-        _set(self, "k1", k1)
-        _set(self, "eps", eps)
-        _set(self, "context_violations", context_violations)
+    __slots__ = ()
+    _fields = ("p", "q", "n", "n_by_family", "d_by_family", "n0", "n1", "Delta",
+               "Delta0", "Delta1", "m", "m0", "m1", "ell", "k0", "k1", "eps",
+               "context_violations")
 
     @property
     def context_ok(self) -> bool:

@@ -56,7 +56,7 @@ def cmd_euler(args) -> int:
     if args.format == "json":
         payload = {
             "p": args.p, "q": args.q, "bundles": bs.token(),
-            "degree": None if product.is_zero() else product.degree().as_list(),
+            "degree": None if product.is_zero() else list(product.degree()),
             "product": render.proj_json(product),
             "closed_form": None if closed is None else render.proj_json(closed),
             "agrees": agrees,
@@ -109,7 +109,7 @@ def cmd_basis(args) -> int:
     basis = amb.basis(args.m)
     if args.format == "json":
         payload = [{"monomial": list(mono),
-                    "degree": pj.mono_degree_pib(mono).as_list()}
+                    "degree": list(pj.mono_degree_pib(mono))}
                    for mono in basis]
         _print_json(payload)
         return 0
@@ -122,7 +122,7 @@ def cmd_basis(args) -> int:
 
 
 def _print_basis_diagram(basis, m: int) -> None:
-    pts = [(cw - z0, ccw + z0) for z0, _, cw, ccw in basis]
+    pts = {(cw - z0, ccw + z0) for z0, _, cw, ccw in basis}
     avals, bvals = zip(*pts, (0, 0))   # the window holds the origin
     print(f"basis of coset m={m}, dot at (a,b) for degree m(omega-2)+2a+2b sigma")
     for b in range(max(bvals), min(bvals) - 1, -1):

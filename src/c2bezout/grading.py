@@ -9,79 +9,86 @@ and the triple determines the degree.
 
 from __future__ import annotations
 
-from operator import attrgetter, eq, ge, gt, le, lt
+from operator import itemgetter
 
 
 class GradingError(ValueError):
     pass
 
 
-_set = object.__setattr__
-
-
-def _compare(op):
-    """op on the field tuples of two records of one class."""
+def _order(symbol, op):
+    """op on two records of one class declared with order=True; a
+    TypeError for any other pair, so that tuple's own order never
+    compares a record with a plain tuple or a record of another class."""
     def method(self, other):
-        if other.__class__ is self.__class__:
-            return op(self._key(self), other._key(other))
-        return NotImplemented
+        if self._ordered and other.__class__ is self.__class__:
+            return op(self, other)
+        raise TypeError(f"'{symbol}' not supported between instances of "
+                        f"'{type(self).__name__}' and '{type(other).__name__}'")
     return method
 
 
-_ORDER = tuple(_compare(op) for op in (lt, le, gt, ge))
+class FrozenRecord(tuple):
+    """Base of the package's immutable value records: each record is the
+    tuple of its fields.
 
-
-class FrozenRecord:
-    """Base of the package's immutable value records.
-
-    A subclass lists its fields in ``__slots__``, in constructor order,
-    and sets them in its own ``__init__`` through ``object.__setattr__``.
-    Everything else is derived once per class from ``__slots__``, as on a
-    frozen dataclass: equality and hashing on the tuple of fields, which
-    the class's ``_key`` reads (a record equals only a record of its own
-    class), the order methods on the same tuple for a class declared
-    with ``order=True``, the repr
-    ``Name(field=value, ...)``, and pickling and copying through the
-    constructor.  Assignment and deletion raise ``AttributeError``."""
+    A subclass lists its fields in ``_fields``, in constructor order, and
+    declares ``__slots__ = ()``; each field gets a read-only accessor.
+    The constructor takes the fields by position or keyword; a class that
+    validates, sorts or takes defaults defines its own ``__new__``, which
+    ends in ``tuple.__new__(cls, fields)``.  Hashing is the tuple's.
+    Equality is the tuple's between two records of one class, and a record
+    equals nothing else, not even the plain tuple of its fields.  A class
+    declared with ``order=True`` orders as the tuple against records of
+    its own class; any other order comparison raises ``TypeError``.  The
+    repr is ``Name(field=value, ...)``, and pickling and copying rebuild
+    the record from its fields."""
 
     __slots__ = ()
+    _fields = ()
+    _ordered = False
 
     def __init_subclass__(cls, order: bool = False, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*cls.__slots__)
-        if order:
-            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = _ORDER
+        cls._ordered = order
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
 
-    __eq__ = _compare(eq)
+    def __new__(cls, *args, **kwargs):
+        if kwargs:
+            args += tuple(kwargs.pop(f) for f in cls._fields[len(args):] if f in kwargs)
+        if kwargs or len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(cls._fields)}")
+        return tuple.__new__(cls, args)
 
-    def __hash__(self) -> int:
-        return hash(self._key(self))
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __hash__ = tuple.__hash__
+
+    __lt__, __le__, __gt__, __ge__ = (
+        _order(s, op) for s, op in (("<", tuple.__lt__), ("<=", tuple.__le__),
+                                    (">", tuple.__gt__), (">=", tuple.__ge__)))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
 
 class ROC2Degree(FrozenRecord):
     """a + b*sigma with integer a (trivial rank) and b (sign rank)."""
 
-    __slots__ = ("trivial_rank", "sign_rank")
-
-    def __init__(self, trivial_rank: int, sign_rank: int) -> None:
-        _set(self, "trivial_rank", trivial_rank)
-        _set(self, "sign_rank", sign_rank)
+    __slots__ = ()
+    _fields = ("trivial_rank", "sign_rank")
 
     def to_pib(self) -> "PiBDegree":
-        a, b = self.trivial_rank, self.sign_rank
+        a, b = self
         return PiBDegree(a + b, a, a)
 
     def __str__(self) -> str:
@@ -97,30 +104,30 @@ class ROC2Degree(FrozenRecord):
 class PiBDegree(FrozenRecord):
     """Rank triple (total, fixed0, fixed1); fixed ranks have equal parity."""
 
-    __slots__ = ("total_rank", "fixed_rank_0", "fixed_rank_1")
+    __slots__ = ()
+    _fields = ("total_rank", "fixed_rank_0", "fixed_rank_1")
 
-    def __init__(self, total_rank: int, fixed_rank_0: int, fixed_rank_1: int) -> None:
-        _set(self, "total_rank", total_rank)
-        _set(self, "fixed_rank_0", fixed_rank_0)
-        _set(self, "fixed_rank_1", fixed_rank_1)
+    def __new__(cls, total_rank: int, fixed_rank_0: int, fixed_rank_1: int) -> "PiBDegree":
+        self = tuple.__new__(cls, (total_rank, fixed_rank_0, fixed_rank_1))
         if (fixed_rank_0 - fixed_rank_1) % 2 != 0:
             raise GradingError(f"fixed ranks must share parity: {self}")
+        return self
 
     def __add__(self, other: "PiBDegree") -> "PiBDegree":
-        return PiBDegree(
-            self.total_rank + other.total_rank,
-            self.fixed_rank_0 + other.fixed_rank_0,
-            self.fixed_rank_1 + other.fixed_rank_1,
-        )
+        t, f0, f1 = self
+        u, g0, g1 = other
+        return PiBDegree(t + u, f0 + g0, f1 + g1)
 
     def __sub__(self, other: "PiBDegree") -> "PiBDegree":
         return self + (-other)
 
     def __neg__(self) -> "PiBDegree":
-        return PiBDegree(-self.total_rank, -self.fixed_rank_0, -self.fixed_rank_1)
+        t, f0, f1 = self
+        return PiBDegree(-t, -f0, -f1)
 
     def __mul__(self, n: int) -> "PiBDegree":
-        return PiBDegree(n * self.total_rank, n * self.fixed_rank_0, n * self.fixed_rank_1)
+        t, f0, f1 = self
+        return PiBDegree(n * t, n * f0, n * f1)
 
     __rmul__ = __mul__
 
@@ -135,9 +142,6 @@ class PiBDegree(FrozenRecord):
             raise GradingError(f"{self} is not an RO(C2) degree")
         a = self.fixed_rank_0
         return ROC2Degree(a, self.total_rank - a)
-
-    def as_list(self) -> list[int]:
-        return [self.total_rank, self.fixed_rank_0, self.fixed_rank_1]
 
     def __str__(self) -> str:
         return f"({self.total_rank},{self.fixed_rank_0},{self.fixed_rank_1})"

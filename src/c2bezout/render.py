@@ -163,7 +163,7 @@ def proj_json(cls: ProjClass) -> list:
     for m, coeff in cls.terms:
         out.append({
             "monomial": list(m),
-            "degree": mono_degree_pib(m).as_list(),
+            "degree": list(mono_degree_pib(m)),
             "coeff": point_json(coeff),
         })
     return out
@@ -269,7 +269,7 @@ def expansion_text(exp: BezoutExpansion, amb, notation: str = "dim",
 def term_json(term, amb) -> dict:
     if isinstance(term, FreeOrbit):
         return {"variant": "free", "indices": {"affine_dim": term.affine_dim,
-                                               "target": term.target.as_list()}}
+                                               "target": list(term.target)}}
     if isinstance(term, FixedPoint):
         return {"variant": "fixed_point", "indices": {"component": term.component,
                                                       "regrade": term.regrade}}

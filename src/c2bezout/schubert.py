@@ -32,9 +32,6 @@ from .projective import (Ambient, ProjClass, linear_combination, proj_tau,
                          pushed_s_kernel)
 
 
-_set = object.__setattr__
-
-
 class InfeasibleTerm(ValueError):
     pass
 
@@ -42,11 +39,8 @@ class InfeasibleTerm(ValueError):
 class FreeOrbit(FrozenRecord):
     """C2 x (nonequivariant variety of affine dimension affine_dim)."""
 
-    __slots__ = ("affine_dim", "target")
-
-    def __init__(self, affine_dim: int, target: PiBDegree) -> None:
-        _set(self, "affine_dim", affine_dim)
-        _set(self, "target", target)
+    __slots__ = ()
+    _fields = ("affine_dim", "target")
 
     def codim(self, amb: Ambient) -> int:
         return amb.p + amb.q - self.affine_dim
@@ -68,18 +62,14 @@ class InvariantChain(FrozenRecord):
     the plain invariant subvariety.
     """
 
-    __slots__ = ("pp", "qq", "i", "j")
-
-    def __init__(self, pp: int, qq: int, i: int, j: int) -> None:
-        _set(self, "pp", pp)
-        _set(self, "qq", qq)
-        _set(self, "i", i)
-        _set(self, "j", j)
+    __slots__ = ()
+    _fields = ("pp", "qq", "i", "j")
 
     def validate(self, amb: Ambient) -> None:
-        if not (0 <= self.pp <= amb.p and 0 <= self.qq <= amb.q):
+        pp, qq, i, j = self
+        if not (0 <= pp <= amb.p and 0 <= qq <= amb.q):
             raise InfeasibleTerm(f"{self} does not fit in {amb!r}")
-        if self.i < 0 or self.j < 0 or self.i > self.qq or self.j > self.pp:
+        if i < 0 or j < 0 or i > qq or j > pp:
             raise InfeasibleTerm(f"chain indices out of range in {self}")
 
 
@@ -92,27 +82,24 @@ class BinatePair(FrozenRecord):
     (i-1, p_i, q_i-1) and "zeta1" for (i-1, p_i-1, q_i).
     """
 
-    __slots__ = ("i", "p_i", "q_i", "singular")
+    __slots__ = ()
+    _fields = ("i", "p_i", "q_i", "singular")
 
-    def __init__(self, i: int, p_i: int, q_i: int, singular: str | None = None) -> None:
-        _set(self, "i", i)
-        _set(self, "p_i", p_i)
-        _set(self, "q_i", q_i)
-        _set(self, "singular", singular)
+    def __new__(cls, i: int, p_i: int, q_i: int, singular: str | None = None) -> "BinatePair":
         if singular not in (None, "zeta0", "zeta1"):
             raise ValueError(f"bad singular tag {singular!r}")
+        return tuple.__new__(cls, (i, p_i, q_i, singular))
 
     @property
     def defect(self) -> int:
-        return self.i - self.p_i - self.q_i
+        i, p_i, q_i, _ = self
+        return i - p_i - q_i
 
     def validate(self, amb: Ambient) -> None:
-        p, q = amb.p, amb.q
-        if self.i < 0:
+        i, p_i, q_i, _ = self
+        if i < 0:
             raise InfeasibleTerm(f"negative flag level in {self}")
-        ok = (self.p_i + self.q_i <= self.i
-              and self.i - self.q_i <= p
-              and self.i - self.p_i <= q)
+        ok = p_i + q_i <= i and i - q_i <= amb.p and i - p_i <= amb.q
         if not ok:
             raise InfeasibleTerm(f"{self} is not realizable in {amb!r}")
 
@@ -120,18 +107,18 @@ class BinatePair(FrozenRecord):
 class FixedPoint(FrozenRecord):
     """A fixed point of the indicated component, regraded to its slot in
     the Euler-class degree.  component 0 lies in the pointwise-fixed
-    projective subspace, component 1 in the twisted one."""
+    projective subspace, component 1 in the twisted one; regrade is m1
+    for component 0 and m0 for component 1, at most 1."""
 
-    __slots__ = ("component", "regrade", "target")
+    __slots__ = ()
+    _fields = ("component", "regrade", "target")
 
-    def __init__(self, component: int, regrade: int, target: PiBDegree) -> None:
-        _set(self, "component", component)
-        _set(self, "regrade", regrade)   # m1 for component 0, m0 for 1; <= 1
-        _set(self, "target", target)
+    def __new__(cls, component: int, regrade: int, target: PiBDegree) -> "FixedPoint":
+        if component not in (0, 1):
+            raise InfeasibleTerm("bad fixed-point component")
+        return tuple.__new__(cls, (component, regrade, target))
 
     def validate(self, amb: Ambient) -> None:
-        if self.component not in (0, 1):
-            raise InfeasibleTerm("bad fixed-point component")
         if (amb.p, amb.q)[self.component] < 1:
             raise InfeasibleTerm(f"{amb!r} has no fixed component {self.component}")
 
@@ -150,11 +137,9 @@ def class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
 def _class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
     term.validate(amb)
     if isinstance(term, FreeOrbit):
-        lam = term.codim(amb)
         d = term.target
-        mono = (d.total_rank - d.fixed_rank_0,
-                (d.fixed_rank_0 - d.fixed_rank_1) // 2,
-                lam)
+        total, f0, f1 = d
+        mono = (total - f0, (f0 - f1) // 2, term.codim(amb))
         if mono_degree(mono) != d:
             raise InfeasibleTerm(f"degree data of {term} is inconsistent")
         return proj_tau(amb, {mono: 1})
@@ -195,8 +180,9 @@ def half_class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
 
 
 def _binate_base(term: BinatePair, amb: Ambient, numerator: int) -> ProjClass:
-    cw = amb.p - (term.i - term.q_i)
-    ccw = amb.q - (term.i - term.p_i)
+    i, p_i, q_i, _ = term
+    cw = amb.p - (i - q_i)
+    ccw = amb.q - (i - p_i)
     return pushed_s_kernel(amb, (0, 0, cw, ccw), term.defect, numerator)
 
 
@@ -220,7 +206,7 @@ class BezoutExpansion:
     record: it compares by value, so (defining __eq__ alone) it is not
     hashable."""
 
-    __slots__ = ("ambient", "invariants", "terms", "label")
+    __slots__ = _fields = ("ambient", "invariants", "terms", "label")
 
     def __init__(self, ambient: tuple, invariants: BundleInvariants,
                  terms: list, label: str = "bezout") -> None:

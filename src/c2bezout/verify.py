@@ -956,13 +956,13 @@ def _read_term(text: str, amb: pj.Ambient, notation: str):
 
 def _term_reading(term, notation: str):
     """What the printed term must read back as (see _read_term), from the
-    term's own fields; None for a fixed point of neither component."""
+    term's own fields."""
     if isinstance(term, sb.FreeOrbit):
         return ("Fr", term.affine_dim)
     if isinstance(term, sb.FixedPoint):
-        return {0: ("X", 1, 0), 1: ("X", 0, 1)}.get(term.component)
+        return ("X", 1, 0) if term.component == 0 else ("X", 0, 1)
     if isinstance(term, sb.InvariantChain):
-        pp, qq, i, j = term.pp, term.qq, term.i, term.j
+        pp, qq, i, j = term
         pieces = [(("X", pp, qq),)]
         mids = []
         if j:
@@ -998,7 +998,7 @@ def _term_fault(term, amb: pj.Ambient) -> str:
         want = _term_reading(term, notation)
         text = render.term_text(shown, amb, notation)
         got = _read_term(text, amb, notation)
-        if want is None or got != want:
+        if got != want:
             return f"{term!r} prints as {text!r} in {notation} notation, read back as {got}"
     return ""
 

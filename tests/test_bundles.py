@@ -205,7 +205,7 @@ def _crafted(p, q, tokens, **fields):
     """The invariants of a sum with some fields replaced."""
     inv = bd.bundle_invariants(mksum(p, q, tokens))
     return bd.BundleInvariants(
-        *(fields.get(name, getattr(inv, name)) for name in bd.BundleInvariants.__slots__))
+        *(fields.get(name, getattr(inv, name)) for name in bd.BundleInvariants._fields))
 
 
 @pytest.mark.parametrize("p, q, tokens, fields, message", [

@@ -44,7 +44,7 @@ def test_parity_invariant_enforced():
 
 
 def test_json_form():
-    assert PiBDegree(3, 1, -1).as_list() == [3, 1, -1]
+    assert list(PiBDegree(3, 1, -1)) == [3, 1, -1]
 
 
 pib = st.builds(

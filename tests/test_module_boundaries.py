@@ -1,4 +1,5 @@
-"""No module of the package reaches into a sibling's private names."""
+"""No module of the package reaches into a sibling's private names, and
+none builds an immutable record by hand."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,43 @@ def test_the_scan_sees_both_forms():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_private_names_across_modules(path):
     assert private_uses(path.read_text()) == []
+
+
+_RECORD_HOOKS = ("__setattr__", "__delattr__", "__reduce__")
+
+
+def hand_built_records(source: str) -> list:
+    """Each use of object.__setattr__ or object.__delattr__, and each
+    definition of __setattr__, __delattr__ or __reduce__, in the source:
+    the pieces of a hand-built immutable record, which the tuple base of
+    grading.FrozenRecord already provides."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "object" and node.attr in _RECORD_HOOKS[:2]):
+            found.append(f"object.{node.attr}")
+        elif isinstance(node, ast.FunctionDef) and node.name in _RECORD_HOOKS:
+            found.append(f"def {node.name}")
+        elif isinstance(node, ast.Assign):
+            found += [f"{t.id} =" for t in node.targets
+                      if isinstance(t, ast.Name) and t.id in _RECORD_HOOKS]
+    return found
+
+
+def test_the_record_scan_sees_every_form():
+    src = ("_set = object.__setattr__\n"
+           "class R:\n"
+           "    def __setattr__(self, name, value): pass\n"
+           "    def __delattr__(self, name): object.__delattr__(self, name)\n"
+           "    def __reduce__(self): return R, ()\n"
+           "    __setattr__ = None\n"
+           "    def __getnewargs__(self): return ()\n"
+           "setattr(x, 'y', 1)\n")
+    assert sorted(hand_built_records(src)) == sorted([
+        "object.__setattr__", "def __setattr__", "def __delattr__",
+        "object.__delattr__", "def __reduce__", "__setattr__ ="])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_hand_built_records(path):
+    assert hand_built_records(path.read_text()) == []

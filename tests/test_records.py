@@ -1,9 +1,12 @@
-"""The hand-written record classes behave as the dataclasses they replace.
+"""The record classes behave as the dataclasses they replace.
 
+The frozen records are tuples of their fields (``grading.FrozenRecord``).
 Each twin below is the dataclass definition of the record (fields,
 defaults, ``frozen``/``order`` and the ``__post_init__`` validation),
 built here with ``dataclasses.make_dataclass`` under the record's own
-name, so that even the reprs must agree character for character.
+name, so that even the reprs must agree character for character.  The
+tuple base must not show through: a record never equals or orders
+against a plain tuple, and keys a dict apart from its field tuple.
 """
 
 import copy
@@ -42,6 +45,11 @@ def _binate_post_init(self):
         raise ValueError(f"bad singular tag {self.singular!r}")
 
 
+def _fixed_post_init(self):
+    if self.component not in (0, 1):
+        raise sb.InfeasibleTerm("bad fixed-point component")
+
+
 def _expansion_post_init(self):
     for num, term in self.terms:
         if num % 2 and not (isinstance(term, sb.BinatePair)
@@ -54,7 +62,7 @@ def twin(cls, defaults=None, post_init=None, frozen=True, order=False):
     """The dataclass of cls's fields, with cls's own __str__ if it has one."""
     defaults = defaults or {}
     fields = [(f, object, dataclasses.field(default=defaults[f])) if f in defaults
-              else (f, object) for f in cls.__slots__]
+              else (f, object) for f in cls._fields]
     namespace = {"__post_init__": post_init} if post_init else {}
     if "__str__" in vars(cls):
         namespace["__str__"] = vars(cls)["__str__"]
@@ -80,7 +88,7 @@ def _sum(r):
 
 def _invariants(r):
     inv = bd.bundle_invariants(bd.BundleSum(*_sum(r)))
-    return tuple(getattr(inv, f) for f in bd.BundleInvariants.__slots__)
+    return tuple(getattr(inv, f) for f in bd.BundleInvariants._fields)
 
 
 def _binate(r):
@@ -110,13 +118,15 @@ CASES = {
                         lambda r: tuple(r.randint(0, 1) for _ in range(4))),
     sb.BinatePair: (twin(sb.BinatePair, {"singular": None}, _binate_post_init),
                     _binate),
-    sb.FixedPoint: (twin(sb.FixedPoint),
+    sb.FixedPoint: (twin(sb.FixedPoint, post_init=_fixed_post_init),
                     lambda r: (r.randint(0, 1), r.randint(-1, 1),
                                gr.PiBDegree(*_pib(r)))),
     sb.BezoutExpansion: (twin(sb.BezoutExpansion, {"label": "bezout"},
                               _expansion_post_init, frozen=False), _expansion),
 }
 IDS = [cls.__name__ for cls in CASES]
+FROZEN = [cls for cls in CASES if cls is not sb.BezoutExpansion]
+FROZEN_IDS = [cls.__name__ for cls in FROZEN]
 
 
 def _draws(cls, n=40, seed=7):
@@ -141,7 +151,7 @@ def test_repr_eq_and_hash_match_the_twin(cls):
         assert repr(ours) == repr(theirs)
         assert str(ours) == str(theirs)
         assert _hash(ours) == _hash(theirs)
-        fields = [getattr(ours, f) for f in cls.__slots__]
+        fields = [getattr(ours, f) for f in cls._fields]
         assert ours == cls(*fields) and theirs == type(theirs)(*fields)
         assert ours != theirs and theirs != ours      # other class: unequal
         assert ours != tuple(fields)
@@ -205,16 +215,15 @@ def test_keywords_and_defaults_match_the_twin():
     exp = sb.BezoutExpansion(*args[:3])
     assert exp.label == "bezout"
     assert repr(exp) == repr(CASES[sb.BezoutExpansion][0](*args[:3]))
-    inv_args = dict(zip(bd.BundleInvariants.__slots__, _invariants(random.Random(2))))
+    inv_args = dict(zip(bd.BundleInvariants._fields, _invariants(random.Random(2))))
     assert repr(bd.BundleInvariants(**inv_args)) == \
         repr(CASES[bd.BundleInvariants][0](**inv_args))
 
 
-@pytest.mark.parametrize("cls", [c for c in CASES if c is not sb.BezoutExpansion],
-                         ids=[c.__name__ for c in CASES if c is not sb.BezoutExpansion])
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
 def test_frozen_records_refuse_assignment(cls):
     ours, theirs = next(_draws(cls, n=1))
-    field = cls.__slots__[0]
+    field = cls._fields[0]
     for obj in (ours, theirs):
         with pytest.raises(AttributeError):
             setattr(obj, field, 0)
@@ -242,6 +251,53 @@ def test_records_copy_and_pickle(cls):
             assert clone == ours and repr(clone) == repr(ours)
 
 
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
+def test_records_pickle_at_every_protocol(cls):
+    for ours, _ in _draws(cls, n=5):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(ours, protocol))
+            assert type(clone) is cls, protocol
+            assert clone == ours and repr(clone) == repr(ours), protocol
+            assert hash(clone) == hash(ours), protocol
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
+def test_records_never_equal_their_field_tuples(cls):
+    for ours, _ in _draws(cls, n=10):
+        fields = tuple(getattr(ours, f) for f in cls._fields)
+        assert tuple(ours) == fields              # the tuple base holds the fields
+        assert hash(ours) == hash(fields)
+        assert fields != ours and ours != fields  # in both directions
+        assert not (fields == ours) and not (ours == fields)
+        keyed = {ours: "record", fields: "fields"}
+        assert len(keyed) == 2
+        assert keyed[ours] == "record" and keyed[fields] == "fields"
+        assert keyed[cls(*fields)] == "record"
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
+def test_records_never_order_against_their_field_tuples(cls):
+    ours, _ = next(_draws(cls, n=1))
+    fields = tuple(ours)
+    for x, y in ((ours, fields), (fields, ours)):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(x, y)
+
+
+def test_records_refuse_wrong_fields():
+    target = gr.PiBDegree(2, 2, 0)
+    with pytest.raises(TypeError):
+        sb.FreeOrbit(1)                              # a field missing
+    with pytest.raises(TypeError):
+        sb.FreeOrbit(1, target, 2)                   # one too many
+    with pytest.raises(TypeError):
+        sb.FreeOrbit(1, affine_dim=1)                # a field given twice
+    with pytest.raises(TypeError):
+        sb.FreeOrbit(1, target=target, extra=0)      # an unknown keyword
+    assert sb.FreeOrbit(1, target=target) == sb.FreeOrbit(target=target, affine_dim=1)
+
+
 def _error(fn, *args):
     with pytest.raises(Exception) as info:
         fn(*args)
@@ -254,15 +310,16 @@ def _error(fn, *args):
     (bd.LineBundleSpec, ("I", 2)),      # odd family, even degree
     (bd.LineBundleSpec, ("IV", 3)),     # even family, odd degree
     (sb.BinatePair, (2, 1, 1, "zeta2")),
+    (sb.FixedPoint, (2, 0, gr.PiBDegree(2, 2, 0))),
     (sb.BezoutExpansion, ((1, 1), None, [(1, sb.InvariantChain(1, 1, 0, 0))])),
     (sb.BezoutExpansion, ((1, 1), None, [(3, sb.BinatePair(2, 1, 0))])),
 ], ids=["parity", "family", "odd_family", "even_family", "singular",
-        "half_chain", "half_defect1"])
+        "fixed_component", "half_chain", "half_defect1"])
 def test_validation_errors_match_the_twin(cls, args):
     ours = _error(cls, *args)
     assert ours == _error(CASES[cls][0], *args)
     assert ours[0] is {gr.PiBDegree: gr.GradingError, bd.LineBundleSpec: ValueError,
-                       sb.BinatePair: ValueError,
+                       sb.BinatePair: ValueError, sb.FixedPoint: sb.InfeasibleTerm,
                        sb.BezoutExpansion: ArithmeticError}[cls]
 
 

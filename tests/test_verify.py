@@ -531,7 +531,8 @@ def test_notation_reader_refuses_unknown_terms():
         vf._term_fault("not a term", amb)
     assert vf._term_fault(sb.FixedPoint(0, 0, target), amb) == ""
     assert vf._term_fault(sb.FixedPoint(1, 0, target), amb) == ""
-    assert vf._term_fault(sb.FixedPoint(2, 0, target), amb) != ""
+    with pytest.raises(sb.InfeasibleTerm):       # refused when it is built
+        sb.FixedPoint(2, 0, target)
 
 
 def test_recorder_merges_verdicts_by_name_and_params_value():
