@@ -184,10 +184,6 @@ def beta(k: int) -> int:
     return bin(k).count("1")
 
 
-def rem2(k: int) -> int:
-    return k % 2
-
-
 def _exact_half(n: int, what: str) -> int:
     if n % 2:
         raise ArithmeticError(f"{what} = {n} is not even; input outside the "

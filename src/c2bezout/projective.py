@@ -111,7 +111,6 @@ class Ambient:
         self._e2 = pt.p_sym(("e", 2), self.TENSOR_E2)
         self._reduce: dict = {}
         self._basis: dict = {}
-        self._basis_sets: dict = {}
         self._memo: dict = {}
 
     def __repr__(self) -> str:
@@ -327,12 +326,6 @@ class Ambient:
         if got is None:
             got = pt.cache_insert(self._basis, m,
                                   tuple(_basis_iter(self.p, self.q, m)))
-        return got
-
-    def basis_set(self, m: int) -> frozenset:
-        got = self._basis_sets.get(m)
-        if got is None:
-            got = pt.cache_insert(self._basis_sets, m, frozenset(self.basis(m)))
         return got
 
 
@@ -557,9 +550,10 @@ class ProjClass:
         cosets = self.cosets()
         if len(cosets) != 1:
             raise GradingError(f"class spans several cosets: {sorted(cosets)}")
-        mset = self.amb.basis_set(next(iter(cosets)))
+        basis = self.amb.basis(next(iter(cosets)))
         for m, _ in self.terms:
-            if m not in mset:
+            c = m[2] + m[3]     # the k-th basis monomial has c-degree k
+            if not (c < len(basis) and basis[c] == m):
                 raise KernelError(
                     f"normal form {m} escapes the basis of coset "
                     f"{mono_coset(m)} in {self.amb!r}")

@@ -259,10 +259,9 @@ def expansion_text(exp: BezoutExpansion, amb, notation: str = "dim",
                    latex: bool = False) -> str:
     chunks = []
     for num, term in exp.terms:
-        if num:
-            factor, shown = display_term(term)
-            chunks.append((num < 0, numerator_text(factor * num)
-                           + term_text(shown, amb, notation, latex)))
+        factor, shown = display_term(term)
+        chunks.append((num < 0, numerator_text(factor * num)
+                       + term_text(shown, amb, notation, latex)))
     return _join(chunks)
 
 
@@ -285,4 +284,4 @@ def term_json(term, amb) -> dict:
 
 def expansion_json(exp: BezoutExpansion, amb) -> list:
     return [{"coeff_num": num, "coeff_den": 2, "term": term_json(term, amb)}
-            for num, term in exp.terms if num]
+            for num, term in exp.terms]

@@ -15,9 +15,10 @@ Four kinds of geometric terms appear:
 * ``FixedPoint`` -- a fixed point of one of the two fixed components,
   the terms of the dimension-0 corollary.
 
-Coefficients in an expansion are stored as integer numerators over the
-fixed denominator 2; an odd numerator is only legal on a defect-0 binate
-term, whose class is twice an honest monomial class.
+An expansion (``BezoutExpansion``) is an immutable, hashable record
+whose terms never have numerator 0.  Coefficients are stored as integer
+numerators over the fixed denominator 2; an odd numerator is only legal
+on a defect-0 binate term, whose class is twice an honest monomial class.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from math import comb
 
 from . import bundles as bd
-from .bundles import BundleInvariants, ContextViolation, beta, rem2
+from .bundles import BundleInvariants, ContextViolation, beta
 from .grading import FrozenRecord, PiBDegree
 from .laurent import mono_degree
 from .projective import (Ambient, ProjClass, linear_combination, proj_tau,
@@ -200,42 +201,28 @@ def chiQ_class(amb: Ambient):
 # ---------------------------------------------------------------------------
 # expansions
 
-class BezoutExpansion:
-    """Terms [(numerator, GeometricTerm)], each with coefficient
-    numerator / 2, of an expansion of the Euler class of a sum.  A mutable
-    record: it compares by value, so (defining __eq__ alone) it is not
-    hashable."""
+class BezoutExpansion(FrozenRecord):
+    """Terms ((numerator, GeometricTerm), ...), each with coefficient
+    numerator / 2, of an expansion of the Euler class of a sum.  The
+    constructor keeps the terms whose numerator is not 0, as a tuple, and
+    refuses an odd numerator on a term without a half."""
 
-    __slots__ = _fields = ("ambient", "invariants", "terms", "label")
+    __slots__ = ()
+    _fields = ("ambient", "invariants", "terms", "label")
 
-    def __init__(self, ambient: tuple, invariants: BundleInvariants,
-                 terms: list, label: str = "bezout") -> None:
+    def __new__(cls, ambient: tuple, invariants: BundleInvariants,
+                terms, label: str = "bezout") -> "BezoutExpansion":
+        terms = tuple([t for t in terms if t[0]])
         for num, term in terms:
             if num % 2 and not has_half(term):
                 raise ArithmeticError(
                     f"half-integral coefficient {num}/2 on non-divisible term {term}")
-        self.ambient = ambient
-        self.invariants = invariants
-        self.terms = terms
-        self.label = label
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.ambient, self.invariants, self.terms, self.label)
-                    == (other.ambient, other.invariants, other.terms, other.label))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(ambient={self.ambient!r}, "
-                f"invariants={self.invariants!r}, terms={self.terms!r}, "
-                f"label={self.label!r})")
+        return tuple.__new__(cls, (ambient, invariants, terms, label))
 
 
 def expansion_class(exp: BezoutExpansion, amb: Ambient) -> ProjClass:
     parts = []
     for num, term in exp.terms:
-        if num == 0:
-            continue
         if num % 2 == 0:
             parts.append((num // 2, class_of(term, amb)))
         else:
@@ -281,7 +268,7 @@ def bezout_expansion(inv: BundleInvariants) -> BezoutExpansion:
         terms.append((2 * inv.Delta1, InvariantChain(m - m1, m1, ell, 0)))
         cfree = inv.Delta - inv.Delta0 - inv.Delta1 - inv.eps * ((1 << beta(ell)) - 2)
         terms.append((cfree, _free_term(inv)))
-    return BezoutExpansion((inv.p, inv.q), inv, [t for t in terms if t[0]])
+    return BezoutExpansion((inv.p, inv.q), inv, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -320,21 +307,16 @@ def _codim1_case(inv: BundleInvariants) -> BezoutExpansion:
         terms = [(2, InvariantChain(p, q - 1, 0, 1)),
                  (2, InvariantChain(p - 1, q, 1, 0)),
                  (2 * (k - 1), _free_term(inv))]
-    return BezoutExpansion((p, q), inv, [t for t in terms if t[0]], label=f"codim1-{fam}")
+    return BezoutExpansion((p, q), inv, terms, label=f"codim1-{fam}")
 
 
 def _dim0_case(inv: BundleInvariants) -> BezoutExpansion:
     if inv.m != 1:
         raise ContextViolation([f"dim-0 case needs m = 1, got {inv.m}"])
     inv.require_context()
-    terms = []
-    if inv.Delta0:
-        terms.append((2 * inv.Delta0, FixedPoint(0, inv.m1, inv.euler_degree())))
-    if inv.Delta1:
-        terms.append((2 * inv.Delta1, FixedPoint(1, inv.m0, inv.euler_degree())))
-    nfree = inv.Delta - inv.Delta0 - inv.Delta1
-    if nfree:
-        terms.append((nfree, _free_term(inv)))
+    terms = [(2 * inv.Delta0, FixedPoint(0, inv.m1, inv.euler_degree())),
+             (2 * inv.Delta1, FixedPoint(1, inv.m0, inv.euler_degree())),
+             (inv.Delta - inv.Delta0 - inv.Delta1, _free_term(inv))]
     return BezoutExpansion((inv.p, inv.q), inv, terms, label="dim0")
 
 
@@ -377,8 +359,7 @@ def _dim1_table_case(inv: BundleInvariants) -> BezoutExpansion:
         terms = [(D1, BinatePair(2, m0, 1)), (D - D1, fr)]
     else:
         terms = [(D, fr)]
-    return BezoutExpansion((inv.p, inv.q), inv,
-                           [t for t in terms if t[0]], label=f"dim1[{row},{col}]")
+    return BezoutExpansion((inv.p, inv.q), inv, terms, label=f"dim1[{row},{col}]")
 
 
 def _dim2_case(inv: BundleInvariants) -> BezoutExpansion:
@@ -389,8 +370,8 @@ def _dim2_case(inv: BundleInvariants) -> BezoutExpansion:
     if (inv.m, m0, m1, inv.ell) == (3, 3, 3, 3):
         if inv.eps != 1:
             raise ContextViolation(["the first dim-2 scenario forces eps = 1"])
-        terms = [(2 * rem2(comb(3, 1)), InvariantChain(2, 1, 1, 2)),
-                 (2 * rem2(comb(3, 2)), InvariantChain(1, 2, 2, 1)),
+        terms = [(2 * (comb(3, 1) % 2), InvariantChain(2, 1, 1, 2)),
+                 (2 * (comb(3, 2) % 2), InvariantChain(1, 2, 2, 1)),
                  (2 * D0, InvariantChain(3, 0, 0, 3)),
                  (2 * D1, InvariantChain(0, 3, 3, 0)),
                  (D - D0 - D1 - 2, fr)]
@@ -406,4 +387,4 @@ def _dim2_case(inv: BundleInvariants) -> BezoutExpansion:
         raise ContextViolation(
             [f"dim-2 worked cases need (m,m0,m1,l) in {{(3,3,3,3),(3,2,1,0)}}, "
              f"got ({inv.m},{m0},{m1},{inv.ell})"])
-    return BezoutExpansion((inv.p, inv.q), inv, [t for t in terms if t[0]], label=label)
+    return BezoutExpansion((inv.p, inv.q), inv, terms, label=label)

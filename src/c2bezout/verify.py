@@ -506,12 +506,6 @@ def check_frobenius_module(rec: Recorder, cfg: SweepConfig) -> None:
 # ---------------------------------------------------------------------------
 # the lemma suite
 
-def _q_power_closed(amb: pj.Ambient, k: int) -> pj.ProjClass:
-    """2^{k-1} (tau(c^k) + e^{-2k} kappa c_w^k c_xw^k), via the transfer
-    witness rather than repeated multiplication."""
-    return pj.pushed_s_kernel(amb, pj.UNIT, k, 1 << k)
-
-
 def check_lemma_suite(rec: Recorder, cfg: SweepConfig) -> None:
     for amb in _ambients(cfg.p_max, cfg.q_max):
         params = {"p": amb.p, "q": amb.q}
@@ -525,9 +519,11 @@ def check_lemma_suite(rec: Recorder, cfg: SweepConfig) -> None:
         kmax = min(p + q + 1, 6)
 
         # powers of the quadric class, both stated forms
+        # Q^k = 2^{k-1} (tau(c^k) + e^{-2k} kappa c_w^k c_xw^k), via the
+        # transfer witness rather than repeated multiplication
         for k in range(kmax + 1):
             rec.eq("lemma_q_powers", dict(params, k=k), Q_pow(k),
-                   _q_power_closed(amb, k))
+                   pj.pushed_s_kernel(amb, pj.UNIT, k, 1 << k))
         for k in range(1, kmax + 1):
             second = pj.tau_c_power(amb, k).scale(1 << (k - 1))
             eik = pt.p_sym(("eik", 2))
@@ -884,8 +880,6 @@ class _NotationReader:
         back right."""
         pattern = []
         for num, term in exp.terms:
-            if not num:
-                continue
             read = self._terms.get(term)
             if read is None:
                 read = self._terms[term] = (sb.has_half(term),
@@ -1026,7 +1020,7 @@ def _line_fault(exp: sb.BezoutExpansion, amb: pj.Ambient) -> str:
     for notation in ("dim", "codim"):
         want = [(num < 0, render.numerator_text(factor * num)
                  + render.term_text(shown, amb, notation))
-                for num, term in exp.terms if num
+                for num, term in exp.terms
                 for factor, shown in [render.display_term(term)]] or [(False, "0")]
         line = render.expansion_text(exp, amb, notation)
         lead = line.startswith("-")

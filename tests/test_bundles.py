@@ -259,5 +259,4 @@ def test_beta_and_rem():
     assert bd.beta(3) == 2
     assert bd.beta(0) == 0
     assert bd.beta(12) == 2
-    assert bd.rem2(5) == 1
 

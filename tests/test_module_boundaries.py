@@ -1,5 +1,5 @@
 """No module of the package reaches into a sibling's private names, and
-none builds an immutable record by hand."""
+none builds an immutable record or its equality by hand."""
 
 import ast
 from pathlib import Path
@@ -101,3 +101,48 @@ def test_the_record_scan_sees_every_form():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_hand_built_records(path):
     assert hand_built_records(path.read_text()) == []
+
+
+# The classes that may define __eq__: the record base, and the two space
+# types, whose values are not records (a space owns its caches, a class
+# its space).
+EQUALITY_OWNERS = ["grading.FrozenRecord", "projective.Ambient", "projective.ProjClass"]
+
+
+def equality_definitions(source: str, module: str) -> list:
+    """"module.Class" for each class in the source that defines __eq__,
+    by a def or an assignment."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [n.id for t in item.targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            if "__eq__" in names:
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_the_equality_scan_sees_every_form():
+    src = ("class A:\n"
+           "    def __eq__(self, other): return True\n"
+           "class B(A):\n"
+           "    __eq__ = A.__eq__\n"
+           "class C:\n"
+           "    __lt__, __eq__ = None, None\n"
+           "class D:\n"
+           "    def __ne__(self, other): return False\n"
+           "def __eq__(a, b): return a is b\n")
+    assert equality_definitions(src, "m") == ["m.A", "m.B", "m.C"]
+
+
+def test_only_the_record_base_and_the_spaces_define_equality():
+    found = [name for path in MODULES
+             for name in equality_definitions(path.read_text(), path.stem)]
+    assert sorted(found) == EQUALITY_OWNERS

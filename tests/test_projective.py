@@ -107,8 +107,17 @@ def test_cached_basis_cannot_be_changed():
     with pytest.raises(TypeError):
         basis[0] = (9, 9, 9, 9)
     assert amb.basis(0) == ((0, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1))
-    assert amb.basis_set(0) == frozenset(amb.basis(0))
-    assert len(amb.basis_set(0)) == 3
+
+
+@pytest.mark.parametrize("mono", [(0, 1, 0, 1), (1, 0, 2, 1)],
+                         ids=["off_basis", "c_degree_out_of_range"])
+def test_monomials_off_the_basis_escape_it(mono):
+    """A coset-0 monomial of c-degree 1 that is not basis(0)[1], and one
+    of c-degree 3, past the end of the basis, are not basis monomials."""
+    amb = pj.ambient(2, 1)
+    assert pj.mono_coset(mono) == 0
+    with pytest.raises(pj.KernelError, match="escapes the basis"):
+        pj.ProjClass(amb, ((mono, pj.ONE),)).reduce_to_basis()
 
 
 def test_basis_matches_normal_monomials():
@@ -810,7 +819,7 @@ def test_large_unit_transfer_needs_no_walk_and_no_basis():
     amb = pj.Ambient(32, 64)
     amb._reduce_walk = no_walk
     got = pj.proj_tau(amb, {(0, -12, 24): 1})
-    assert amb._basis == {} and amb._basis_sets == {}
+    assert amb._basis == {}
     assert got.terms == _old_witness_tau(pj.Ambient(32, 64), 0, -12, 24).terms
     old = pj.Ambient(32, 64)
     old._reduce_walk = no_walk
