@@ -13,7 +13,8 @@ from . import point as pt
 from .grading import FrozenRecord, PiBDegree
 from .projective import (UNIT, Ambient, ProjClass, class_Q, class_chi_Q,
                          linear_combination, proj_tau, pushed_s_kernel,
-                         s_kernel_pair, tau_pairs, gen_zeta0, gen_zeta1)
+                         s_kernel_pair, tau_pairs, gen_cw, gen_cxw,
+                         gen_zeta0, gen_zeta1)
 
 FAMILIES = ("I", "II", "III", "IV")
 
@@ -192,24 +193,28 @@ def _exact_half(n: int, what: str) -> int:
 
 
 def euler_line(amb: Ambient, spec: LineBundleSpec) -> ProjClass:
-    """Euler class of a single line bundle, in closed form."""
-    k = spec.k
-    if spec.family == "I":
-        out = ProjClass.from_mono(amb, (0, 0, 1, 0))
-        if k:
-            out = out + (gen_zeta1(amb) * class_Q(amb)).scale(k)
-        return out
-    if spec.family == "II":
+    """Euler class of a single line bundle, in closed form.
+
+    The k-independent factors zeta1 Q (family I) and zeta0 Q (family
+    III) are memoised per space under "zeta1_Q" and "zeta0_Q", so a line
+    of a seen space costs one linear combination and no class product.
+    Nothing per degree is memoised."""
+    family, k = spec.family, spec.k
+    if family == "II":
         return class_Q(amb).scale(k)
-    if spec.family == "III":
-        out = ProjClass.from_mono(amb, (0, 0, 0, 1))
-        if k:
-            out = out + (gen_zeta0(amb) * class_Q(amb)).scale(k)
-        return out
-    out = class_chi_Q(amb)
-    if k != 1:
-        out = out + proj_tau(amb, {(2, 0, 1): k - 1})
-    return out
+    if family == "IV":
+        if k == 1:
+            return class_chi_Q(amb)
+        return linear_combination(
+            amb, [(1, class_chi_Q(amb))] + tau_pairs(amb, {(2, 0, 1): k - 1}))
+    if family == "I":
+        lead, key, zeta = gen_cw(amb), "zeta1_Q", gen_zeta1
+    else:
+        lead, key, zeta = gen_cxw(amb), "zeta0_Q", gen_zeta0
+    if not k:
+        return lead
+    factor = amb.memo(key, lambda: zeta(amb) * class_Q(amb))
+    return linear_combination(amb, [(1, lead), (k, factor)])
 
 
 def euler_line_raw(amb: Ambient, spec: LineBundleSpec) -> ProjClass:
@@ -238,11 +243,16 @@ def euler_line_raw(amb: Ambient, spec: LineBundleSpec) -> ProjClass:
 
 
 def euler_product(amb: Ambient, bs: BundleSum) -> ProjClass:
-    """Product of the single-bundle Euler classes; the brute-force oracle."""
-    out = ProjClass.unit(amb)
+    """Product of the single-bundle Euler classes; the brute-force oracle.
+
+    It memoises nothing itself (the line classes read their space's
+    factors).  It starts from the first line class, so no product with
+    the unit is taken; the empty sum is the unit."""
+    out = None
     for b in bs.bundles:
-        out = out * euler_line(amb, b)
-    return out
+        line = euler_line(amb, b)
+        out = line if out is None else out * line
+    return ProjClass.unit(amb) if out is None else out
 
 
 def euler_type_block(amb: Ambient, family: str, count: int, degree_product: int) -> ProjClass:

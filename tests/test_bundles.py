@@ -6,6 +6,7 @@ from hypothesis import assume, given, seed, settings, strategies as st
 from c2bezout import bundles as bd
 from c2bezout import projective as pj
 from c2bezout import schubert as sb
+from c2bezout import verify as vf
 
 
 def spec(tok):
@@ -51,6 +52,72 @@ def test_euler_line_two_forms_agree():
         for tok in ("O(5)", "O(-4)", "xO(7)", "xO(6)", "O(0)", "xO(0)"):
             s = spec(tok)
             assert bd.euler_line(amb, s) == bd.euler_line_raw(amb, s)
+
+
+def _line_by_products(amb, s):
+    """The line class with a class product per call: the reference
+    that the memoised factors must reproduce."""
+    k = s.k
+    Q = pj.class_Q(amb)
+    if s.family == "I":
+        out = pj.gen_cw(amb)
+        return out + (pj.gen_zeta1(amb) * Q).scale(k) if k else out
+    if s.family == "II":
+        return Q.scale(k)
+    if s.family == "III":
+        out = pj.gen_cxw(amb)
+        return out + (pj.gen_zeta0(amb) * Q).scale(k) if k else out
+    out = pj.class_chi_Q(amb)
+    return out + pj.proj_tau(amb, {(2, 0, 1): k - 1}) if k != 1 else out
+
+
+LINE_TOKENS = [f"{tw}O({d})" for d in range(-9, 10) for tw in ("", "x")]
+
+
+@pytest.mark.parametrize("p,q", [(1, 0), (0, 1), (1, 1), (3, 2), (2, 5), (12, 9)])
+def test_euler_line_matches_the_product_formula(p, q):
+    ref_amb, amb = pj.Ambient(p, q), pj.Ambient(p, q)
+    for tok in LINE_TOKENS:
+        s = spec(tok)
+        assert bd.euler_line(amb, s) == _line_by_products(ref_amb, s), tok
+    assert {s.family for s in map(spec, LINE_TOKENS)} == set(bd.FAMILIES)
+
+
+def test_line_factors_stay_with_their_space():
+    # a perturbed ring with the same (p, q) builds a different zeta1 Q
+    # (zeta0 Q reads no e^2 term); a real space built before it and the
+    # registered one built after it each keep their own factors
+    bad = vf._PerturbedAmbient(2, 2)
+    spaces = (pj.Ambient(2, 2), bad, pj.ambient(2, 2))
+    for tok, key, zeta in (("O(5)", "zeta1_Q", pj.gen_zeta1),
+                           ("xO(5)", "zeta0_Q", pj.gen_zeta0)):
+        s = spec(tok)
+        lines = [bd.euler_line(amb, s) for amb in spaces]
+        for amb, line in zip(spaces, lines):
+            twin = type(amb)(2, 2)
+            assert amb._memo[key] == (zeta(twin) * pj.class_Q(twin)).terms, key
+            assert line.terms == _line_by_products(twin, s).terms, key
+    for good in (spaces[0], spaces[2]):
+        assert bad._memo["zeta1_Q"] != good._memo["zeta1_Q"]
+
+
+def test_line_memo_has_no_per_degree_key():
+    amb = pj.Ambient(3, 2)
+    for tok in ("O(3)", "xO(3)"):
+        bd.euler_line(amb, spec(tok))
+    keys = set(amb._memo)
+    assert {"zeta1_Q", "zeta0_Q"} <= keys
+    for d in range(-9, 10, 2):
+        for tok in (f"O({d})", f"xO({d})"):
+            bd.euler_line(amb, spec(tok))
+    assert set(amb._memo) == keys
+
+
+def test_one_bundle_product_is_its_line():
+    amb = pj.ambient(3, 2)
+    for tok in ("O(3)", "O(1)", "O(-4)", "xO(-3)", "xO(2)", "xO(6)"):
+        line = bd.euler_line(amb, spec(tok))
+        assert bd.euler_product(amb, mksum(3, 2, tok)) == line, tok
 
 
 def test_euler_product_examples():

@@ -108,6 +108,7 @@ def test_basis_of_a_large_space(capsys):
 
 # Exact stdout and exit code of fixed calls.  Long outputs are pinned by
 # the SHA-256 of their UTF-8 bytes.
+EIGHT_BUNDLES = "O(3),O(3),O(-2),xO(5),xO(-3),xO(4),xO(4),O(1)"
 GOLDEN = [
     (("euler", "--p", "2", "--q", "1", "--bundles", "O(3),xO(1)"), 0,
      "e(F) product     = 3 c_w c_xw\n"
@@ -171,6 +172,16 @@ GOLDEN = [
       "O(2),O(4),O(3),O(2),O(1),O(3),O(2),O(1),xO(5),xO(2)",
       "--format", "json"), 0,
      "sha256:8e189b2882fb5c4dc41cbe46ed77945fcd99f5d362377d42f2b05234c170c55f"),
+    # an eight-bundle sum of all four families, the Euler product's
+    # longest chain of line classes among these calls
+    (("euler", "--p", "9", "--q", "8", "--bundles", EIGHT_BUNDLES), 0,
+     "sha256:0a1d5f5e8de8261d3fd7b8330ad24fba084d3880fb19d0409a52723e4e159f5e"),
+    (("euler", "--p", "9", "--q", "8", "--bundles", EIGHT_BUNDLES,
+      "--format", "json"), 0,
+     "sha256:2b7e316854fbcb6c4872afda2c82c4f4f94783aa92f45c18a6a03bd7602283ad"),
+    (("bezout", "--p", "9", "--q", "8", "--bundles", EIGHT_BUNDLES,
+      "--notation", "codim"), 0,
+     "sha256:53f1afbc42e4b965b8321a0d22b92422da0b943877fcb146d60184eb69738607"),
     (("point-table", "--window", "8", "--format", "json"), 0,
      "sha256:258bd3932db5b1dc801b0e7c502d1eeaad38b02ba4e23f630ee4d13411cb6fdb"),
     # every kind of point symbol as text; LaTeX powers of the generators;
