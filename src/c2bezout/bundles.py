@@ -11,10 +11,9 @@ from math import comb
 
 from . import point as pt
 from .grading import FrozenRecord, PiBDegree
-from .projective import (UNIT, Ambient, ProjClass, class_Q, class_chi_Q,
-                         linear_combination, proj_tau, pushed_s_kernel,
-                         s_kernel_pair, tau_pairs, gen_cw, gen_cxw,
-                         gen_zeta0, gen_zeta1)
+from .projective import (MONO_ZETA0, MONO_ZETA1, UNIT, Ambient, ProjClass,
+                         class_Q, class_chi_Q, linear_combination, proj_tau,
+                         s_kernel_pair, tau_pairs, gen_cw, gen_cxw, gen_zeta0)
 
 FAMILIES = ("I", "II", "III", "IV")
 
@@ -43,6 +42,8 @@ class LineBundleSpec(FrozenRecord, order=True):
     def __new__(cls, family: str, degree: int) -> "LineBundleSpec":
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        if type(degree) is not int:   # a bool is an int to Python, not a degree
+            raise ValueError(f"degree must be an integer, got {degree!r}")
         odd = family in ("I", "III")
         if degree % 2 != (1 if odd else 0):
             raise ValueError(
@@ -195,10 +196,10 @@ def _exact_half(n: int, what: str) -> int:
 def euler_line(amb: Ambient, spec: LineBundleSpec) -> ProjClass:
     """Euler class of a single line bundle, in closed form.
 
-    The k-independent factors zeta1 Q (family I) and zeta0 Q (family
-    III) are memoised per space under "zeta1_Q" and "zeta0_Q", so a line
-    of a seen space costs one linear combination and no class product.
-    Nothing per degree is memoised."""
+    The factors zeta1 Q (family I) and zeta0 Q (family III) are the
+    memoised unit S-kernels S_1 on zeta1 and zeta0, so a line of a seen
+    space costs one linear combination and no class product.  Nothing
+    per degree is memoised."""
     family, k = spec.family, spec.k
     if family == "II":
         return class_Q(amb).scale(k)
@@ -208,19 +209,17 @@ def euler_line(amb: Ambient, spec: LineBundleSpec) -> ProjClass:
         return linear_combination(
             amb, [(1, class_chi_Q(amb))] + tau_pairs(amb, {(2, 0, 1): k - 1}))
     if family == "I":
-        lead, key, zeta = gen_cw(amb), "zeta1_Q", gen_zeta1
+        lead, zeta = gen_cw(amb), MONO_ZETA1
     else:
-        lead, key, zeta = gen_cxw(amb), "zeta0_Q", gen_zeta0
+        lead, zeta = gen_cxw(amb), MONO_ZETA0
     if not k:
         return lead
-    factor = amb.memo(key, lambda: zeta(amb) * class_Q(amb))
-    return linear_combination(amb, [(1, lead), (k, factor)])
+    return linear_combination(amb, [(1, lead), s_kernel_pair(amb, zeta, 1, 2 * k)])
 
 
 def euler_line_raw(amb: Ambient, spec: LineBundleSpec) -> ProjClass:
     """The unsimplified single-bundle expressions; used as a cross-check."""
     k = spec.k
-    Q = class_Q(amb)
     if spec.family == "I":
         cw = ProjClass.from_mono(amb, (0, 0, 1, 0))
         inner = (ProjClass.unit(amb)
@@ -246,8 +245,10 @@ def euler_product(amb: Ambient, bs: BundleSum) -> ProjClass:
     """Product of the single-bundle Euler classes; the brute-force oracle.
 
     It memoises nothing itself (the line classes read their space's
-    factors).  It starts from the first line class, so no product with
+    units).  It starts from the first line class, so no product with
     the unit is taken; the empty sum is the unit."""
+    if (amb.p, amb.q) != bs.ambient:
+        raise ValueError("ambient mismatch")
     out = None
     for b in bs.bundles:
         line = euler_line(amb, b)
@@ -258,6 +259,8 @@ def euler_product(amb: Ambient, bs: BundleSum) -> ProjClass:
 def euler_type_block(amb: Ambient, family: str, count: int, degree_product: int) -> ProjClass:
     """Euler class of a sum of `count` bundles of one family with the
     given product of degrees."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     if count == 0:
         if degree_product != 1:
             raise ValueError("empty block must have degree product 1")
@@ -265,14 +268,13 @@ def euler_type_block(amb: Ambient, family: str, count: int, degree_product: int)
     if family in ("I", "III"):
         if degree_product % 2 == 0:
             raise ValueError("odd families need an odd degree product")
-        gen_mono = (0, 0, 1, 0) if family == "I" else (0, 0, 0, 1)
-        zeta = gen_zeta1(amb) if family == "I" else gen_zeta0(amb)
-        lead = ProjClass.from_mono(amb, tuple(e * count for e in gen_mono))
-        half = _exact_half(degree_product - 1, "d - 1")
-        if half == 0:
-            return lead
-        lower = ProjClass.from_mono(amb, tuple(e * (count - 1) for e in gen_mono))
-        return lead + (lower * zeta * class_Q(amb)).scale(half)
+        # c^n + (d - 1)/2 zeta c^(n-1) Q, with zeta c^(n-1) Q the S_1 unit
+        if family == "I":
+            lead, lower = (0, 0, count, 0), (0, 1, count - 1, 0)
+        else:
+            lead, lower = (0, 0, 0, count), (1, 0, 0, count - 1)
+        return linear_combination(amb, [(1, ProjClass.from_mono(amb, lead)),
+                                        s_kernel_pair(amb, lower, 1, degree_product - 1)])
     if family == "II":
         if degree_product % (1 << count):
             raise ArithmeticError(
@@ -280,7 +282,7 @@ def euler_type_block(amb: Ambient, family: str, count: int, degree_product: int)
                 f"not divisible by 2^{count}")
         # d/2^c * Q^c is (d/2) times the defect-c kernel Q^c / 2^(c-1),
         # which avoids dividing classes by 2
-        return pushed_s_kernel(amb, UNIT, count, degree_product)
+        return linear_combination(amb, [s_kernel_pair(amb, UNIT, count, degree_product)])
     # family IV
     out = class_chi_Q(amb) ** count
     c = _exact_half(degree_product - (1 << count), "d_IV - 2^n_IV")
@@ -393,15 +395,13 @@ def _closed_form_high(amb: Ambient, inv: BundleInvariants) -> ProjClass:
 
 def euler_I_and_III(amb: Ambient, nI: int, dI: int, nIII: int, dIII: int) -> ProjClass:
     """Closed product of the two odd blocks, for the lemma cross-check."""
-    out = ProjClass.from_mono(amb, (0, 0, nI, nIII))
-    hI = _exact_half(dI - 1, "dI - 1")
-    hIII = _exact_half(dIII - 1, "dIII - 1")
-    Q = class_Q(amb)
-    if hI:
-        out = out + (ProjClass.from_mono(amb, (0, 1, nI - 1, nIII)) * Q).scale(hI)
-    if hIII:
-        out = out + (ProjClass.from_mono(amb, (1, 0, nI, nIII - 1)) * Q).scale(hIII)
+    if (nI == 0 and dI != 1) or (nIII == 0 and dIII != 1):
+        raise ValueError("empty block must have degree product 1")
+    # zeta1 c_w^(nI-1) c_xw^nIII Q and zeta0 c_w^nI c_xw^(nIII-1) Q are
+    # S_1 units
     c = _exact_half((dI - 1) * (dIII - 1), "(dI-1)(dIII-1)")
-    if c:
-        out = out + proj_tau(amb, {(2 * nIII, nI - nIII, nI + nIII): c})
-    return out
+    return linear_combination(amb, [
+        (1, ProjClass.from_mono(amb, (0, 0, nI, nIII))),
+        s_kernel_pair(amb, (0, 1, nI - 1, nIII), 1, dI - 1),
+        s_kernel_pair(amb, (1, 0, nI, nIII - 1), 1, dIII - 1),
+    ] + tau_pairs(amb, {(2 * nIII, nI - nIII, nI + nIII): c}))

@@ -178,7 +178,7 @@ def cmd_verify(args) -> int:
         cfg.seed = args.seed
     if args.include_negative_degrees:
         cfg.include_negative_degrees = True
-    groups = tuple(args.groups.split(",")) if args.groups else None
+    groups = tuple(args.groups.split(",")) if args.groups is not None else None
     try:
         report = vf.run_verify(cfg, groups=groups)
     except ValueError as exc:  # an unknown group; the groups catch their own

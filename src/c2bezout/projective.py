@@ -104,8 +104,7 @@ class Ambient:
     TENSOR_E2 = 1   # the coefficient of e^2 in the tensor relation
 
     def __init__(self, p: int, q: int):
-        if p < 0 or q < 0 or p + q <= 0:
-            raise ValueError(f"invalid ambient ({p},{q})")
+        _check_space(p, q)
         self.p = p
         self.q = q
         self._e2 = pt.p_sym(("e", 2), self.TENSOR_E2)
@@ -365,10 +364,18 @@ def _freeze_terms(acc: dict) -> tuple:
     return tuple(out)
 
 
+def _check_space(p, q) -> None:
+    # a bool is an int to Python, but not a dimension
+    if type(p) is not int or type(q) is not int or p < 0 or q < 0 or p + q <= 0:
+        raise ValueError(f"invalid ambient ({p!r},{q!r})")
+
+
 _AMBIENTS: dict = {}
 
 
 def ambient(p: int, q: int) -> Ambient:
+    """The registered space (p, q), built on its first request."""
+    _check_space(p, q)   # True == 1 would find the space (1, q)
     key = (p, q)
     amb = _AMBIENTS.get(key)
     if amb is None:
@@ -642,15 +649,10 @@ def _unit_tau(amb: Ambient, a: int, b: int, k: int) -> ProjClass:
     return ProjClass.from_mono(amb, witness, pt.p_tau({a - 2 * (z0 + ccw): 1}))
 
 
-def tau_c_power(amb: Ambient, k: int) -> ProjClass:
-    """tau(c^k)."""
-    return proj_tau(amb, {(0, 0, k): 1})
-
-
 def class_Q(amb: Ambient) -> ProjClass:
-    """Euler class of the square of the dual tautological bundle."""
-    return amb.memo("Q", lambda: tau_c_power(amb, 1) + ProjClass.from_mono(
-        amb, (0, 0, 1, 1), pt.p_kappa(2)))
+    """Euler class of the square of the dual tautological bundle: the
+    unit S-kernel S_1."""
+    return s_kernel_pair(amb, UNIT, 1, 2)[1]
 
 
 def class_chi_Q(amb: Ambient) -> ProjClass:
@@ -659,27 +661,20 @@ def class_chi_Q(amb: Ambient) -> ProjClass:
                     + ProjClass.from_mono(amb, (0, 1, 0, 1)))
 
 
-def pushed_s_kernel(amb: Ambient, mono: Mono, defect: int, numerator: int) -> ProjClass:
-    """(numerator/2) * mono * S_k for defect k, evaluated without ever
-    dividing a class by two.
+def s_kernel_pair(amb: Ambient, mono: Mono, defect: int, numerator: int) -> tuple:
+    """(n, unit) with n * unit = (numerator/2) * mono * S_k for defect k,
+    evaluated without ever dividing a class by two.
 
     The kernel S_k = tau(c^k) + e^{-2k} kappa c_w^k c_xw^k equals
-    Q^k / 2^{k-1}; it is the class of the desingularized binate variety
-    with isotropy defect k, before pushing forward.  For defect 0 the
-    kernel is the constant 2, so any integer numerator is fine.  For
-    positive defect the transfer part is folded through the Frobenius
-    relation, which also makes this safe for divided monomials (negative
-    zeta exponents riding a saturated power).  The unit kernel mono * S_k
-    is memoised per ambient and scaled by numerator/2.
+    Q^k / 2^{k-1}, so S_1 = Q; it is the class of the desingularized
+    binate variety with isotropy defect k, before pushing forward.  For
+    defect 0 the kernel is the constant 2, so any integer numerator is
+    fine, and the unit is the reduced monomial.  For positive defect the
+    transfer part is folded through the Frobenius relation, which also
+    makes this safe for divided monomials (negative zeta exponents riding
+    a saturated power), and the unit kernel mono * S_k is memoised per
+    ambient.  A class is linear_combination(amb, [s_kernel_pair(...)]).
     """
-    n, unit = s_kernel_pair(amb, mono, defect, numerator)
-    return unit.scale(n)
-
-
-def s_kernel_pair(amb: Ambient, mono: Mono, defect: int, numerator: int) -> tuple:
-    """(n, unit) with n * unit = pushed_s_kernel(amb, mono, defect,
-    numerator): the reduced monomial for defect 0, else the memoised unit
-    kernel mono * S_k."""
     if defect == 0:
         return numerator, ProjClass(amb, amb.reduce_mono(mono))
     if numerator % 2:

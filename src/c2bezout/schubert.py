@@ -30,7 +30,7 @@ from .bundles import BundleInvariants, ContextViolation, beta
 from .grading import FrozenRecord, PiBDegree
 from .laurent import mono_degree
 from .projective import (Ambient, ProjClass, linear_combination, proj_tau,
-                         pushed_s_kernel)
+                         s_kernel_pair)
 
 
 class InfeasibleTerm(ValueError):
@@ -96,6 +96,14 @@ class BinatePair(FrozenRecord):
         i, p_i, q_i, _ = self
         return i - p_i - q_i
 
+    def mono(self, amb: Ambient) -> tuple:
+        """The monomial whose unit S-kernel of this defect is the class:
+        c_w^(p-i+q_i) c_xw^(q-i+p_i), times zeta0 or zeta1 for a singular
+        part."""
+        i, p_i, q_i, singular = self
+        return (int(singular == "zeta0"), int(singular == "zeta1"),
+                amb.p - (i - q_i), amb.q - (i - p_i))
+
     def validate(self, amb: Ambient) -> None:
         i, p_i, q_i, _ = self
         if i < 0:
@@ -157,11 +165,7 @@ def _class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
             raise InfeasibleTerm(f"fixed point regrade {term} misses its degree")
         return cls
     # binate
-    base = _binate_base(term, amb, numerator=2)
-    if term.singular is None:
-        return base
-    zeta = (1, 0, 0, 0) if term.singular == "zeta0" else (0, 1, 0, 0)
-    return ProjClass.from_mono(amb, zeta) * base
+    return linear_combination(amb, [s_kernel_pair(amb, term.mono(amb), term.defect, 2)])
 
 
 def has_half(term: GeometricTerm) -> bool:
@@ -170,21 +174,6 @@ def has_half(term: GeometricTerm) -> bool:
     expansion may give an odd numerator."""
     return (isinstance(term, BinatePair)
             and term.defect == 0 and term.singular is None)
-
-
-def half_class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
-    """Half the class, defined exactly when `has_half(term)`."""
-    term.validate(amb)
-    if has_half(term):
-        return _binate_base(term, amb, numerator=1)
-    raise InfeasibleTerm(f"{term} has no canonical half")
-
-
-def _binate_base(term: BinatePair, amb: Ambient, numerator: int) -> ProjClass:
-    i, p_i, q_i, _ = term
-    cw = amb.p - (i - q_i)
-    ccw = amb.q - (i - p_i)
-    return pushed_s_kernel(amb, (0, 0, cw, ccw), term.defect, numerator)
 
 
 def chiQ_class(amb: Ambient):
@@ -221,12 +210,15 @@ class BezoutExpansion(FrozenRecord):
 
 
 def expansion_class(exp: BezoutExpansion, amb: Ambient) -> ProjClass:
+    if (amb.p, amb.q) != exp.ambient:
+        raise ValueError("ambient mismatch")
     parts = []
     for num, term in exp.terms:
         if num % 2 == 0:
             parts.append((num // 2, class_of(term, amb)))
-        else:
-            parts.append((num, half_class_of(term, amb)))
+        else:   # a defect-0 binate term without a singular part
+            term.validate(amb)
+            parts.append(s_kernel_pair(amb, term.mono(amb), 0, num))
     return linear_combination(amb, parts)
 
 

@@ -510,7 +510,9 @@ def check_lemma_suite(rec: Recorder, cfg: SweepConfig) -> None:
     for amb in _ambients(cfg.p_max, cfg.q_max):
         params = {"p": amb.p, "q": amb.q}
         p, q = amb.p, amb.q
-        Q = pj.class_Q(amb)
+        # Q from generator products, not the memoised S_1 unit that the
+        # right-hand sides read
+        Q = bd.euler_line_raw(amb, bd.LineBundleSpec("II", 2))
         Q_pow = functools.cache(Q.__pow__)   # each Q ** k once, through __pow__
         chiQ = pj.class_chi_Q(amb)
         z0, z1 = pj.gen_zeta0(amb), pj.gen_zeta1(amb)
@@ -523,9 +525,9 @@ def check_lemma_suite(rec: Recorder, cfg: SweepConfig) -> None:
         # transfer witness rather than repeated multiplication
         for k in range(kmax + 1):
             rec.eq("lemma_q_powers", dict(params, k=k), Q_pow(k),
-                   pj.pushed_s_kernel(amb, pj.UNIT, k, 1 << k))
+                   pj.linear_combination(amb, [pj.s_kernel_pair(amb, pj.UNIT, k, 1 << k)]))
         for k in range(1, kmax + 1):
-            second = pj.tau_c_power(amb, k).scale(1 << (k - 1))
+            second = pj.proj_tau(amb, {(0, 0, k): 1 << (k - 1)})
             eik = pt.p_sym(("eik", 2))
             acc = pt.p_int(1)
             for _ in range(k):
@@ -1056,7 +1058,9 @@ def check_dictionary(rec: Recorder, cfg: SweepConfig) -> None:
             continue
         p, q = amb.p, amb.q
         params = {"p": p, "q": q}
-        Q = pj.class_Q(amb)
+        # Q from generator products, not the memoised S_1 unit that the
+        # binate classes read
+        Q = bd.euler_line_raw(amb, bd.LineBundleSpec("II", 2))
         z0, z1 = pj.gen_zeta0(amb), pj.gen_zeta1(amb)
         rec.eq("cor_q1", params,
                sb.class_of(sb.BinatePair(p + q - 1, p - 1, q - 1), amb), Q)

@@ -31,6 +31,14 @@ def test_token_parsing_and_families():
         bd.LineBundleSpec("I", 2)
 
 
+@pytest.mark.parametrize("degree", [3.0, True, False, "3", None])
+def test_non_integer_degrees_are_refused(degree):
+    # a bool is an int to Python, but not a degree
+    for family in bd.FAMILIES:
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            bd.LineBundleSpec(family, degree)
+
+
 def test_parse_bundle_list_reports_position():
     with pytest.raises(bd.BundleParseError) as err:
         bd.parse_bundles("O(1),O(x),xO(2)")
@@ -83,14 +91,18 @@ def test_euler_line_matches_the_product_formula(p, q):
     assert {s.family for s in map(spec, LINE_TOKENS)} == set(bd.FAMILIES)
 
 
+ZETA1_Q = ("S", pj.MONO_ZETA1, 1)   # the memo keys of the S_1 units
+ZETA0_Q = ("S", pj.MONO_ZETA0, 1)   # on zeta1 and zeta0
+
+
 def test_line_factors_stay_with_their_space():
     # a perturbed ring with the same (p, q) builds a different zeta1 Q
     # (zeta0 Q reads no e^2 term); a real space built before it and the
     # registered one built after it each keep their own factors
     bad = vf._PerturbedAmbient(2, 2)
     spaces = (pj.Ambient(2, 2), bad, pj.ambient(2, 2))
-    for tok, key, zeta in (("O(5)", "zeta1_Q", pj.gen_zeta1),
-                           ("xO(5)", "zeta0_Q", pj.gen_zeta0)):
+    for tok, key, zeta in (("O(5)", ZETA1_Q, pj.gen_zeta1),
+                           ("xO(5)", ZETA0_Q, pj.gen_zeta0)):
         s = spec(tok)
         lines = [bd.euler_line(amb, s) for amb in spaces]
         for amb, line in zip(spaces, lines):
@@ -98,7 +110,7 @@ def test_line_factors_stay_with_their_space():
             assert amb._memo[key] == (zeta(twin) * pj.class_Q(twin)).terms, key
             assert line.terms == _line_by_products(twin, s).terms, key
     for good in (spaces[0], spaces[2]):
-        assert bad._memo["zeta1_Q"] != good._memo["zeta1_Q"]
+        assert bad._memo[ZETA1_Q] != good._memo[ZETA1_Q]
 
 
 def test_line_memo_has_no_per_degree_key():
@@ -106,7 +118,7 @@ def test_line_memo_has_no_per_degree_key():
     for tok in ("O(3)", "xO(3)"):
         bd.euler_line(amb, spec(tok))
     keys = set(amb._memo)
-    assert {"zeta1_Q", "zeta0_Q"} <= keys
+    assert {ZETA1_Q, ZETA0_Q} <= keys
     for d in range(-9, 10, 2):
         for tok in (f"O({d})", f"xO({d})"):
             bd.euler_line(amb, spec(tok))
@@ -303,6 +315,39 @@ def test_type_blocks_match_products():
     q2 = bd.euler_type_block(amb, "II", 2, 4)
     assert q2 == pj.class_Q(amb) ** 2
     assert bd.euler_type_block(amb, "IV", 0, 1) == pj.ProjClass.unit(amb)
+
+
+def test_type_block_refuses_an_unknown_family():
+    amb = pj.ambient(2, 2)
+    for count, dprod in ((1, 2), (0, 1)):
+        with pytest.raises(ValueError, match="unknown family 'V'"):
+            bd.euler_type_block(amb, "V", count, dprod)
+
+
+def test_odd_blocks_refuse_an_empty_block_with_a_degree():
+    amb = pj.ambient(2, 2)
+    for nI, dI, nIII, dIII in ((0, 3, 0, 1), (0, 3, 1, 3), (1, 3, 0, 5)):
+        with pytest.raises(ValueError, match="empty block must have degree product 1"):
+            bd.euler_I_and_III(amb, nI, dI, nIII, dIII)
+    with pytest.raises(ValueError, match="empty block must have degree product 1"):
+        bd.euler_type_block(amb, "III", 0, 3)
+
+
+def test_a_record_of_another_space_is_refused():
+    # the product, the closed form and the expansion class all refuse a
+    # sum or expansion of another space, instead of computing on amb
+    bs = mksum(3, 3, "O(1),xO(2)")
+    inv = bd.bundle_invariants(bs)
+    exp = sb.bezout_expansion(inv)
+    entries = (lambda amb: bd.euler_product(amb, bs),
+               lambda amb: bd.euler_closed_form(amb, inv),
+               lambda amb: sb.expansion_class(exp, amb))
+    for amb in (pj.ambient(2, 2), pj.ambient(4, 4), pj.ambient(3, 4)):
+        for entry in entries:
+            with pytest.raises(ValueError, match="ambient mismatch"):
+                entry(amb)
+    product, closed, expanded = (entry(pj.ambient(3, 3)) for entry in entries)
+    assert product == closed == expanded
 
 
 def test_type_block_divisibility_guard():

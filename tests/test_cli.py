@@ -306,16 +306,21 @@ def test_cache_size_env_respected():
          "amb = pj.ambient(3, 3)\n"
          "sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
          "assert max(sizes) <= 64, sizes\n"
-         "# unit transfers and kernels share the memo's bound; the table\n"
-         "# holds frozen products\n"
+         "# unit transfers and kernels share the memo's bound, after every\n"
+         "# insert; the table holds frozen products\n"
+         "kinds = set()\n"
+         "def after_insert(d):\n"
+         "    kinds.update(k[0] for k in amb._memo if type(k) is tuple)\n"
+         "    sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
+         "    assert max(sizes) <= 64, (d, sizes)\n"
          "for d in range(1, 40):\n"
-         "    pj.pushed_s_kernel(amb, (0, 0, 1, 1), d % 3 + 1, 2 * d)\n"
+         "    pj.s_kernel_pair(amb, (0, 0, 1, 1), d % 3 + 1, 2 * d)\n"
+         "    after_insert(d)\n"
          "    pj.proj_tau(amb, {(2 * d, d % 5, d % 6): d})\n"
+         "    after_insert(d)\n"
          "    pt.p_mul(((('e', d), 1),), ((('xi', d), 1),))\n"
-         "kinds = {k[0] for k in amb._memo if type(k) is tuple}\n"
+         "    after_insert(d)\n"
          "assert {'tau', 'S'} <= kinds, kinds\n"
-         "sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
-         "assert max(sizes) <= 64, sizes\n"
          "assert all(type(v) is tuple for v in pt._PRODUCTS.values())\n"
          "print(pt.CACHE_LIMIT)"],
         env=env, capture_output=True, text=True)
@@ -335,6 +340,13 @@ def test_unknown_verify_group_is_a_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--groups", "grading,")
     assert code == 2 and "unknown check groups ''" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_empty_verify_group_list_is_a_usage_error(capsys):
+    # an empty --groups names the group '', it does not select the sweep
+    code, out, err = run(capsys, "verify", "--groups", "")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown check groups ''; valid groups: ")
 
 
 @pytest.mark.parametrize("content, want", [

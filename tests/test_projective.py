@@ -71,8 +71,8 @@ def test_transfer_unit_and_frobenius(a22):
     e2 = pj.ProjClass.from_point(a22, pt.p_sym(("e", 2)))
     assert chiq == pj.proj_tau(a22, {(2, 0, 1): 1}) + e2
     # tau(c^k) tau(c) = 2 tau(c^{k+1})
-    t1 = pj.tau_c_power(a22, 1)
-    t2 = pj.tau_c_power(a22, 2)
+    t1 = pj.proj_tau(a22, {(0, 0, 1): 1})
+    t2 = pj.proj_tau(a22, {(0, 0, 2): 1})
     assert t1 * t1 == t2.scale(2)
 
 
@@ -183,6 +183,18 @@ def test_zero_ambients():
 def test_invalid_ambient():
     with pytest.raises(ValueError):
         pj.Ambient(0, 0)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 1), (2, 1.0), (True, 1), (1, False), ("2", 1)])
+def test_non_integer_ambients_are_refused(p, q):
+    # a bool is an int to Python, but not a dimension; True == 1, so the
+    # registry would hand out the space (1, 1) for (True, 1)
+    pj.ambient(1, 1)
+    before = dict(pj._AMBIENTS)
+    for build in (pj.Ambient, pj.ambient, vf._PerturbedAmbient):
+        with pytest.raises(ValueError, match="invalid ambient"):
+            build(p, q)
+    assert pj._AMBIENTS == before
 
 
 def test_ambients_compare_by_value():
@@ -670,6 +682,47 @@ def test_ambients_share_no_memo_entries():
     assert pj.class_Q(reg).amb is reg
 
 
+def test_registered_memos_hold_no_string_key_but_chi_Q():
+    """Q and the line factors are S-kernel units: after a default sweep
+    and a query stream round in a fresh process, the only string key of
+    any registered space's memo is "chi_Q"."""
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            import queries, worker
+            import c2bezout as lib
+            from c2bezout import projective as pj, render
+            assert lib.run_verify().passed
+            for qry in queries.query_stream(11):
+                worker.answer(lib, render, qry)
+            keys = {k for amb in pj._AMBIENTS.values() for k in amb._memo
+                    if isinstance(k, str)}
+            print(len(pj._AMBIENTS), sorted(keys))
+        """), bench],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    count, keys = out.stdout.split(" ", 1)
+    assert int(count) > 100 and keys.strip() == "['chi_Q']"
+
+
+def test_quadric_and_line_factors_are_unit_s_kernels():
+    for amb in (pj.Ambient(2, 2), pj.Ambient(3, 1), pj.Ambient(0, 3),
+                pj.Ambient(4, 0), vf._PerturbedAmbient(2, 2)):
+        Q = pj.class_Q(amb)
+        # the stated form tau(c) + e^-2 kappa c_w c_xw, on any ring
+        want = pj.proj_tau(amb, {(0, 0, 1): 1}) + pj.ProjClass.from_mono(
+            amb, (0, 0, 1, 1), pt.p_kappa(2))
+        assert Q.terms == want.terms, amb
+        assert amb._memo[("S", pj.UNIT, 1)] is Q.terms
+        for mono, zeta in ((pj.MONO_ZETA1, pj.gen_zeta1), (pj.MONO_ZETA0, pj.gen_zeta0)):
+            n, unit = pj.s_kernel_pair(amb, mono, 1, 2)
+            assert n == 1 and unit.terms == (zeta(amb) * Q).terms, (amb, mono)
+        assert not any(isinstance(k, str) for k in amb._memo)
+
+
 # ---------------------------------------------------------------------------
 # memoised unit transfers and kernels, one-pass sums
 
@@ -697,9 +750,15 @@ def _reference_tau(amb, x):
     return out
 
 
+def _s_kernel(amb, mono, defect, numerator):
+    """The class (numerator/2) * mono * S_k of the pair s_kernel_pair
+    gives."""
+    return pj.linear_combination(amb, [pj.s_kernel_pair(amb, mono, defect, numerator)])
+
+
 def _reference_s_kernel(amb, mono, defect, numerator):
-    """pushed_s_kernel without the memo: numerator/2 folded into the
-    transfer and the kappa coefficient."""
+    """_s_kernel without the memo: numerator/2 folded into the transfer
+    and the kappa coefficient."""
     if defect == 0:
         return pj.ProjClass.from_mono(amb, mono, numerator)
     half = numerator // 2
@@ -749,11 +808,11 @@ def test_memoised_kernels_match_the_reference():
             for mono in monos:
                 defect = rng.randint(1, 4)
                 numerator = 2 * rng.randint(-4, 4)
-                got = pj.pushed_s_kernel(amb, mono, defect, numerator)
+                got = _s_kernel(amb, mono, defect, numerator)
                 want = _reference_s_kernel(amb, mono, defect, numerator)
                 assert got == want, (amb, mono, defect, numerator)
                 odd = rng.choice([-3, 1, 5])
-                assert pj.pushed_s_kernel(amb, mono, 0, odd) == \
+                assert _s_kernel(amb, mono, 0, odd) == \
                     _reference_s_kernel(amb, mono, 0, odd)
         assert any(k[0] == "S" for k in amb._memo if type(k) is tuple)
 
@@ -762,7 +821,7 @@ def test_memoised_classes_keep_every_validation():
     amb = pj.Ambient(2, 2)
     target = PiBDegree(2, 2, 2)
     pj.proj_tau(amb, {(0, 0, 1): 3, (2, 0, 1): 1})
-    pj.pushed_s_kernel(amb, (0, 0, 1, 1), 2, 4)
+    pj.s_kernel_pair(amb, (0, 0, 1, 1), 2, 4)
     # the same monomials again, now memoised: the guards still run first
     with pytest.raises(GradingError, match="tau target .* does not match"):
         pj.proj_tau(amb, {(2, 0, 1): 1}, target)
@@ -773,7 +832,7 @@ def test_memoised_classes_keep_every_validation():
         pj.proj_tau(amb, {(1, 0, 1): 1})
     with pytest.raises(ArithmeticError,
                        match="coefficient 3/2 on a defect-2 term is not integral"):
-        pj.pushed_s_kernel(amb, (0, 0, 1, 1), 2, 3)
+        pj.s_kernel_pair(amb, (0, 0, 1, 1), 2, 3)
 
 
 def test_unit_transfers_match_the_old_witness_route():

@@ -29,7 +29,8 @@ def test_defect_zero_binate_doubles():
     term = sb.BinatePair(3, 1, 2)
     assert term.defect == 0
     assert sb.class_of(term, amb) == pj.ProjClass.from_mono(amb, (0, 0, 2, 0), 2)
-    assert sb.half_class_of(term, amb) == pj.ProjClass.from_mono(amb, (0, 0, 2, 0))
+    half = sb.BezoutExpansion((3, 2), mkinv(3, 2, "O(1)"), [(1, term)])
+    assert sb.expansion_class(half, amb) == pj.ProjClass.from_mono(amb, (0, 0, 2, 0))
 
 
 def test_chain_gives_zeta_powers():
@@ -313,18 +314,14 @@ def test_one_halving_rule_for_expansion_half_class_and_text(pq, inv, term, halva
     whole = sb.class_of(term, amb)
     assert not whole.is_zero()
     assert sb.has_half(term) is halvable
-    # the expansion takes an odd numerator exactly on a halvable term
+    # the expansion takes an odd numerator exactly on a halvable term,
+    # and its class is then half the term's class
     if halvable:
-        sb.BezoutExpansion(pq, inv, [(1, term)])
+        half = sb.BezoutExpansion(pq, inv, [(1, term)])
+        assert sb.expansion_class(half, amb).scale(2) == whole
     else:
         with pytest.raises(ArithmeticError, match="half-integral"):
             sb.BezoutExpansion(pq, inv, [(1, term)])
-    # ... exactly where the half class exists
-    if halvable:
-        assert sb.half_class_of(term, amb).scale(2) == whole
-    else:
-        with pytest.raises(sb.InfeasibleTerm, match="no canonical half"):
-            sb.half_class_of(term, amb)
     # ... and exactly where the text shows the term as a doubled chain
     text = render.expansion_text(sb.BezoutExpansion(pq, inv, [(2, term)]), amb)
     if halvable:
