@@ -11,9 +11,9 @@ from math import comb
 
 from . import point as pt
 from .grading import FrozenRecord, PiBDegree
-from .projective import (MONO_ZETA0, MONO_ZETA1, UNIT, Ambient, ProjClass,
-                         class_Q, class_chi_Q, linear_combination, proj_tau,
-                         s_kernel_pair, tau_pairs, gen_cw, gen_cxw, gen_zeta0)
+from .projective import (MONO_CW, MONO_CXW, MONO_ZETA0, MONO_ZETA1, UNIT,
+                         Ambient, ProjClass, class_chi_Q, linear_combination,
+                         proj_tau, s_kernel_pair, tau_pairs, gen_zeta0)
 
 FAMILIES = ("I", "II", "III", "IV")
 
@@ -71,10 +71,12 @@ class LineBundleSpec(FrozenRecord, order=True):
             twisted, body = False, t[2:-1]
         else:
             raise BundleParseError(f"bad bundle token {tok!r}", pos)
-        try:
-            d = int(body)
-        except ValueError:
-            raise BundleParseError(f"bad degree {body!r} in {tok!r}", pos) from None
+        # ASCII digits with an optional sign; int() would also take
+        # underscores, spaces and other scripts' digits
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if not (digits.isascii() and digits.isdigit()):
+            raise BundleParseError(f"bad degree {body!r} in {tok!r}", pos)
+        d = int(body)
         if d % 2:
             fam = "III" if twisted else "I"
         else:
@@ -164,18 +166,15 @@ def invariants_from_counts(p: int, q: int, counts: tuple, degs: tuple) -> Bundle
 def violations_from_counts(p: int, q: int, n: int, n0: int, n1: int) -> tuple:
     """The closed-form hypotheses violated by a sum of n bundles on the
     space (p, q), n0 of them from families I and II and n1 from II and
-    III."""
+    III.  The hypotheses n0 <= n and n1 <= n hold for every sum, as n0
+    and n1 count bundles of it, so they are not tested."""
     out = []
     if not n < p + q:
         out.append(f"n < p + q fails ({n} >= {p + q})")
     if not n - q <= n0:
         out.append(f"n - q <= n0 fails ({n - q} > {n0})")
-    if not n0 <= n:
-        out.append(f"n0 <= n fails ({n0} > {n})")
     if not n - p <= n1:
         out.append(f"n - p <= n1 fails ({n - p} > {n1})")
-    if not n1 <= n:
-        out.append(f"n1 <= n fails ({n1} > {n})")
     return tuple(out)
 
 
@@ -194,27 +193,10 @@ def _exact_half(n: int, what: str) -> int:
 
 
 def euler_line(amb: Ambient, spec: LineBundleSpec) -> ProjClass:
-    """Euler class of a single line bundle, in closed form.
-
-    The factors zeta1 Q (family I) and zeta0 Q (family III) are the
-    memoised unit S-kernels S_1 on zeta1 and zeta0, so a line of a seen
-    space costs one linear combination and no class product.  Nothing
-    per degree is memoised."""
-    family, k = spec.family, spec.k
-    if family == "II":
-        return class_Q(amb).scale(k)
-    if family == "IV":
-        if k == 1:
-            return class_chi_Q(amb)
-        return linear_combination(
-            amb, [(1, class_chi_Q(amb))] + tau_pairs(amb, {(2, 0, 1): k - 1}))
-    if family == "I":
-        lead, zeta = gen_cw(amb), MONO_ZETA1
-    else:
-        lead, zeta = gen_cxw(amb), MONO_ZETA0
-    if not k:
-        return lead
-    return linear_combination(amb, [(1, lead), s_kernel_pair(amb, zeta, 1, 2 * k)])
+    """Euler class of a single line bundle: the type block of its family
+    with one bundle.  Nothing per degree is memoised."""
+    family, degree = spec
+    return euler_type_block(amb, family, 1, degree)
 
 
 def euler_line_raw(amb: Ambient, spec: LineBundleSpec) -> ProjClass:
@@ -258,23 +240,19 @@ def euler_product(amb: Ambient, bs: BundleSum) -> ProjClass:
 
 def euler_type_block(amb: Ambient, family: str, count: int, degree_product: int) -> ProjClass:
     """Euler class of a sum of `count` bundles of one family with the
-    given product of degrees."""
+    given product of degrees; a line class is the block with count 1.
+
+    Each block is one linear combination of memoised units: its lead
+    class and the S_1 unit on zeta1 c_w^(n-1) or zeta0 c_xw^(n-1)
+    (families I, III), the defect-n S-kernel (II), chi_Q^n and the
+    transfers (IV).  A block whose correction vanishes is its lead class
+    alone, so a line of a seen space costs no class product."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if count == 0:
         if degree_product != 1:
             raise ValueError("empty block must have degree product 1")
         return ProjClass.unit(amb)
-    if family in ("I", "III"):
-        if degree_product % 2 == 0:
-            raise ValueError("odd families need an odd degree product")
-        # c^n + (d - 1)/2 zeta c^(n-1) Q, with zeta c^(n-1) Q the S_1 unit
-        if family == "I":
-            lead, lower = (0, 0, count, 0), (0, 1, count - 1, 0)
-        else:
-            lead, lower = (0, 0, 0, count), (1, 0, 0, count - 1)
-        return linear_combination(amb, [(1, ProjClass.from_mono(amb, lead)),
-                                        s_kernel_pair(amb, lower, 1, degree_product - 1)])
     if family == "II":
         if degree_product % (1 << count):
             raise ArithmeticError(
@@ -282,13 +260,30 @@ def euler_type_block(amb: Ambient, family: str, count: int, degree_product: int)
                 f"not divisible by 2^{count}")
         # d/2^c * Q^c is (d/2) times the defect-c kernel Q^c / 2^(c-1),
         # which avoids dividing classes by 2
-        return linear_combination(amb, [s_kernel_pair(amb, UNIT, count, degree_product)])
-    # family IV
-    out = class_chi_Q(amb) ** count
-    c = _exact_half(degree_product - (1 << count), "d_IV - 2^n_IV")
-    if c:
-        out = out + proj_tau(amb, {(2 * count, 0, count): c})
-    return out
+        n, unit = s_kernel_pair(amb, UNIT, count, degree_product)
+        return unit.scale(n)
+    if family == "IV":
+        lead = class_chi_Q(amb) ** count
+        c = _exact_half(degree_product - (1 << count), "d_IV - 2^n_IV")
+        if not c:
+            return lead
+        return linear_combination(
+            amb, [(1, lead)] + tau_pairs(amb, {(2 * count, 0, count): c}))
+    if degree_product % 2 == 0:
+        raise ValueError("odd families need an odd degree product")
+    # c^n + (d - 1)/2 zeta c^(n-1) Q, with zeta c^(n-1) Q the S_1 unit; a
+    # line reads the module's monomials, so no space's caches copy them
+    if count == 1:
+        lead, lower = (MONO_CW, MONO_ZETA1) if family == "I" else (MONO_CXW, MONO_ZETA0)
+    elif family == "I":
+        lead, lower = (0, 0, count, 0), (0, 1, count - 1, 0)
+    else:
+        lead, lower = (0, 0, 0, count), (1, 0, 0, count - 1)
+    lead = ProjClass.from_mono(amb, lead)
+    if degree_product == 1:
+        return lead
+    return linear_combination(
+        amb, [(1, lead), s_kernel_pair(amb, lower, 1, degree_product - 1)])
 
 
 def euler_type_block_binomial(amb: Ambient, count: int, degree_product: int) -> ProjClass:

@@ -160,6 +160,11 @@ def p_scale(a: Coeff, n: int) -> Coeff:
     return tuple(out)
 
 
+# (m, n) with the symbol e^m xi^n, for the kinds that are such a power
+_E_XI = {"e": lambda s: (s[1], 0), "xi": lambda s: (0, s[1]),
+         "exi": lambda s: (s[1], s[2])}
+
+
 def _mul_sym(a: Sym, b: Sym):
     """Product of two basis symbols as a list of (symbol, coefficient)."""
     if a[0] == "1":
@@ -185,33 +190,27 @@ def _mul_sym(a: Sym, b: Sym):
         a, b = b, a
         ka, kb = kb, ka
     # Remaining kinds in lex order: e < eik < exi < xi.
-    if ka == "e":
-        if kb == "e":
-            return [(("e", a[1] + b[1]), 1)]
-        if kb == "xi":
-            return [(("exi", a[1], b[1]), 1)]
-        if kb == "exi":
-            return [(("exi", a[1] + b[1], b[2]), 1)]
-        if kb == "eik":
+    if kb == "eik":
+        if ka == "e":
             m, k = a[1], b[1]
             if m < k:
                 return [(("eik", k - m), 1)]
             if m == k:
                 return [(S_ONE, 2), (S_G, -1)]
             return [(("e", m - k), 2)]
-    if ka == "eik":
-        if kb == "eik":
+        if ka == "eik":
             return [(("eik", a[1] + b[1]), 2)]
+    elif ka == "eik":
         # xi * e^-m kappa = 0 and e^a xi^b * e^-m kappa = 0.
         if kb in ("xi", "exi"):
             return []
-    if ka == "exi":
-        if kb == "exi":
-            return [(("exi", a[1] + b[1], a[2] + b[2]), 1)]
-        if kb == "xi":
-            return [(("exi", a[1], a[2] + b[1]), 1)]
-    if ka == "xi" and kb == "xi":
-        return [(("xi", a[1] + b[1]), 1)]
+    elif ka in _E_XI and kb in _E_XI:
+        # e^m xi^n * e^m' xi^n' = e^(m+m') xi^(n+n')
+        (ma, na), (mb, nb) = _E_XI[ka](a), _E_XI[kb](b)
+        m, n = ma + mb, na + nb
+        if not n:
+            return [(("e", m), 1)]
+        return [(("exi", m, n) if m else ("xi", n), 1)]
     raise AssertionError(f"unhandled symbol product {a} * {b}")
 
 

@@ -425,17 +425,10 @@ class ProjClass:
     # ring ops --------------------------------------------------------------
 
     def __add__(self, other: "ProjClass") -> "ProjClass":
-        self._check(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        acc = dict(self.terms)
-        _add_scaled(acc, other.terms, None)
-        return ProjClass(self.amb, _freeze_terms(acc))
+        return linear_combination(self.amb, [(1, self), (1, other)])
 
     def __sub__(self, other: "ProjClass") -> "ProjClass":
-        return self + other.scale(-1)
+        return linear_combination(self.amb, [(1, self), (-1, other)])
 
     def scale(self, n: int) -> "ProjClass":
         if n == 1:

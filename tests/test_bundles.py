@@ -27,6 +27,11 @@ def test_token_parsing_and_families():
         spec("O(2.5)")
     with pytest.raises(bd.BundleParseError):
         spec("P(2)")
+    # int() reads these as 11, 3 and 3; a degree is ASCII digits only
+    for body in ("1_1", "\u0663", " 3 "):
+        with pytest.raises(bd.BundleParseError, match="bad degree") as err:
+            bd.parse_bundles(f"O(1),O({body})")
+        assert err.value.pos == 5
     with pytest.raises(ValueError):
         bd.LineBundleSpec("I", 2)
 
@@ -322,6 +327,16 @@ def test_type_block_refuses_an_unknown_family():
     for count, dprod in ((1, 2), (0, 1)):
         with pytest.raises(ValueError, match="unknown family 'V'"):
             bd.euler_type_block(amb, "V", count, dprod)
+
+
+def test_type_blocks_refuse_a_degree_product_of_the_wrong_parity():
+    amb = pj.ambient(2, 2)
+    for family in ("I", "III"):
+        with pytest.raises(ValueError, match="odd families need an odd degree product"):
+            bd.euler_type_block(amb, family, 2, 6)
+    # d - 2^n = 9 - 4 is odd
+    with pytest.raises(ArithmeticError, match=re.escape("d_IV - 2^n_IV = 5 is not even")):
+        bd.euler_type_block(amb, "IV", 2, 9)
 
 
 def test_odd_blocks_refuse_an_empty_block_with_a_degree():

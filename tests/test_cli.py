@@ -193,6 +193,10 @@ GOLDEN = [
     (("euler", "--p", "2", "--q", "2", "--bundles", "O(3),O(3),O(3)",
       "--format", "latex"), 0,
      "sha256:508d14233e507026fc448d650e945580a9d3b3d5916ab7dc3b9d6a3cc60ed6c9"),
+    # two invariant-chain terms beside a free orbit in JSON
+    (("bezout", "--p", "3", "--q", "3", "--bundles", "xO(2),O(3)",
+      "--format", "json"), 0,
+     "sha256:7d211928120102ee03633aba5d0b3febb2918809defc5e9a06764b3d602d3f42"),
 ]
 
 
@@ -204,6 +208,26 @@ def test_golden_output(capsys, argv, code, want):
     if want.startswith("sha256:"):
         out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
     assert out == want
+
+
+def test_verify_seed_reaches_every_record(capsys):
+    code, out, _ = run(capsys, "verify", "--groups", "random_homs",
+                       "--seed", "7", "--format", "json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert records and all(r["params"]["seed"] == 7 for r in records)
+
+
+def test_verify_include_negative_degrees_widens_the_grid(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"pq_sum_max": 3, "max_bundles_total": 3}))
+    cases = []
+    for flag in ((), ("--include-negative-degrees",)):
+        code, out, _ = run(capsys, "verify", "--groups", "euler_grid",
+                           "--sweep-config", str(path), "--format", "json", *flag)
+        assert code == 0
+        cases.append(json.loads(out)["summary"]["cases"])
+    assert cases == [900, 3000]
 
 
 def test_point_table(capsys):

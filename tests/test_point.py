@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +116,16 @@ def test_table_products_match_the_symbol_rule():
             zero_products += not want
     assert zero_products > 0
     assert pt.p_mul(xi(1), eik(1)) == ()
+
+
+def test_symbol_products_are_pinned():
+    # the normal forms of every product of two symbols of the window-8
+    # census, in census order: the table test above reads _mul_sym only
+    # through itself, so a changed product would pass it
+    syms = point_symbols_in_window(8)
+    products = [pt.p_normalize(pt._mul_sym(a, b)) for a in syms for b in syms]
+    assert hashlib.sha256(repr(products).encode()).hexdigest() == \
+        "cd174ef03f693d8d0b69f16e0e5b0dccf42c2f02b5520a8441bd12f22c2581d5"
 
 
 def _canonical(x):

@@ -89,6 +89,15 @@ def test_sweep_config_validation():
     assert vf.SweepConfig(random_pairs=0).random_pairs == 0
 
 
+def test_sweep_config_json_round_trip():
+    cfg = vf.SweepConfig(p_max=3, q_max=2, pq_sum_max=4, odd_degrees=(1, 7),
+                         even_degrees=(6,), include_negative_degrees=True,
+                         seed=11, random_pairs=5)
+    data = json.loads(json.dumps(cfg.to_json()))
+    assert data["odd_degrees"] == [1, 7] and data["seed"] == 11
+    assert vf.SweepConfig.from_json(data) == cfg
+
+
 @pytest.mark.parametrize("field, value, want", [
     ("random_pairs", -5, "random_pairs must be >= 0"),
     ("p_max", 2.5, "p_max must be an integer"),
