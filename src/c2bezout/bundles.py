@@ -249,6 +249,8 @@ def euler_type_block(amb: Ambient, family: str, count: int, degree_product: int)
     alone, so a line of a seen space costs no class product."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if count < 0:
+        raise ValueError(f"bundle count {count} is negative")
     if count == 0:
         if degree_product != 1:
             raise ValueError("empty block must have degree product 1")

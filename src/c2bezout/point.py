@@ -33,8 +33,8 @@ import os
 Sym = tuple
 Coeff = tuple  # an element: ((symbol, coefficient), ...) in symbol order
 
-# entries per cache: the symbol-product table here, and each ambient's
-# reduction, basis and class caches in projective
+# entries per cache: the symbol-product and shared-value tables here, and
+# each ambient's reduction, basis and class caches in projective
 CACHE_LIMIT = int(os.environ.get("C2BEZOUT_CACHE_SIZE", "2000000"))
 
 
@@ -49,6 +49,18 @@ def cache_insert(cache: dict, key, value):
 
 S_ONE: Sym = ("1",)
 S_G: Sym = ("g",)
+
+# element -> the one object that the caches keep for that value
+_SHARED: dict = {}
+
+
+def p_shared(a: Coeff) -> Coeff:
+    """The process-wide object equal to the element a; a value asked for
+    the first time becomes its own shared object."""
+    got = _SHARED.get(a)
+    if got is None:
+        got = cache_insert(_SHARED, a, a)
+    return got
 
 
 class OutsideSupportedSubring(ArithmeticError):
@@ -74,6 +86,35 @@ def sym_ranks(s: Sym) -> tuple:
     raise ValueError(f"unknown symbol {s}")
 
 
+# symbol kind -> the number of its parameters, each an int >= 1
+_ARITY = {"1": 0, "g": 0, "e": 1, "xi": 1, "exi": 2, "eik": 1, "tin": 1}
+
+
+def _check_sym(s) -> None:
+    if (type(s) is not tuple or not s or type(s[0]) is not str
+            or _ARITY.get(s[0]) != len(s) - 1):
+        raise ValueError(f"not a point symbol: {s!r}")
+    for k in s[1:]:
+        if type(k) is not int or k < 1:
+            raise ValueError(f"not a point symbol: {s!r}")
+
+
+def _is_normal(a: tuple) -> bool:
+    """Whether the tuple a is an element in normal form; a malformed
+    symbol is a ValueError."""
+    prev = None
+    for pair in a:
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        s, c = pair
+        _check_sym(s)
+        if (type(c) is not int or not c or (s[0] == "exi" and c != 1)
+                or (prev is not None and s <= prev)):
+            return False
+        prev = s
+    return True
+
+
 def _put(out: dict, s: Sym, c: int) -> None:
     c += out.get(s, 0)
     if s[0] == "exi":
@@ -87,9 +128,14 @@ def _put(out: dict, s: Sym, c: int) -> None:
 def p_normalize(pairs) -> Coeff:
     """The element with the given (symbol, coefficient) pairs, from a dict
     or any iterable of pairs, in any order and with repeats: the one entry
-    point for elements built outside this module."""
+    point for elements built outside this module, so an unknown symbol
+    kind or malformed parameters are a ValueError.  An element already in
+    normal form is returned as it is, not copied."""
+    if type(pairs) is tuple and _is_normal(pairs):
+        return pairs
     out: dict = {}
     for s, c in (pairs.items() if isinstance(pairs, dict) else pairs):
+        _check_sym(s)
         _put(out, s, c)
     return tuple(sorted(out.items()))
 
@@ -278,8 +324,10 @@ def p_rho(a: Coeff) -> dict:
             e, v = 2 * s[1], 1
         elif kind == "tin":
             e, v = -2 * s[1], 2
-        else:  # e^m, e^m xi^n, e^-m kappa all restrict to 0
+        elif kind in ("e", "exi", "eik"):   # these restrict to 0
             continue
+        else:
+            raise ValueError(f"unknown symbol {s}")
         n = out.get(e, 0) + c * v
         if n:
             out[e] = n

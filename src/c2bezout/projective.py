@@ -41,8 +41,14 @@ class KernelError(RuntimeError):
     """A normal form the rewrite system should never produce."""
 
 
-ONE: pt.Coeff = pt.p_int(1)  # the unit coefficient
-_ONE_MINUS_KAPPA: pt.Coeff = pt.p_one_minus_kappa()
+# the rules' coefficients are the point ring's shared objects, so every
+# normal form built from them holds each value once
+ONE: pt.Coeff = pt.p_shared(pt.p_int(1))  # the unit coefficient
+_ONE_MINUS_KAPPA: pt.Coeff = pt.p_shared(pt.p_one_minus_kappa())
+
+# the reduction-cache entry of a normal monomial m, which stands for the
+# normal form ((m, ONE),) without a tuple of its own
+_NORMAL = object()
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -107,7 +113,7 @@ class Ambient:
         _check_space(p, q)
         self.p = p
         self.q = q
-        self._e2 = pt.p_sym(("e", 2), self.TENSOR_E2)
+        self._e2 = pt.p_shared(pt.p_sym(("e", 2), self.TENSOR_E2))
         self._reduce: dict = {}
         self._basis: dict = {}
         self._memo: dict = {}
@@ -162,10 +168,8 @@ class Ambient:
         cache = self._reduce
         cached = cache.get(m)
         if cached is not None:
-            return cached
-        z0, z1, cw, ccw = m
-        if cw < 0 or ccw < 0 or (z0 < 0 and cw < self.p) or (z1 < 0 and ccw < self.q):
-            raise ValueError(f"monomial {m} lies outside the ring of {self!r}")
+            return ((m, ONE),) if cached is _NORMAL else cached
+        self._check_domain(m)
         # most misses are one rewrite step: m is normal, vanishes, or its
         # rule leads only to cached monomials
         rule = self._rewrite(m)
@@ -176,16 +180,30 @@ class Ambient:
             return self._settle(m, rule, children)
         return self._settle(m, rule, ())
 
+    def _check_domain(self, m: Mono, saturating: int = 0) -> None:
+        """Refuse a monomial outside the ring with a ValueError: a
+        negative c exponent, or a negative zeta0 (zeta1) exponent without
+        c_w^p (c_xw^q).  With saturating = k, the zeta test reads m times
+        c_w^k c_xw^k, the c powers that the kernel S_k adds."""
+        z0, z1, cw, ccw = m
+        if (cw < 0 or ccw < 0 or (z0 < 0 and cw + saturating < self.p)
+                or (z1 < 0 and ccw + saturating < self.q)):
+            raise ValueError(f"monomial {m} lies outside the ring of {self!r}")
+
     def _settle(self, m: Mono, rule, children) -> tuple:
         """Cache and return the normal form of m, from its rule and the
-        normal forms of the rule's children, in rule order."""
+        cache entries of the rule's children, in rule order."""
         if rule is None:
             out = ((m, ONE),)
-        else:
-            acc: dict = {}
-            for (_, coeff), terms in zip(rule, children):
-                _add_scaled(acc, terms, coeff)
-            out = _freeze_terms(acc)
+            self._check_degrees(m, out)
+            pt.cache_insert(self._reduce, m, _NORMAL)
+            return out
+        acc: dict = {}
+        for (child, coeff), terms in zip(rule, children):
+            if terms is _NORMAL:
+                terms = ((child, ONE),)
+            _add_scaled(acc, terms, coeff)
+        out = _freeze_terms(acc)
         self._check_degrees(m, out)
         return pt.cache_insert(self._reduce, m, out)
 
@@ -221,7 +239,7 @@ class Ambient:
                     continue
                 terms = cache.get(child)
                 if terms is not None:
-                    known[child] = terms
+                    known[child] = ((child, ONE),) if terms is _NORMAL else terms
                     continue
                 if len(stack) > limit:
                     raise KernelError(f"reduction of {child} did not terminate")
@@ -296,11 +314,11 @@ class Ambient:
             return ()
         if z0 > 0 and z1 > 0:
             t = min(z0, z1)
-            return (((z0 - t, z1 - t, cw, ccw), pt.p_sym(("xi", t))),)
+            return (((z0 - t, z1 - t, cw, ccw), _xi(t)),)
         if z1 > 0 and (z0 < 0 or cw >= p):
-            return (((z0 - z1, 0, cw, ccw), pt.p_sym(("xi", z1))),)
+            return (((z0 - z1, 0, cw, ccw), _xi(z1)),)
         if z0 > 0 and (z1 < 0 or ccw >= q):
-            return (((0, z1 - z0, cw, ccw), pt.p_sym(("xi", z0))),)
+            return (((0, z1 - z0, cw, ccw), _xi(z0)),)
         if cw > p:
             # peel one (zeta0 c_w) = (1-kappa) zeta1 c_xw + e^2
             return (((z0 - 1, z1 + 1, cw - 1, ccw + 1), _ONE_MINUS_KAPPA),
@@ -311,7 +329,7 @@ class Ambient:
                     ((z0, z1 - 1, cw, ccw - 1), e2))
         if z0 >= 2 and cw >= 1:
             # zeta0 * (zeta0 c_w) = xi c_xw + e^2 zeta0
-            return (((z0 - 2, z1, cw - 1, ccw + 1), pt.p_sym(("xi", 1))),
+            return (((z0 - 2, z1, cw - 1, ccw + 1), _xi(1)),
                     ((z0 - 1, z1, cw - 1, ccw), e2))
         if not self.is_normal_mono(m):
             raise KernelError(f"stuck at non-normal monomial {m} in {self!r}")
@@ -326,6 +344,10 @@ class Ambient:
             got = pt.cache_insert(self._basis, m,
                                   tuple(_basis_iter(self.p, self.q, m)))
         return got
+
+
+def _xi(t: int) -> pt.Coeff:
+    return pt.p_shared(((("xi", t), 1),))
 
 
 def _basis_iter(p: int, q: int, m: int):
@@ -437,8 +459,9 @@ class ProjClass:
         return ProjClass(self.amb, tuple(t for t in scaled if t[1]))
 
     def scale_point(self, h) -> "ProjClass":
-        # the monomials are normal and distinct already: scale in place
-        h = pt.p_normalize(h)
+        # the monomials are normal and distinct already: scale in place;
+        # a normal monomial's term keeps the shared object for h
+        h = pt.p_shared(pt.p_normalize(h))
         if h == ONE:
             return self
         prods = ((m, h if c == ONE else pt.p_mul(h, c)) for m, c in self.terms)
@@ -680,6 +703,7 @@ def s_kernel_pair(amb: Ambient, mono: Mono, defect: int, numerator: int) -> tupl
 
 
 def _unit_s_kernel(amb: Ambient, mono: Mono, defect: int) -> ProjClass:
+    amb._check_domain(mono, defect)
     a, b, k = mono_rho(mono)
     tau_part = proj_tau(amb, {(a, b, k + defect): 1})
     kappa_mono = mono_mul(mono, (0, 0, defect, defect))

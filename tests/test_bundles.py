@@ -329,6 +329,13 @@ def test_type_block_refuses_an_unknown_family():
             bd.euler_type_block(amb, "V", count, dprod)
 
 
+def test_type_blocks_refuse_a_negative_count():
+    amb = pj.ambient(2, 2)
+    for family, dprod in (("I", 3), ("II", 2), ("IV", 1)):
+        with pytest.raises(ValueError, match="bundle count -1 is negative"):
+            bd.euler_type_block(amb, family, -1, dprod)
+
+
 def test_type_blocks_refuse_a_degree_product_of_the_wrong_parity():
     amb = pj.ambient(2, 2)
     for family in ("I", "III"):

@@ -317,7 +317,8 @@ def test_cache_size_env_respected():
          "bs = bd.BundleSum((2, 2), bd.parse_bundles('O(3),O(2),xO(1)'))\n"
          "inv = bd.bundle_invariants(bs)\n"
          "assert bd.euler_closed_form(amb, inv) == bd.euler_product(amb, bs)\n"
-         "# the symbol table and each ambient's caches stay within the cap\n"
+         "# the symbol and shared-value tables and each ambient's caches\n"
+         "# stay within the cap\n"
          "from c2bezout import point as pt, verify as vf\n"
          "cfg = vf.SweepConfig(p_max=3, q_max=3, pq_sum_max=5)\n"
          "rep = vf.run_verify(cfg, groups=('point_axioms', 'euler_grid',\n"
@@ -328,14 +329,16 @@ def test_cache_size_env_respected():
          "                                 'lemma_suite', 'random_homs'))\n"
          "assert rep.passed and rep.summary()['cases'] > 10000\n"
          "amb = pj.ambient(3, 3)\n"
-         "sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
+         "sizes = [len(pt._PRODUCTS), len(pt._SHARED), len(amb._memo),\n"
+         "         len(amb._reduce)]\n"
          "assert max(sizes) <= 64, sizes\n"
          "# unit transfers and kernels share the memo's bound, after every\n"
          "# insert; the table holds frozen products\n"
          "kinds = set()\n"
          "def after_insert(d):\n"
          "    kinds.update(k[0] for k in amb._memo if type(k) is tuple)\n"
-         "    sizes = [len(pt._PRODUCTS), len(amb._memo), len(amb._reduce)]\n"
+         "    sizes = [len(pt._PRODUCTS), len(pt._SHARED), len(amb._memo),\n"
+         "             len(amb._reduce)]\n"
          "    assert max(sizes) <= 64, (d, sizes)\n"
          "for d in range(1, 40):\n"
          "    pj.s_kernel_pair(amb, (0, 0, 1, 1), d % 3 + 1, 2 * d)\n"
@@ -345,6 +348,10 @@ def test_cache_size_env_respected():
          "    pt.p_mul(((('e', d), 1),), ((('xi', d), 1),))\n"
          "    after_insert(d)\n"
          "assert {'tau', 'S'} <= kinds, kinds\n"
+         "# the shared-value table refills past its cap\n"
+         "for d in range(1, 200):\n"
+         "    assert pt.p_shared(pt.p_sym(('e', d))) == pt.p_sym(('e', d))\n"
+         "    assert len(pt._SHARED) <= 64\n"
          "assert all(type(v) is tuple for v in pt._PRODUCTS.values())\n"
          "print(pt.CACHE_LIMIT)"],
         env=env, capture_output=True, text=True)

@@ -147,6 +147,38 @@ def test_normalize_reads_dicts_and_unsorted_input():
                            (("exi", 1, 1), 3), (pt.S_ONE, 2), (("xi", 2), 2),
                            (("eik", 1), 4), (("eik", 1), -4)]) == want
     assert pt.p_normalize({}) == () == pt.p_normalize([(("exi", 1, 1), 2)])
+    # a tuple in normal form comes back as it is; any other is rebuilt
+    assert pt.p_normalize(want) is want
+    for raw in (tuple(reversed(want)), want + ((("e", 1), 0),),
+                ((pt.S_ONE, 2), (pt.S_ONE, 0)) + want[1:], ((pt.S_ONE, True),),
+                ((("exi", 1, 1), 3),)):
+        got = pt.p_normalize(raw)
+        assert got == pt.p_normalize(list(raw)) and _canonical(got), raw
+
+
+def test_normalize_refuses_what_is_not_a_symbol():
+    for bad in (("foo", 1), ("e", 0), ("xi", -2), ("xi",), ("exi", 1), ("g", 1),
+                ("tin", True), ("eik", 1.0), ("1", 0), "e", ()):
+        with pytest.raises(ValueError, match="not a point symbol"):
+            pt.p_normalize({bad: 1})
+        with pytest.raises(ValueError, match="not a point symbol"):
+            pt.p_normalize([(pt.S_ONE, 1), (bad, 2)])
+    for bad in ((["e"], 1), (("e",), 1), ("e", [1])):
+        with pytest.raises(ValueError, match="not a point symbol"):
+            pt.p_normalize([(bad, 1)])
+        with pytest.raises(ValueError, match="not a point symbol"):
+            pt.p_normalize(((bad, 1),))
+    # the shadow knows the kinds that restrict to 0 and refuses any other
+    with pytest.raises(ValueError, match="unknown symbol"):
+        pt.p_rho(((("foo", 1), 1),))
+    assert pt.p_rho(pt.p_add(eik(1), pt.p_sym(("exi", 1, 1)))) == {}
+
+
+def test_shared_elements_are_one_object_per_value():
+    x = pt.p_shared(pt.p_normalize({("xi", 7): 1, pt.S_G: -3, ("e", 9): 0}))
+    copy = pt.p_normalize([(("xi", 7), 1), (pt.S_G, -3)])
+    assert copy == x and copy is not x and pt.p_shared(copy) is x
+    assert pt.p_shared(pt.p_add(x, pt.p_int(1))) != x
 
 
 def test_every_constructor_and_operation_returns_the_canonical_form():

@@ -470,7 +470,10 @@ def test_one_step_reductions_match_the_walker(p, q, draws):
 
     def walk(m):
         cached = walked._reduce.get(m)
-        return cached if cached is not None else walked._reduce_walk(m, walked._rewrite(m))
+        if cached is None:
+            return walked._reduce_walk(m, walked._rewrite(m))
+        # a normal monomial's entry is the shared marker
+        return ((m, pj.ONE),) if cached is pj._NORMAL else cached
 
     for draw in draws:
         for m in _drawn_monos(fast, *draw):
@@ -833,6 +836,85 @@ def test_memoised_classes_keep_every_validation():
     with pytest.raises(ArithmeticError,
                        match="coefficient 3/2 on a defect-2 term is not integral"):
         pj.s_kernel_pair(amb, (0, 0, 1, 1), 2, 3)
+
+
+def test_s_kernels_refuse_monomials_outside_their_domain():
+    # mono * c_w^k c_xw^k must lie in the ring: c exponents >= 0, and a
+    # negative zeta exponent only on a power that the kernel saturates
+    for p, q, mono, defect in ((2, 2, (0, 1, -1, 0), 1), (3, 2, (0, 0, 0, -1), 2),
+                               (3, 2, (-1, 0, 1, 0), 1), (2, 4, (0, -2, 0, 2), 1)):
+        with pytest.raises(ValueError, match="lies outside the ring"):
+            pj.s_kernel_pair(pj.Ambient(p, q), mono, defect, 2)
+    # divided monomials that the kernel saturates exactly pass
+    amb = pj.Ambient(3, 2)
+    for mono, defect in (((-1, 0, 1, 0), 2), ((-2, 0, 0, 1), 3), ((0, -1, 1, 1), 1)):
+        n, unit = pj.s_kernel_pair(amb, mono, defect, 2)
+        assert n == 1 and unit == _reference_s_kernel(amb, mono, defect, 2)
+
+
+_SHARING_SCRIPT = textwrap.dedent("""
+    import random
+    from c2bezout import bundles as bd, point as pt, projective as pj
+    from c2bezout import schubert as sb
+
+    rng = random.Random(2022)
+    for _ in range(300):
+        p, q = rng.randint(0, 7), rng.randint(1, 7)
+        tokens = []
+        for _ in range(rng.randint(1, p + q)):
+            fam = rng.choice(("O", "xO"))
+            tokens.append(f"{fam}({rng.choice((-3, -2, -1, 1, 2, 3, 4, 5))})")
+        amb = pj.ambient(p, q)
+        bs = bd.BundleSum((p, q), bd.parse_bundles(",".join(tokens)))
+        inv = bd.bundle_invariants(bs)
+        product = bd.euler_product(amb, bs)
+        if not inv.context_ok:
+            continue
+        if rng.random() < 0.5:
+            assert bd.euler_closed_form(amb, inv) == product, tokens
+        else:
+            assert sb.expansion_class(sb.bezout_expansion(inv), amb) == product
+
+    def shared(c):
+        return pt._SHARED.get(c) is c
+
+    assert all(k is v for k, v in pt._SHARED.items())
+    counts = [len(pj._AMBIENTS), 0, 0, 0]
+    for amb in pj._AMBIENTS.values():
+        for m, entry in amb._reduce.items():
+            # the marker is a normal monomial's entry, and only theirs
+            assert (entry is pj._NORMAL) == amb.is_normal_mono(m), (amb, m)
+            if entry is pj._NORMAL:
+                counts[1] += 1
+                continue
+            rule = amb._rewrite(m)
+            assert all(shared(c) for _, c in rule), (amb, m)
+            # a rule straight to distinct normal monomials leaves its
+            # coefficients in the normal form as they are
+            children = [child for child, _ in rule]
+            if rule and len(set(children)) == len(children) and all(
+                    amb._reduce.get(child) is pj._NORMAL for child in children):
+                assert all(shared(c) for _, c in entry), (amb, m, entry)
+                counts[2] += 1
+        for key, terms in amb._memo.items():
+            if key[0] == "tau":
+                # a transfer's one term keeps the coefficient it was given
+                assert all(shared(c) for _, c in terms), (amb, key)
+                counts[3] += 1
+    print(*counts)
+""")
+
+
+def test_caches_share_coefficients_and_mark_normal_monomials():
+    """After seeded euler and bezout queries, in a fresh process: every
+    rule coefficient and every unit-transfer coefficient is the point
+    ring's shared object for its value, and each normal monomial's
+    reduction entry is the marker rather than a terms tuple."""
+    out = subprocess.run([sys.executable, "-c", _SHARING_SCRIPT],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    spaces, normal, one_step, transfers = map(int, out.stdout.split())
+    assert spaces >= 40 and normal > 500 and one_step > 100 and transfers > 100
 
 
 def test_unit_transfers_match_the_old_witness_route():
