@@ -300,6 +300,12 @@ def _tau_iota(j: int):
     return [(("tin", -j), 1)]
 
 
+def p_tau_iota(j: int) -> Coeff:
+    """tau(iota^{2j}), the transfer of one even iota power, as the point
+    ring's shared element: g, 2 xi^j or tau(iota^{-2|j|})."""
+    return p_shared(tuple(_tau_iota(j)))
+
+
 def p_tau(laurent: dict) -> Coeff:
     """Transfer of a point-level Laurent class {iota_exponent: coeff}."""
     for ie in laurent:

@@ -378,6 +378,14 @@ def _add_scaled(acc: dict, terms: tuple, coeff) -> None:
         acc[mono] = c if cur is None else pt.p_add(cur, c)
 
 
+def _scaled_terms(terms: tuple, h: pt.Coeff) -> tuple:
+    """h * terms for a shared point element h.  The monomials are normal
+    and distinct already, so each term is scaled in place, and a term
+    with coefficient 1 keeps the shared object h."""
+    prods = ((m, h if c == ONE else pt.p_mul(h, c)) for m, c in terms)
+    return tuple(t for t in prods if t[1])
+
+
 def _freeze_terms(acc: dict) -> tuple:
     """Class terms from an accumulator of _add_scaled: in monomial order,
     without zero coefficients."""
@@ -446,10 +454,22 @@ class ProjClass:
 
     # ring ops --------------------------------------------------------------
 
+    # a sum with an empty operand is the other operand, with no pass over
+    # its terms
     def __add__(self, other: "ProjClass") -> "ProjClass":
+        self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return linear_combination(self.amb, [(1, self), (1, other)])
 
     def __sub__(self, other: "ProjClass") -> "ProjClass":
+        self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other.scale(-1)
         return linear_combination(self.amb, [(1, self), (-1, other)])
 
     def scale(self, n: int) -> "ProjClass":
@@ -459,13 +479,10 @@ class ProjClass:
         return ProjClass(self.amb, tuple(t for t in scaled if t[1]))
 
     def scale_point(self, h) -> "ProjClass":
-        # the monomials are normal and distinct already: scale in place;
-        # a normal monomial's term keeps the shared object for h
         h = pt.p_shared(pt.p_normalize(h))
         if h == ONE:
             return self
-        prods = ((m, h if c == ONE else pt.p_mul(h, c)) for m, c in self.terms)
-        return ProjClass(self.amb, tuple(t for t in prods if t[1]))
+        return ProjClass(self.amb, _scaled_terms(self.terms, h))
 
     def __mul__(self, other: "ProjClass") -> "ProjClass":
         self._check(other)
@@ -637,6 +654,10 @@ def tau_pairs(amb: Ambient, x: LTerms, target: PiBDegree | None = None) -> list:
     combination is proj_tau(amb, x, target), with its checks."""
     pairs = []
     for (a, b, k), coeff in x.items():
+        # the unit transfer builds its coefficient itself, so no point
+        # symbol check downstream sees these exponents
+        if type(a) is not int or type(b) is not int or type(k) is not int:
+            raise ValueError(f"non-integer exponent in tau(iota^{a} zeta^{b} c^{k})")
         if target is not None and mono_degree((a, b, k)) != target:
             raise GradingError(
                 f"tau target {target} does not match monomial degree "
@@ -659,10 +680,13 @@ def _unit_tau(amb: Ambient, a: int, b: int, k: int) -> ProjClass:
     normal and rho(m) = iota^(2(z0+ccw)) zeta^b c^k, so by the projection
     formula tau(iota^a zeta^b c^k) = m * tau(iota^(a - 2(z0+ccw))), one
     point transfer on a monomial that needs no rewriting.  The witness is
-    read off the basis order without caching the coset's basis."""
+    read off the basis order without caching the coset's basis, and its
+    reduction must be itself: the transfer is the one term (witness, h)."""
     witness = next(islice(_basis_iter(amb.p, amb.q, b), k, None))
+    if amb.reduce_mono(witness) != ((witness, ONE),):
+        raise KernelError(f"transfer witness {witness} is not normal in {amb!r}")
     z0, _, _, ccw = witness
-    return ProjClass.from_mono(amb, witness, pt.p_tau({a - 2 * (z0 + ccw): 1}))
+    return ProjClass(amb, ((witness, pt.p_tau_iota(a // 2 - z0 - ccw)),))
 
 
 def class_Q(amb: Ambient) -> ProjClass:
@@ -691,6 +715,8 @@ def s_kernel_pair(amb: Ambient, mono: Mono, defect: int, numerator: int) -> tupl
     a saturated power), and the unit kernel mono * S_k is memoised per
     ambient.  A class is linear_combination(amb, [s_kernel_pair(...)]).
     """
+    if defect < 0:
+        raise ValueError(f"negative defect {defect} in an S-kernel")
     if defect == 0:
         return numerator, ProjClass(amb, amb.reduce_mono(mono))
     if numerator % 2:
@@ -703,11 +729,16 @@ def s_kernel_pair(amb: Ambient, mono: Mono, defect: int, numerator: int) -> tupl
 
 
 def _unit_s_kernel(amb: Ambient, mono: Mono, defect: int) -> ProjClass:
+    """mono * S_k = tau(rho(mono) c^k) + e^-2k kappa mono c_w^k c_xw^k for
+    k = defect >= 1: the memoised unit transfer plus the reduced kappa
+    monomial scaled in place, added up in one pass."""
     amb._check_domain(mono, defect)
     a, b, k = mono_rho(mono)
-    tau_part = proj_tau(amb, {(a, b, k + defect): 1})
+    pairs = tau_pairs(amb, {(a, b, k + defect): 1})
     kappa_mono = mono_mul(mono, (0, 0, defect, defect))
-    return tau_part + ProjClass.from_mono(amb, kappa_mono, pt.p_kappa(2 * defect))
+    kappa = pt.p_shared(pt.p_kappa(2 * defect))
+    pairs.append((1, ProjClass(amb, _scaled_terms(amb.reduce_mono(kappa_mono), kappa))))
+    return linear_combination(amb, pairs)
 
 
 def divided(amb: Ambient, k: int, which: int, extra_cxw: int = 0) -> ProjClass:

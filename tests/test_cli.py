@@ -109,6 +109,7 @@ def test_basis_of_a_large_space(capsys):
 # Exact stdout and exit code of fixed calls.  Long outputs are pinned by
 # the SHA-256 of their UTF-8 bytes.
 EIGHT_BUNDLES = "O(3),O(3),O(-2),xO(5),xO(-3),xO(4),xO(4),O(1)"
+SATURATED_KAPPA = "O(3),O(5),O(2),O(4),xO(3),xO(2)"
 GOLDEN = [
     (("euler", "--p", "2", "--q", "1", "--bundles", "O(3),xO(1)"), 0,
      "e(F) product     = 3 c_w c_xw\n"
@@ -193,6 +194,11 @@ GOLDEN = [
     (("euler", "--p", "2", "--q", "2", "--bundles", "O(3),O(3),O(3)",
       "--format", "latex"), 0,
      "sha256:508d14233e507026fc448d650e945580a9d3b3d5916ab7dc3b9d6a3cc60ed6c9"),
+    # a binate term with p_i = -1, whose kappa monomial rides a saturated c_w
+    (("bezout", "--p", "3", "--q", "30", "--bundles", SATURATED_KAPPA,
+      "--notation", "codim"), 0,
+     "e(F) = 12 [S~_6(4,3)]* + 348 Fr(6)\n"
+     "     = 348 tau(iota^4 zeta c^6) + 24 zeta0^-1 c_w^3 c_xw^3\n"),
     # two invariant-chain terms beside a free orbit in JSON
     (("bezout", "--p", "3", "--q", "3", "--bundles", "xO(2),O(3)",
       "--format", "json"), 0,

@@ -741,6 +741,25 @@ def _old_witness_tau(amb, a, b, k, coeff=1):
     return pj.ProjClass.from_mono(amb, (z0, z1, cw, ccw), pt.p_tau({2 * j: coeff}))
 
 
+def _reference_unit_tau(amb, a, b, k):
+    """_unit_tau on the route it took before its direct build: the basis
+    witness through from_mono, with its coefficient built by p_tau."""
+    witness = next(islice(pj._basis_iter(amb.p, amb.q, b), k, None))
+    z0, _, _, ccw = witness
+    return pj.ProjClass.from_mono(amb, witness, pt.p_tau({a - 2 * (z0 + ccw): 1}))
+
+
+def _reference_unit_s_kernel(amb, mono, defect):
+    """_unit_s_kernel on the route it took before its direct build: the
+    reference transfer, plus the kappa monomial through from_mono with
+    the coefficient p_kappa, added with +."""
+    a, b, k = pj.mono_rho(mono)
+    tau = (_reference_unit_tau(amb, a, b, k + defect) if k + defect < amb.p + amb.q
+           else pj.ProjClass.zero(amb))
+    kappa_mono = pj.mono_mul(mono, (0, 0, defect, defect))
+    return tau + pj.ProjClass.from_mono(amb, kappa_mono, pt.p_kappa(2 * defect))
+
+
 def _reference_tau(amb, x):
     """proj_tau without the memo: each monomial's transfer built on the
     old witness with its coefficient inside the point transfer, summed
@@ -818,6 +837,26 @@ def test_memoised_kernels_match_the_reference():
                 assert _s_kernel(amb, mono, 0, odd) == \
                     _reference_s_kernel(amb, mono, 0, odd)
         assert any(k[0] == "S" for k in amb._memo if type(k) is tuple)
+    # the direct build against its old route, each on a fresh ambient
+    cases = []
+    for p, q in ((2, 2), (3, 1), (1, 3), (4, 3), (0, 3), (3, 0)):
+        for defect in (1, 2, 3):
+            cases += [(p, q, (0, 0, cw, ccw), defect)
+                      for cw in range(p + 1) for ccw in range(q + 1)]
+            cases += [(p, q, (z0, z1, 0, 0), defect) for z0, z1 in ((1, 0), (0, 1), (2, 0))]
+            # divided monomials: the negative zeta rides c_w^p or c_xw^q
+            cases += [(p, q, (-z, 0, p, ccw), defect)
+                      for z in (1, 2) for ccw in range(q + 1) if p]
+            cases += [(p, q, (0, -z, cw, q), defect)
+                      for z in (1, 3) for cw in range(p + 1) if q]
+    # kernels whose transfers take the large witnesses of
+    # test_unit_transfers_match_the_old_witness_route
+    cases += [(32, 64, (0, 0, 5, 17), 2), (44, 48, (0, 0, 4, 16), 1)]
+    for p, q, mono, defect in cases:
+        got = pj._unit_s_kernel(pj.Ambient(p, q), mono, defect)
+        want = _reference_unit_s_kernel(pj.Ambient(p, q), mono, defect)
+        assert got.terms == want.terms, (p, q, mono, defect)
+    assert len(cases) > 300
 
 
 def test_memoised_classes_keep_every_validation():
@@ -836,6 +875,30 @@ def test_memoised_classes_keep_every_validation():
     with pytest.raises(ArithmeticError,
                        match="coefficient 3/2 on a defect-2 term is not integral"):
         pj.s_kernel_pair(amb, (0, 0, 1, 1), 2, 3)
+
+
+def test_transfers_refuse_non_integer_exponents():
+    amb = pj.Ambient(3, 3)
+    for mono in ((0, 0.5, 1), (2, 1.5, 1), (0.0, 0, 1), (0, 0, True)):
+        with pytest.raises(ValueError, match="non-integer exponent in tau"):
+            pj.proj_tau(amb, {mono: 1})
+    # such exponents reach the transfer of an S-kernel too
+    for mono, defect in (((0, 0, 1.0, 0), 1), ((0, 0, 1, 0), 1.5)):
+        with pytest.raises(ValueError, match="non-integer exponent in tau"):
+            pj.s_kernel_pair(amb, mono, defect, 2)
+    assert amb._memo == {}
+
+
+def test_s_kernels_refuse_a_negative_defect():
+    amb = pj.Ambient(3, 3)
+    # a planted memo entry: the defect is refused before the memo is read
+    amb._memo[("S", (0, 0, 1, 1), -1)] = ((pj.UNIT, pj.ONE),)
+    for mono in ((0, 0, 1, 1), pj.UNIT):
+        for numerator in (2, 3):
+            with pytest.raises(ValueError, match="negative defect -1 in an S-kernel"):
+                pj.s_kernel_pair(amb, mono, -1, numerator)
+    with pytest.raises(ValueError, match="negative defect -4"):
+        pj.s_kernel_pair(amb, pj.UNIT, -4, 2)
 
 
 def test_s_kernels_refuse_monomials_outside_their_domain():
@@ -928,15 +991,49 @@ def test_unit_transfers_match_the_old_witness_route():
              for b in range(-(p + q + 3), p + q + 4) for k in range(p + q)]
     ambs = {}
     for p, q, a, b, k in cases[::97]:
-        new, old = ambs.setdefault((p, q), (pj.Ambient(p, q), pj.Ambient(p, q)))
-        assert pj._unit_tau(new, a, b, k).terms == \
-            _old_witness_tau(old, a, b, k).terms, (p, q, a, b, k)
+        if (p, q) not in ambs:
+            ambs[p, q] = tuple(pj.Ambient(p, q) for _ in range(3))
+        new, old, ref = ambs[p, q]
+        got = pj._unit_tau(new, a, b, k).terms
+        assert got == _old_witness_tau(old, a, b, k).terms, (p, q, a, b, k)
+        assert got == _reference_unit_tau(ref, a, b, k).terms, (p, q, a, b, k)
     assert len(ambs) == 195
     # old witnesses (36,0,24,0) on (32, 64) and (33,0,21,0) on (44, 48)
     for (p, q), (b, k) in (((32, 64), (-12, 24)), ((44, 48), (-12, 21))):
         for a in (-4, 0, 6):
-            assert pj._unit_tau(pj.Ambient(p, q), a, b, k).terms == \
-                _old_witness_tau(pj.Ambient(p, q), a, b, k).terms, (p, q, a)
+            got = pj._unit_tau(pj.Ambient(p, q), a, b, k).terms
+            assert got == _old_witness_tau(pj.Ambient(p, q), a, b, k).terms, (p, q, a)
+            assert got == _reference_unit_tau(pj.Ambient(p, q), a, b, k).terms, (p, q, a)
+
+
+def test_unit_builds_skip_the_outside_input_route(monkeypatch):
+    """Unit transfers and S-kernels are built from their formulas: no
+    from_mono, no scale_point."""
+    def refuse(*args):
+        raise AssertionError("outside-input route")
+
+    monkeypatch.setattr(pj.ProjClass, "from_mono", classmethod(refuse))
+    monkeypatch.setattr(pj.ProjClass, "scale_point", refuse)
+    amb = pj.Ambient(3, 4)
+    pj.proj_tau(amb, {(2, -1, 3): 5, (0, 4, 6): 1})
+    for mono, defect in ((pj.UNIT, 1), (pj.MONO_ZETA1, 1), ((0, -1, 1, 4), 2),
+                         ((-2, 0, 3, 0), 3), ((0, 0, 2, 2), 1)):
+        pj.s_kernel_pair(amb, mono, defect, 2)
+    assert sum(k[0] == "S" for k in amb._memo) == 5
+
+
+@pytest.mark.parametrize("bad", [(1, 1, 0, 0), (0, 0, 2, 2), (2, 0, 1, 0)])
+def test_unit_transfers_refuse_a_witness_that_is_not_normal(monkeypatch, bad):
+    """A basis that hands out a monomial the reducer rewrites (xi, zero,
+    or xi c_xw + e^2 zeta0) is a KernelError, not a wrong transfer."""
+    monkeypatch.setattr(pj, "_basis_iter", lambda p, q, m: iter([bad] * (p + q)))
+    with pytest.raises(pj.KernelError, match="witness .* is not normal"):
+        pj._unit_tau(pj.Ambient(2, 2), 0, 0, 1)
+    # through the memo, and through the transfer part of an S-kernel
+    with pytest.raises(pj.KernelError, match="witness .* is not normal"):
+        pj.proj_tau(pj.Ambient(2, 2), {(0, 0, 1): 1})
+    with pytest.raises(pj.KernelError, match="witness .* is not normal"):
+        pj.class_Q(pj.Ambient(2, 2))
 
 
 @seed(20261)
@@ -1001,6 +1098,40 @@ def test_linear_combination_matches_chained_sums():
     assert pj.linear_combination(amb, [(0, x)]).is_zero()
     with pytest.raises(ValueError, match="ambient mismatch"):
         pj.linear_combination(amb, [(1, x), (1, pj.gen_cw(pj.ambient(2, 3)))])
+
+
+def test_sums_with_an_empty_operand_match_linear_combination():
+    rng = random.Random(5075)
+    amb = pj.ambient(3, 2)
+    zero = pj.ProjClass.zero(amb)
+    for x in _random_classes(amb, rng, 20) + [zero]:
+        for got, pairs in ((x + zero, [(1, x), (1, zero)]),
+                           (zero + x, [(1, zero), (1, x)]),
+                           (x - zero, [(1, x), (-1, zero)]),
+                           (zero - x, [(1, zero), (-1, x)])):
+            want = pj.linear_combination(amb, pairs)
+            assert got == want and got.terms == want.terms, (x, pairs)
+    x = pj.gen_cw(amb)
+    for other in (pj.ProjClass.zero(pj.ambient(2, 3)),
+                  pj.ProjClass.zero(vf._PerturbedAmbient(3, 2))):
+        for a, b in ((x, other), (other, x), (zero, other), (other, zero)):
+            with pytest.raises(ValueError, match="ambient mismatch"):
+                a + b
+            with pytest.raises(ValueError, match="ambient mismatch"):
+                a - b
+
+
+@pytest.mark.parametrize("bad", [{("zz", 1): 1}, ((("g", 1), 1),), ((("xi", 0), 1),)])
+def test_public_entry_points_refuse_unknown_point_symbols(bad):
+    amb = pj.Ambient(2, 2)
+    with pytest.raises(ValueError, match="not a point symbol"):
+        pj.ProjClass.from_mono(amb, (0, 0, 1, 0), bad)
+    with pytest.raises(ValueError, match="not a point symbol"):
+        pj.gen_cw(amb).scale_point(bad)
+    with pytest.raises(ValueError, match="not a point symbol"):
+        pj.ProjClass.from_point(amb, bad)
+    with pytest.raises(ValueError, match="not a point symbol"):
+        pt.p_normalize(bad)
 
 
 def test_from_mono_normalizes_pair_coefficients():
