@@ -260,12 +260,14 @@ def _mul_sym(a: Sym, b: Sym):
     raise AssertionError(f"unhandled symbol product {a} * {b}")
 
 
-# (a, b) -> the product of two symbols as _mul_sym gives it, in normal form
+# (a, b) -> the product of two symbols as _mul_sym gives it, in normal
+# form, as the shared object for its value: p_mul of two single symbols
+# whose coefficients multiply to 1 returns that object itself
 _PRODUCTS: dict = {}
 
 
 def _product_entry(a: Sym, b: Sym) -> Coeff:
-    return cache_insert(_PRODUCTS, (a, b), p_normalize(_mul_sym(a, b)))
+    return cache_insert(_PRODUCTS, (a, b), p_shared(p_normalize(_mul_sym(a, b))))
 
 
 def p_mul(a: Coeff, b: Coeff) -> Coeff:

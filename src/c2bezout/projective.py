@@ -105,9 +105,22 @@ class Ambient:
     idempotent (the value for a key is deterministic), so no locking is
     needed around the dicts.  Two spaces of the same type and (p, q) are
     equal, so classes on them compare and combine.
+
+    Behind each space's reduction cache sits one table of the ring class,
+    `_shared_reduce`, which every space of the class reads on a miss of
+    its own; each subclass (another ring) gets a table of its own.  It
+    is keyed by `_ring_key(m)`, the monomial with (p, q) clipped to its
+    c-degree, and bounded like every cache by `point.cache_insert`.
     """
 
     TENSOR_E2 = 1   # the coefficient of e^2 in the tensor relation
+
+    # ring key -> reduction-cache entry, for every space of this class
+    _shared_reduce: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._shared_reduce = {}
 
     def __init__(self, p: int, q: int):
         _check_space(p, q)
@@ -167,9 +180,11 @@ class Ambient:
         zeta1^-k only with c_xw^q.  Any other is a ValueError."""
         cache = self._reduce
         cached = cache.get(m)
+        if cached is None:
+            self._check_domain(m)
+            cached = self._shared_entry(m)
         if cached is not None:
             return ((m, ONE),) if cached is _NORMAL else cached
-        self._check_domain(m)
         # most misses are one rewrite step: m is normal, vanishes, or its
         # rule leads only to cached monomials
         rule = self._rewrite(m)
@@ -184,11 +199,46 @@ class Ambient:
         """Refuse a monomial outside the ring with a ValueError: a
         negative c exponent, or a negative zeta0 (zeta1) exponent without
         c_w^p (c_xw^q).  With saturating = k, the zeta test reads m times
-        c_w^k c_xw^k, the c powers that the kernel S_k adds."""
+        c_w^k c_xw^k, the c powers that the kernel S_k adds.  A
+        non-integer exponent is a ValueError too, raised before a cache
+        sees the monomial."""
         z0, z1, cw, ccw = m
+        if (type(z0) is not int or type(z1) is not int or type(cw) is not int
+                or type(ccw) is not int):
+            raise ValueError(f"non-integer exponent in monomial {m}")
         if (cw < 0 or ccw < 0 or (z0 < 0 and cw + saturating < self.p)
                 or (z1 < 0 and ccw + saturating < self.q)):
             raise ValueError(f"monomial {m} lies outside the ring of {self!r}")
+
+    def _ring_key(self, m: Mono) -> tuple:
+        """The key of m in the ring's shared table: (m, min(p, c + 1),
+        min(q, c + 1)) for the c-degree c = cw + ccw of m.
+
+        It is sound because no rule of `_rewrite` raises cw + ccw (a peel
+        and the zeta0^2 c_w rule move one c power or drop it, the zeta
+        rules keep both), so every monomial on m's rewrite DAG has cw and
+        ccw at most c.  Each comparison of such an exponent with p or q
+        then answers the same on (p, q) as on the clipped space: in the
+        rules, in `is_normal_mono`, in `_measure` and in `_check_domain`.
+        So both spaces rewrite m along the same DAG with the same
+        coefficients, and give it the same normal form."""
+        c = m[2] + m[3] + 1
+        p, q = self.p, self.q
+        return (m, p if p < c else c, q if q < c else c)
+
+    def _shared_entry(self, m: Mono):
+        """The ring's shared entry for m, copied into this space's cache
+        (the same object, so only a dict slot is added), or None."""
+        entry = self._shared_reduce.get(self._ring_key(m))
+        if entry is not None:
+            pt.cache_insert(self._reduce, m, entry)
+        return entry
+
+    def _store(self, m: Mono, entry):
+        """Cache the reduction entry of m, in the ring's shared table and
+        in this space's cache."""
+        pt.cache_insert(self._shared_reduce, self._ring_key(m), entry)
+        return pt.cache_insert(self._reduce, m, entry)
 
     def _settle(self, m: Mono, rule, children) -> tuple:
         """Cache and return the normal form of m, from its rule and the
@@ -196,7 +246,7 @@ class Ambient:
         if rule is None:
             out = ((m, ONE),)
             self._check_degrees(m, out)
-            pt.cache_insert(self._reduce, m, _NORMAL)
+            self._store(m, _NORMAL)
             return out
         acc: dict = {}
         for (child, coeff), terms in zip(rule, children):
@@ -205,14 +255,15 @@ class Ambient:
             _add_scaled(acc, terms, coeff)
         out = _freeze_terms(acc)
         self._check_degrees(m, out)
-        return pt.cache_insert(self._reduce, m, out)
+        return self._store(m, out)
 
     def _reduce_walk(self, root: Mono, rule) -> tuple:
         """Normal form of a monomial missing from the cache, given its
         rule.
 
         Walks the rewrite DAG below root with an explicit stack, stopping
-        at cached and normal monomials; a monomial met again on its own
+        at monomials in this space's cache or the ring's shared table, and
+        at normal ones; a monomial met again on its own
         rewrite path, or a path longer than `_measure(root)`, is a
         KernelError.
         Terms read from the cache are kept in `known`, so a concurrent
@@ -238,6 +289,8 @@ class Ambient:
                 if child in known:
                     continue
                 terms = cache.get(child)
+                if terms is None:
+                    terms = self._shared_entry(child)
                 if terms is not None:
                     known[child] = ((child, ONE),) if terms is _NORMAL else terms
                     continue
@@ -275,7 +328,7 @@ class Ambient:
                     weight[child] = c if cur is None else pt.p_add(cur, c)
         out = _freeze_terms(acc)
         self._check_degrees(root, out)
-        return pt.cache_insert(cache, root, out)
+        return self._store(root, out)
 
     def _check_degrees(self, m: Mono, out: tuple) -> None:
         """Every rewrite is degree-honest; check each stored normal form."""
@@ -439,7 +492,10 @@ class ProjClass:
     @classmethod
     def from_mono(cls, amb: Ambient, m: Mono, coeff=1) -> "ProjClass":
         """coeff * m for an int coeff or a point element in any form
-        `point.p_normalize` reads."""
+        `point.p_normalize` reads (a dict or pairs); a coefficient that is
+        neither, such as a float, is a ValueError."""
+        if not isinstance(coeff, int) and not hasattr(coeff, "__iter__"):
+            raise ValueError(f"coefficient {coeff!r} is neither an int nor a point element")
         out = cls(amb, amb.reduce_mono(m))
         return out.scale(coeff) if isinstance(coeff, int) else out.scale_point(coeff)
 
@@ -715,6 +771,9 @@ def s_kernel_pair(amb: Ambient, mono: Mono, defect: int, numerator: int) -> tupl
     a saturated power), and the unit kernel mono * S_k is memoised per
     ambient.  A class is linear_combination(amb, [s_kernel_pair(...)]).
     """
+    if type(defect) is not int or type(numerator) is not int:
+        raise ValueError(f"non-integer defect {defect!r} or numerator "
+                         f"{numerator!r} in an S-kernel")
     if defect < 0:
         raise ValueError(f"negative defect {defect} in an S-kernel")
     if defect == 0:

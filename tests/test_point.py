@@ -181,6 +181,17 @@ def test_shared_elements_are_one_object_per_value():
     assert pt.p_shared(pt.p_add(x, pt.p_int(1))) != x
 
 
+def test_single_symbol_products_are_the_shared_objects():
+    """A product of two single symbols whose coefficients multiply to 1
+    is the shared object for its value, not a copy of it."""
+    assert pt.p_mul(xi(1), xi(2)) is pt.p_shared(xi(3))
+    assert pt.p_mul(xi(1, -1), xi(4, -1)) is pt.p_shared(xi(5))
+    assert pt.p_mul(pt.p_sym(pt.S_G), pt.p_sym(pt.S_G)) is pt.p_shared(pt.p_sym(pt.S_G, 2))
+    assert pt.p_mul(pt.p_sym(("e", 3)), eik(1)) is pt.p_shared(pt.p_sym(("e", 2), 2))
+    # any other coefficient scales the shared entry into a new element
+    assert pt.p_mul(xi(1, 3), xi(2)) == xi(3, 3)
+
+
 def test_every_constructor_and_operation_returns_the_canonical_form():
     x = pt.p_add(pt.p_kappa(), xi(2, 3))
     y = pt.p_add(G, e(1, 5))

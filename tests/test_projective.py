@@ -5,6 +5,8 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -22,6 +24,24 @@ from c2bezout.grading import GradingError, PiBDegree
 @pytest.fixture
 def a22():
     return pj.ambient(2, 2)
+
+
+@pytest.fixture
+def fresh_reductions(monkeypatch):
+    """Empty shared reduction tables for both ring classes during the
+    test, and the old ones after it: a fresh or patched reducer then reads
+    no entry that another test left, and leaves none behind."""
+    for cls in (pj.Ambient, vf._PerturbedAmbient):
+        # only a table the class owns: one read through its parent stays so
+        if "_shared_reduce" in vars(cls):
+            monkeypatch.setattr(cls, "_shared_reduce", {})
+
+
+def _alone(amb):
+    """amb with a shared reduction table of its own, so it reads no
+    reduction that another ambient made."""
+    amb._shared_reduce = {}
+    return amb
 
 
 def xi_cls(amb, n=1):
@@ -238,6 +258,46 @@ def test_ring_domain_is_what_reduces():
                 pj.ProjClass.from_mono(amb, m)
 
 
+def test_non_integer_exponents_are_refused_before_any_cache(fresh_reductions):
+    """A float or bool exponent is a ValueError on the miss path, and
+    leaves no entry in the space's cache or the ring's table: a float
+    twin of an int monomial hashes like it, so its float terms would be
+    read back by the int call, on every space that shares the key."""
+    amb = pj.Ambient(3, 3)
+    for m in ((0, 1.0, 0, 1), (0, 0, 0.5, 0), (True, 0, 0, 0), (0, 0, 1, 2.0)):
+        with pytest.raises(ValueError, match=r"non-integer exponent in monomial"):
+            amb.reduce_mono(m)
+        with pytest.raises(ValueError, match=r"non-integer exponent in monomial"):
+            pj.ProjClass.from_mono(amb, m)
+    with pytest.raises(ValueError, match=r"non-integer exponent in monomial"):
+        pj.divided(amb, 1.5, 0)
+    assert amb._reduce == {} and pj.Ambient._shared_reduce == {}
+    for m in ((0, 1, 0, 1), (0, 0, 0, 0), (1, 0, 0, 0)):
+        terms = amb.reduce_mono(m)
+        assert terms and all(type(x) is int for mono, _ in terms for x in mono)
+        assert pj.Ambient(3, 4).reduce_mono(m) == terms
+
+
+@pytest.mark.parametrize("coeff", [1.5, 2.0, Fraction(1, 2), Decimal(3), 1j])
+def test_from_mono_refuses_a_number_that_is_not_an_int(coeff):
+    amb = pj.Ambient(2, 2)
+    with pytest.raises(ValueError, match="neither an int nor a point element"):
+        pj.ProjClass.from_mono(amb, pj.MONO_CW, coeff)
+    assert amb._reduce == {}
+
+
+def test_s_kernels_refuse_a_non_integer_numerator_or_defect():
+    """Before the memo is read: a float numerator made (1.0, unit)."""
+    amb = pj.Ambient(3, 3)
+    for defect, numerator in ((1, 2.0), (0, 3.0), (1.0, 2), (2, True),
+                              (False, 2), (1, Fraction(2))):
+        for mono in (pj.UNIT, (0, 0, 1, 1)):
+            with pytest.raises(ValueError,
+                               match=r"non-integer defect .* or numerator .* in an S-kernel"):
+                pj.s_kernel_pair(amb, mono, defect, numerator)
+    assert amb._memo == {} and amb._reduce == {}
+
+
 def _raw_mono(p, q, z0, z1, cw, ccw, sat0, sat1):
     """A legal raw monomial: negative zeta exponents must ride a
     saturated power of the matching Euler generator."""
@@ -294,12 +354,13 @@ def test_random_monomial_products_associate(p, q, data):
 def _reference_reduce(amb, m, memo):
     """The recursive rewrite system, rule for rule and in the same order,
     memoising every intermediate normal form as {mono: point element}: an
-    independent reference for the kernel's iterative reducer."""
+    independent reference for the kernel's iterative reducer, on the ring
+    whose tensor relation has the space's e^2 coefficient."""
     if m in memo:
         return memo[m]
     z0, z1, cw, ccw = m
     p, q = amb.p, amb.q
-    e2, omk = pt.p_sym(("e", 2)), pt.p_one_minus_kappa()
+    e2, omk = pt.p_sym(("e", 2), amb.TENSOR_E2), pt.p_one_minus_kappa()
     if cw >= p and ccw >= q:
         rule = []
     elif z0 > 0 and z1 > 0:
@@ -338,7 +399,7 @@ def test_saturated_powers_in_the_hundreds_reduce():
     assert pj.ProjClass.from_mono(amb, (0, 0, 0, 405)) == pj.gen_cxw(amb) ** 405
 
 
-def test_reducer_matches_recursive_reference():
+def test_reducer_matches_recursive_reference(fresh_reductions):
     rng = random.Random(20231)
     regimes = set()
     for _ in range(300):
@@ -356,6 +417,85 @@ def test_reducer_matches_recursive_reference():
             # reduction, and only the root of a large one
             regimes.add(len(amb._reduce) > 1)
     assert regimes == {False, True}
+
+
+def _spaces_near_keys(rng, p, q, c):
+    """(p, q), then spaces whose clipped key for a monomial of c-degree c
+    is that of (p, q) (a dimension above c may be any other above c),
+    then spaces on the other side of the clip, whose keys differ."""
+    def others(n):
+        return [n] if n <= c else [n, c + 1, c + 1 + rng.randint(0, 6), 60]
+    same = [(a, b) for a in others(p) for b in others(q) if a + b]
+    other = [(a, b) for a, b in ((c, q), (p, c), (c + 1, q), (p, c + 1))
+             if a + b and (a, b) not in same]
+    return same, other
+
+
+def test_spaces_share_reductions_by_clipped_key(fresh_reductions):
+    """Seeded monomials, raw, saturated and divided, each reduced on
+    fresh spaces that share its clipped key, all but the first through
+    the ring's table, and on spaces just across the clip: every normal
+    form is the recursive reference's on its own space."""
+    rng = random.Random(20243)
+    shapes, hits = set(), 0
+    for _ in range(250):
+        p, q = rng.randint(0, 6), rng.randint(0, 6)
+        if p + q == 0:
+            continue
+        shape = rng.choice(("raw", "saturated", "divided"))
+        z0, z1 = rng.randint(-4, 4), rng.randint(-4, 4)
+        cw, ccw = rng.randint(0, 6), rng.randint(0, 6)
+        if shape == "raw":
+            mono = _raw_mono(p, q, max(z0, 0), max(z1, 0), cw, ccw, False, False)
+        elif shape == "saturated":
+            # past c_w^p, and sometimes c_xw^q too: peels, or zero
+            mono = _raw_mono(p, q, z0, z1, p + cw, ccw, True, rng.random() < 0.3)
+        else:
+            k = abs(z0) + 1
+            mono = (-k, 0, p + cw, ccw) if z1 % 2 else (0, -k, cw, q + ccw)
+        c = mono[2] + mono[3]
+        same, other = _spaces_near_keys(rng, p, q, c)
+        for i, (a, b) in enumerate(same + other):
+            amb = pj.Ambient(a, b)
+            key = amb._ring_key(mono)
+            assert key == (mono, min(a, c + 1), min(b, c + 1))
+            # the first space leaves the normal form for the others
+            hit = key in pj.Ambient._shared_reduce
+            assert hit or i == 0 or i >= len(same), (a, b, mono)
+            try:
+                got = dict(amb.reduce_mono(mono))
+            except ValueError:   # a divided monomial outside a neighbour's ring
+                assert i >= len(same) and min(mono[:2]) < 0
+                continue
+            assert got == _reference_reduce(amb, mono, {}), (a, b, mono)
+            hits += hit and i < len(same)
+            if hit:
+                shapes.add(shape)
+    assert shapes == {"raw", "saturated", "divided"}
+    assert hits > 100
+
+
+def test_perturbed_ring_keeps_its_own_reductions(fresh_reductions):
+    """The perturbed ring reads only its own table: after a real space of
+    the same (p, q) has reduced a monomial, a perturbed space still gives
+    the perturbed ring's normal form, and after that a fresh real space
+    still gives the real one."""
+    assert vf._PerturbedAmbient._shared_reduce is not pj.Ambient._shared_reduce
+    rng = random.Random(20244)
+    differ = 0
+    for _ in range(60):
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        mono = _raw_mono(p, q, rng.randint(-2, 3), rng.randint(-2, 3),
+                         rng.randint(0, 6), rng.randint(0, 6), False, False)
+        real = pj.Ambient(p, q).reduce_mono(mono)
+        bad = vf._PerturbedAmbient(p, q)
+        assert bad._ring_key(mono) in pj.Ambient._shared_reduce
+        got = bad.reduce_mono(mono)
+        assert dict(got) == _reference_reduce(bad, mono, {}), (p, q, mono)
+        again = pj.Ambient(p, q)
+        assert dict(again.reduce_mono(mono)) == _reference_reduce(again, mono, {})
+        differ += got != real
+    assert differ > 10
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,7 +553,7 @@ def test_degrees_of_an_inhomogeneous_class():
 
 
 @pytest.mark.parametrize("k", [72, 73, 74, 150, 200])
-def test_long_zeta0_chains_reduce(k):
+def test_long_zeta0_chains_reduce(k, fresh_reductions):
     """zeta0^(k+2) c_w^k on P(C^(k+1) + C^(k+1) sigma): a rewrite path
     from a large root down to small monomials.  From k = 73 on (k = 73 is
     Ambient(74, 74) and (75, 0, 73, 0)), this tripped a depth guard that
@@ -463,10 +603,11 @@ def test_one_step_reductions_match_the_walker(p, q, draws):
     """reduce_mono settles a miss of one rewrite step itself and leaves
     the rest to _reduce_walk: on two fresh ambients fed the same
     monomials, it gives what the walker alone gives, and caches the same
-    normal forms."""
+    normal forms.  Each has a shared table of its own, empty at every
+    example, so neither stops at a reduction the other made."""
     if p + q == 0:
         return
-    fast, walked = pj.Ambient(p, q), pj.Ambient(p, q)
+    fast, walked = _alone(pj.Ambient(p, q)), _alone(pj.Ambient(p, q))
 
     def walk(m):
         cached = walked._reduce.get(m)
@@ -500,7 +641,7 @@ def test_every_rewrite_lowers_the_path_measure(p, q, z0, z1, cw, ccw, chain):
         assert 0 <= amb._measure(child) < amb._measure(m), (p, q, m, child)
 
 
-def test_faulty_rules_raise_instead_of_looping():
+def test_faulty_rules_raise_instead_of_looping(fresh_reductions):
     amb = pj.Ambient(2, 2)
     amb._rewrite = lambda m: ((m, pj.ONE),)                   # a self-loop
     with pytest.raises(pj.KernelError, match="did not terminate"):
@@ -526,21 +667,38 @@ _THREADED_SCRIPT = textwrap.dedent("""
     from c2bezout import projective as pj
 
     assert pt.CACHE_LIMIT == 64
-    p, q = 6, 5
-    monos = [(z0, z1, cw, ccw) for z0 in (-3, 0, 2, 7) for z1 in (0, 1, 5)
+    # spaces whose clipped keys coincide on the monomials of small
+    # c-degree, so the threads also read each other's reductions
+    spaces = [(6, 5), (6, 7), (7, 5), (30, 30), (25, 40)]
+    monos = [(a, b, (z0, z1, cw, ccw)) for a, b in spaces
+             for z0 in (-3, 0, 2, 7) for z1 in (0, 1, 5)
              for cw in (0, 3, 6, 20) for ccw in (0, 2, 5, 15)
-             if z0 >= 0 or cw >= p]
-    want = {m: pj.Ambient(p, q).reduce_mono(m) for m in monos}
-    shared = pj.Ambient(p, q)
+             if z0 >= 0 or cw >= a]
+    want = {}
+    for a, b, m in monos:
+        alone = pj.Ambient(a, b)
+        alone._shared_reduce = {}   # no entry from another space
+        want[a, b, m] = alone.reduce_mono(m)
+    shared = {(a, b): pj.Ambient(a, b) for a, b in spaces}
     errors = []
+    hits = []
+    read = pj.Ambient._shared_entry
+
+    def counted(self, m):
+        entry = read(self, m)
+        if entry is not None:
+            hits.append(m)
+        return entry
+
+    pj.Ambient._shared_entry = counted
 
     def work(k):
         try:
             for r in range(3):
                 order = monos[k * 7 % len(monos):] + monos[:k * 7 % len(monos)]
-                for m in order[::1 if (k + r) % 2 else -1]:
-                    if shared.reduce_mono(m) != want[m]:
-                        errors.append(("differs", k, m))
+                for a, b, m in order[::1 if (k + r) % 2 else -1]:
+                    if shared[a, b].reduce_mono(m) != want[a, b, m]:
+                        errors.append(("differs", k, a, b, m))
         except BaseException as exc:
             errors.append((type(exc).__name__, k, str(exc)))
 
@@ -556,13 +714,19 @@ _THREADED_SCRIPT = textwrap.dedent("""
     finally:
         sys.setswitchinterval(old)
     assert not errors, errors[:5]
+    assert len(hits) > 100, len(hits)
+    sizes = [len(pj.Ambient._shared_reduce)]
+    sizes += [len(amb._reduce) for amb in shared.values()]
+    assert max(sizes) <= 64, sizes
     print(len(monos))
 """)
 
 
 def test_threads_share_one_ambient_under_a_tiny_cache():
     """README: classes and caches may be used from several threads.  With
-    64-entry caches every reduction races against clears."""
+    64-entry caches every reduction races against clears, of its space's
+    cache and of the ring's shared table, which the threads read across
+    spaces."""
     env = dict(os.environ, C2BEZOUT_CACHE_SIZE="64")
     out = subprocess.run([sys.executable, "-c", _THREADED_SCRIPT],
                          env=env, capture_output=True, text=True, timeout=300)
@@ -882,10 +1046,11 @@ def test_transfers_refuse_non_integer_exponents():
     for mono in ((0, 0.5, 1), (2, 1.5, 1), (0.0, 0, 1), (0, 0, True)):
         with pytest.raises(ValueError, match="non-integer exponent in tau"):
             pj.proj_tau(amb, {mono: 1})
-    # such exponents reach the transfer of an S-kernel too
-    for mono, defect in (((0, 0, 1.0, 0), 1), ((0, 0, 1, 0), 1.5)):
-        with pytest.raises(ValueError, match="non-integer exponent in tau"):
-            pj.s_kernel_pair(amb, mono, defect, 2)
+    # an S-kernel refuses such a monomial or defect before its transfer
+    with pytest.raises(ValueError, match="non-integer exponent in monomial"):
+        pj.s_kernel_pair(amb, (0, 0, 1.0, 0), 1, 2)
+    with pytest.raises(ValueError, match="non-integer defect 1.5"):
+        pj.s_kernel_pair(amb, (0, 0, 1, 0), 1.5, 2)
     assert amb._memo == {}
 
 
@@ -980,7 +1145,7 @@ def test_caches_share_coefficients_and_mark_normal_monomials():
     assert spaces >= 40 and normal > 500 and one_step > 100 and transfers > 100
 
 
-def test_unit_transfers_match_the_old_witness_route():
+def test_unit_transfers_match_the_old_witness_route(fresh_reductions):
     """_unit_tau on basis witnesses against the old witness route, on
     fresh ambients: a stride through p, q <= 13, a in {-6,-2,0,2,4,8},
     |b| <= p + q + 3 and k < p + q (divided witnesses included), and the
@@ -1048,7 +1213,7 @@ def test_basis_iter_lists_one_monomial_per_c_degree(p, m, data):
     assert mono == pj.Ambient(p, q).basis(m)[k]
 
 
-def test_large_unit_transfer_needs_no_walk_and_no_basis():
+def test_large_unit_transfer_needs_no_walk_and_no_basis(fresh_reductions):
     """tau(zeta^-12 c^24) on (32, 64) took a 257-node walk on the old
     witness; on its basis witness it takes none, and caches no basis."""
     def no_walk(m, rule):
@@ -1059,7 +1224,8 @@ def test_large_unit_transfer_needs_no_walk_and_no_basis():
     got = pj.proj_tau(amb, {(0, -12, 24): 1})
     assert amb._basis == {}
     assert got.terms == _old_witness_tau(pj.Ambient(32, 64), 0, -12, 24).terms
-    old = pj.Ambient(32, 64)
+    # the old route again, on a space that cannot read the walk just made
+    old = _alone(pj.Ambient(32, 64))
     old._reduce_walk = no_walk
     with pytest.raises(AssertionError, match="walked"):
         _old_witness_tau(old, 0, -12, 24)
