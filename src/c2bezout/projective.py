@@ -106,21 +106,27 @@ class Ambient:
     needed around the dicts.  Two spaces of the same type and (p, q) are
     equal, so classes on them compare and combine.
 
-    Behind each space's reduction cache sits one table of the ring class,
-    `_shared_reduce`, which every space of the class reads on a miss of
-    its own; each subclass (another ring) gets a table of its own.  It
-    is keyed by `_ring_key(m)`, the monomial with (p, q) clipped to its
-    c-degree, and bounded like every cache by `point.cache_insert`.
+    Behind a space's reduction cache and its memo of unit transfers and
+    unit S-kernels sits one table of the ring class, `_ring_table`, which
+    every space of the class reads on a miss of its own; each subclass
+    (another ring) gets a table of its own.  An entry is keyed by
+    `_ring_key`: its cache key with (p, q) clipped to the largest
+    c-degree its build reads, so spaces that differ only above it share
+    it.  A reduction is keyed by its monomial, a unit by its memo key,
+    which leads with "tau" or "S", so the two kinds never collide.  The
+    memo entries of `class_chi_Q` and of Schubert classes stay with their
+    space.  Like every cache, the table is bounded by `point.cache_insert`.
     """
 
     TENSOR_E2 = 1   # the coefficient of e^2 in the tensor relation
 
-    # ring key -> reduction-cache entry, for every space of this class
-    _shared_reduce: dict = {}
+    # ring key -> reduction-cache entry or unit terms, for every space of
+    # this class
+    _ring_table: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._shared_reduce = {}
+        cls._ring_table = {}
 
     def __init__(self, p: int, q: int):
         _check_space(p, q)
@@ -142,11 +148,20 @@ class Ambient:
     def __hash__(self) -> int:
         return hash((self.__class__, self.p, self.q))
 
-    def memo(self, key, build) -> "ProjClass":
-        """The class memoised under key, made by build() on a miss."""
+    def memo(self, key, build, c: int | None = None) -> "ProjClass":
+        """The class memoised under key, made by build() on a miss.  Given
+        the largest c-degree c that build reads, a miss reads the ring's
+        shared table first, and a build is stored there too."""
         terms = self._memo.get(key)
         if terms is None:
-            terms = pt.cache_insert(self._memo, key, build().terms)
+            if c is None:
+                terms = build().terms
+            else:
+                ring_key = self._ring_key(key, c)
+                terms = self._ring_table.get(ring_key)
+                if terms is None:
+                    terms = pt.cache_insert(self._ring_table, ring_key, build().terms)
+            pt.cache_insert(self._memo, key, terms)
         return ProjClass(self, terms)
 
     # -- normal monomial predicate ---------------------------------------
@@ -177,7 +192,10 @@ class Ambient:
     def reduce_mono(self, m: Mono) -> tuple:
         """Basis coordinates ((normal_mono, coeff), ...) of a raw monomial
         of the ring: c exponents >= 0, zeta0^-k only with c_w^p and
-        zeta1^-k only with c_xw^q.  Any other is a ValueError."""
+        zeta1^-k only with c_xw^q.  Any other is a ValueError, and so is
+        a non-integer exponent, on a hit too: a float twin of a cached
+        monomial would be read back with the float in its normal form."""
+        _check_exponents(m)
         cache = self._reduce
         cached = cache.get(m)
         if cached is None:
@@ -210,26 +228,35 @@ class Ambient:
                 or (z1 < 0 and ccw + saturating < self.q)):
             raise ValueError(f"monomial {m} lies outside the ring of {self!r}")
 
-    def _ring_key(self, m: Mono) -> tuple:
-        """The key of m in the ring's shared table: (m, min(p, c + 1),
-        min(q, c + 1)) for the c-degree c = cw + ccw of m.
+    def _ring_key(self, key, c: int) -> tuple:
+        """The key in the ring's shared table of the cache entry under key
+        whose build reads no c-degree above c: (key, min(p, c + 1),
+        min(q, c + 1)).
 
-        It is sound because no rule of `_rewrite` raises cw + ccw (a peel
-        and the zeta0^2 c_w rule move one c power or drop it, the zeta
-        rules keep both), so every monomial on m's rewrite DAG has cw and
-        ccw at most c.  Each comparison of such an exponent with p or q
-        then answers the same on (p, q) as on the clipped space: in the
-        rules, in `is_normal_mono`, in `_measure` and in `_check_domain`.
-        So both spaces rewrite m along the same DAG with the same
-        coefficients, and give it the same normal form."""
-        c = m[2] + m[3] + 1
+        Each comparison of a c exponent of at most c with p or q answers
+        the same on (p, q) as on the clipped space, so a build that makes
+        only such comparisons gives the same terms on both:
+        - a reduction of a monomial m, keyed by m with c = cw + ccw: no
+          rule of `_rewrite` raises cw + ccw (a peel and the zeta0^2 c_w
+          rule move one c power or drop it, the zeta rules keep both), so
+          every monomial on m's rewrite DAG has cw and ccw at most c, in
+          the rules, in `is_normal_mono`, in `_measure` and in
+          `_check_domain`;
+        - a unit transfer ("tau", a, b, k) with c = k: its witness is the
+          k-th basis monomial, and the first k + 1 monomials of a basis
+          read only whether p and q are above k, and its check is the
+          reduction of that witness, of c-degree k;
+        - a unit S-kernel ("S", mono, k) with c = cw + ccw + 2k: that is
+          its kappa monomial, the domain check compares cw + k and ccw + k,
+          and its transfer part has c-degree cw + ccw + k."""
+        c += 1
         p, q = self.p, self.q
-        return (m, p if p < c else c, q if q < c else c)
+        return (key, p if p < c else c, q if q < c else c)
 
     def _shared_entry(self, m: Mono):
         """The ring's shared entry for m, copied into this space's cache
         (the same object, so only a dict slot is added), or None."""
-        entry = self._shared_reduce.get(self._ring_key(m))
+        entry = self._ring_table.get(self._ring_key(m, m[2] + m[3]))
         if entry is not None:
             pt.cache_insert(self._reduce, m, entry)
         return entry
@@ -237,7 +264,7 @@ class Ambient:
     def _store(self, m: Mono, entry):
         """Cache the reduction entry of m, in the ring's shared table and
         in this space's cache."""
-        pt.cache_insert(self._shared_reduce, self._ring_key(m), entry)
+        pt.cache_insert(self._ring_table, self._ring_key(m, m[2] + m[3]), entry)
         return pt.cache_insert(self._reduce, m, entry)
 
     def _settle(self, m: Mono, rule, children) -> tuple:
@@ -445,6 +472,15 @@ def _freeze_terms(acc: dict) -> tuple:
     out = [(mono, c) for mono, c in acc.items() if c]
     out.sort()
     return tuple(out)
+
+
+def _check_exponents(m: Mono) -> None:
+    """Refuse a monomial with a non-integer exponent, before any cache
+    reads it: a float or bool hashes like the int it equals."""
+    z0, z1, cw, ccw = m
+    if (type(z0) is not int or type(z1) is not int or type(cw) is not int
+            or type(ccw) is not int):
+        raise ValueError(f"non-integer exponent in monomial {m}")
 
 
 def _check_space(p, q) -> None:
@@ -700,7 +736,8 @@ def proj_tau(amb: Ambient, x: LTerms, target: PiBDegree | None = None) -> ProjCl
     Each monomial iota^a zeta^b c^k determines its own target degree; the
     optional argument is checked against it.  Odd iota exponents lie
     outside the supported subring.  The transfer of each monomial with
-    coefficient 1 is memoised per ambient and scaled by the coefficient.
+    coefficient 1 is memoised per ambient, shared through the ring's
+    table, and scaled by the coefficient.
     """
     return linear_combination(amb, tau_pairs(amb, x, target))
 
@@ -724,7 +761,7 @@ def tau_pairs(amb: Ambient, x: LTerms, target: PiBDegree | None = None) -> list:
             raise pt.OutsideSupportedSubring(
                 f"tau(iota^{a} zeta^{b} c^{k}) lies outside the supported subring")
         if coeff and k < amb.p + amb.q:
-            unit = amb.memo(("tau", a, b, k), lambda: _unit_tau(amb, a, b, k))
+            unit = amb.memo(("tau", a, b, k), lambda: _unit_tau(amb, a, b, k), k)
             pairs.append((coeff, unit))
     return pairs
 
@@ -769,7 +806,7 @@ def s_kernel_pair(amb: Ambient, mono: Mono, defect: int, numerator: int) -> tupl
     transfer part is folded through the Frobenius relation, which also
     makes this safe for divided monomials (negative zeta exponents riding
     a saturated power), and the unit kernel mono * S_k is memoised per
-    ambient.  A class is linear_combination(amb, [s_kernel_pair(...)]).
+    ambient and shared through the ring's table.  A class is linear_combination(amb, [s_kernel_pair(...)]).
     """
     if type(defect) is not int or type(numerator) is not int:
         raise ValueError(f"non-integer defect {defect!r} or numerator "
@@ -778,13 +815,15 @@ def s_kernel_pair(amb: Ambient, mono: Mono, defect: int, numerator: int) -> tupl
         raise ValueError(f"negative defect {defect} in an S-kernel")
     if defect == 0:
         return numerator, ProjClass(amb, amb.reduce_mono(mono))
+    _check_exponents(mono)
     if numerator % 2:
         raise ArithmeticError(
             f"coefficient {numerator}/2 on a defect-{defect} term is not integral")
     half = numerator // 2
     if half == 0:
         return 0, ProjClass.zero(amb)
-    return half, amb.memo(("S", mono, defect), lambda: _unit_s_kernel(amb, mono, defect))
+    return half, amb.memo(("S", mono, defect), lambda: _unit_s_kernel(amb, mono, defect),
+                          mono[2] + mono[3] + 2 * defect)
 
 
 def _unit_s_kernel(amb: Ambient, mono: Mono, defect: int) -> ProjClass:
@@ -805,6 +844,8 @@ def divided(amb: Ambient, k: int, which: int, extra_cxw: int = 0) -> ProjClass:
     c_xw^extra_cxw."""
     if k < 0:
         raise ValueError("divide by a positive power")
+    if which not in (0, 1):
+        raise ValueError(f"divided class which={which!r} is neither 0 nor 1")
     if which == 0:
         return ProjClass.from_mono(amb, (-k, 0, amb.p, extra_cxw))
     return ProjClass.from_mono(amb, (0, -k, 0, amb.q + extra_cxw))

@@ -336,7 +336,7 @@ def test_cache_size_env_respected():
          "assert rep.passed and rep.summary()['cases'] > 10000\n"
          "amb = pj.ambient(3, 3)\n"
          "sizes = [len(pt._PRODUCTS), len(pt._SHARED), len(amb._memo),\n"
-         "         len(amb._reduce), len(pj.Ambient._shared_reduce)]\n"
+         "         len(amb._reduce), len(pj.Ambient._ring_table)]\n"
          "assert max(sizes) <= 64, sizes\n"
          "# unit transfers and kernels share the memo's bound, after every\n"
          "# insert; the table holds frozen products\n"
@@ -344,7 +344,7 @@ def test_cache_size_env_respected():
          "def after_insert(d):\n"
          "    kinds.update(k[0] for k in amb._memo if type(k) is tuple)\n"
          "    sizes = [len(pt._PRODUCTS), len(pt._SHARED), len(amb._memo),\n"
-         "             len(amb._reduce), len(pj.Ambient._shared_reduce)]\n"
+         "             len(amb._reduce), len(pj.Ambient._ring_table)]\n"
          "    assert max(sizes) <= 64, (d, sizes)\n"
          "for d in range(1, 40):\n"
          "    pj.s_kernel_pair(amb, (0, 0, 1, 1), d % 3 + 1, 2 * d)\n"

@@ -12,6 +12,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from c2bezout import bundles as bd
 from c2bezout import grading as gr
 from c2bezout import point as pt
 from c2bezout import projective as pj
@@ -28,19 +29,20 @@ def a22():
 
 @pytest.fixture
 def fresh_reductions(monkeypatch):
-    """Empty shared reduction tables for both ring classes during the
-    test, and the old ones after it: a fresh or patched reducer then reads
-    no entry that another test left, and leaves none behind."""
+    """Empty shared tables for both ring classes during the test, and the
+    old ones after it: a fresh or patched reducer or unit builder then
+    reads no reduction or unit that another test left, and leaves none
+    behind."""
     for cls in (pj.Ambient, vf._PerturbedAmbient):
         # only a table the class owns: one read through its parent stays so
-        if "_shared_reduce" in vars(cls):
-            monkeypatch.setattr(cls, "_shared_reduce", {})
+        if "_ring_table" in vars(cls):
+            monkeypatch.setattr(cls, "_ring_table", {})
 
 
 def _alone(amb):
-    """amb with a shared reduction table of its own, so it reads no
-    reduction that another ambient made."""
-    amb._shared_reduce = {}
+    """amb with a shared table of its own, so it reads no reduction and
+    no unit that another ambient made."""
+    amb._ring_table = {}
     return amb
 
 
@@ -73,6 +75,14 @@ def test_restriction_values(a22):
     div = pj.divided(a12, 1, 0)
     assert div.rho() == {(-2, 2, 1): 1}
     assert pj.gen_zeta0(a12) * div == pj.gen_cw(a12)
+
+
+def test_divided_refuses_a_which_that_is_neither_0_nor_1():
+    amb = pj.Ambient(2, 2)
+    for which in (2, -1, "0", None):
+        with pytest.raises(ValueError, match="neither 0 nor 1"):
+            pj.divided(amb, 1, which)
+    assert pj.divided(amb, 1, 1) == pj.ProjClass.from_mono(amb, (0, -1, 0, 2))
 
 
 def test_fixed_values(a22):
@@ -271,11 +281,35 @@ def test_non_integer_exponents_are_refused_before_any_cache(fresh_reductions):
             pj.ProjClass.from_mono(amb, m)
     with pytest.raises(ValueError, match=r"non-integer exponent in monomial"):
         pj.divided(amb, 1.5, 0)
-    assert amb._reduce == {} and pj.Ambient._shared_reduce == {}
+    assert amb._reduce == {} and pj.Ambient._ring_table == {}
     for m in ((0, 1, 0, 1), (0, 0, 0, 0), (1, 0, 0, 0)):
         terms = amb.reduce_mono(m)
         assert terms and all(type(x) is int for mono, _ in terms for x in mono)
         assert pj.Ambient(3, 4).reduce_mono(m) == terms
+
+
+def test_non_integer_exponents_are_refused_cold_warm_and_shared(fresh_reductions):
+    """A float or bool twin of an int monomial hashes like it, so a cache
+    or memo read would hand back the int monomial's entry: the refusal
+    must not depend on whether that entry is missing, cached on this
+    space, or left in the ring's table by another space."""
+    cases = [(lambda amb, m: amb.reduce_mono(m), (0, 0, 1, 0), (0, 0, 1.0, 0)),
+             (lambda amb, m: amb.reduce_mono(m), (1, 0, 0, 0), (True, 0, 0, 0)),
+             (lambda amb, m: pj.s_kernel_pair(amb, m, 1, 2), (0, 1, 0, 0), (0, 1.0, 0, 0)),
+             (lambda amb, m: pj.s_kernel_pair(amb, m, 2, 4), (0, 0, 1, 1), (0, 0, True, 1))]
+    for call, good, twin in cases:
+        for how in ("cold", "warm", "shared"):
+            pj.Ambient._ring_table.clear()
+            amb = pj.Ambient(4, 4)
+            if how == "warm":
+                call(amb, good)
+            elif how == "shared":
+                call(pj.Ambient(9, 7), good)   # the same clipped keys
+                assert pj.Ambient._ring_table
+            with pytest.raises(ValueError, match=r"non-integer exponent in monomial"):
+                call(amb, twin)
+            monos = list(amb._reduce) + [key[1] for key in amb._memo if key[0] == "S"]
+            assert all(type(x) is int for m in monos for x in m), (how, twin)
 
 
 @pytest.mark.parametrize("coeff", [1.5, 2.0, Fraction(1, 2), Decimal(3), 1j])
@@ -457,10 +491,10 @@ def test_spaces_share_reductions_by_clipped_key(fresh_reductions):
         same, other = _spaces_near_keys(rng, p, q, c)
         for i, (a, b) in enumerate(same + other):
             amb = pj.Ambient(a, b)
-            key = amb._ring_key(mono)
+            key = amb._ring_key(mono, c)
             assert key == (mono, min(a, c + 1), min(b, c + 1))
             # the first space leaves the normal form for the others
-            hit = key in pj.Ambient._shared_reduce
+            hit = key in pj.Ambient._ring_table
             assert hit or i == 0 or i >= len(same), (a, b, mono)
             try:
                 got = dict(amb.reduce_mono(mono))
@@ -480,7 +514,7 @@ def test_perturbed_ring_keeps_its_own_reductions(fresh_reductions):
     the same (p, q) has reduced a monomial, a perturbed space still gives
     the perturbed ring's normal form, and after that a fresh real space
     still gives the real one."""
-    assert vf._PerturbedAmbient._shared_reduce is not pj.Ambient._shared_reduce
+    assert vf._PerturbedAmbient._ring_table is not pj.Ambient._ring_table
     rng = random.Random(20244)
     differ = 0
     for _ in range(60):
@@ -489,7 +523,7 @@ def test_perturbed_ring_keeps_its_own_reductions(fresh_reductions):
                          rng.randint(0, 6), rng.randint(0, 6), False, False)
         real = pj.Ambient(p, q).reduce_mono(mono)
         bad = vf._PerturbedAmbient(p, q)
-        assert bad._ring_key(mono) in pj.Ambient._shared_reduce
+        assert bad._ring_key(mono, mono[2] + mono[3]) in pj.Ambient._ring_table
         got = bad.reduce_mono(mono)
         assert dict(got) == _reference_reduce(bad, mono, {}), (p, q, mono)
         again = pj.Ambient(p, q)
@@ -674,11 +708,18 @@ _THREADED_SCRIPT = textwrap.dedent("""
              for z0 in (-3, 0, 2, 7) for z1 in (0, 1, 5)
              for cw in (0, 3, 6, 20) for ccw in (0, 2, 5, 15)
              if z0 >= 0 or cw >= a]
+    # unit S-kernels and their transfers, shared through the same table
+    units = [(a, b, m, d) for a, b in spaces for m in ((0, 0, 1, 2), (0, 2, 1, 0),
+             (-1, 0, a, 1), (0, -2, 2, b), (1, 0, 0, 3)) for d in (1, 2, 3)]
     want = {}
     for a, b, m in monos:
         alone = pj.Ambient(a, b)
-        alone._shared_reduce = {}   # no entry from another space
+        alone._ring_table = {}   # no entry from another space
         want[a, b, m] = alone.reduce_mono(m)
+    for a, b, m, d in units:
+        alone = pj.Ambient(a, b)
+        alone._ring_table = {}
+        want[a, b, m, d] = pj.s_kernel_pair(alone, m, d, 2)[1].terms
     shared = {(a, b): pj.Ambient(a, b) for a, b in spaces}
     errors = []
     hits = []
@@ -699,6 +740,11 @@ _THREADED_SCRIPT = textwrap.dedent("""
                 for a, b, m in order[::1 if (k + r) % 2 else -1]:
                     if shared[a, b].reduce_mono(m) != want[a, b, m]:
                         errors.append(("differs", k, a, b, m))
+                for a, b, m, d in units[::1 if (k + r) % 2 else -1]:
+                    # a fresh space of each, so every unit misses its memo
+                    got = pj.s_kernel_pair(pj.Ambient(a, b), m, d, 2)[1].terms
+                    if got != want[a, b, m, d]:
+                        errors.append(("unit differs", k, a, b, m, d))
         except BaseException as exc:
             errors.append((type(exc).__name__, k, str(exc)))
 
@@ -715,7 +761,7 @@ _THREADED_SCRIPT = textwrap.dedent("""
         sys.setswitchinterval(old)
     assert not errors, errors[:5]
     assert len(hits) > 100, len(hits)
-    sizes = [len(pj.Ambient._shared_reduce)]
+    sizes = [len(pj.Ambient._ring_table)]
     sizes += [len(amb._reduce) for amb in shared.values()]
     assert max(sizes) <= 64, sizes
     print(len(monos))
@@ -724,9 +770,9 @@ _THREADED_SCRIPT = textwrap.dedent("""
 
 def test_threads_share_one_ambient_under_a_tiny_cache():
     """README: classes and caches may be used from several threads.  With
-    64-entry caches every reduction races against clears, of its space's
-    cache and of the ring's shared table, which the threads read across
-    spaces."""
+    64-entry caches every reduction and unit S-kernel races against
+    clears, of its space's caches and of the ring's shared table, which
+    the threads read across spaces."""
     env = dict(os.environ, C2BEZOUT_CACHE_SIZE="64")
     out = subprocess.run([sys.executable, "-c", _THREADED_SCRIPT],
                          env=env, capture_output=True, text=True, timeout=300)
@@ -1171,9 +1217,10 @@ def test_unit_transfers_match_the_old_witness_route(fresh_reductions):
             assert got == _reference_unit_tau(pj.Ambient(p, q), a, b, k).terms, (p, q, a)
 
 
-def test_unit_builds_skip_the_outside_input_route(monkeypatch):
+def test_unit_builds_skip_the_outside_input_route(monkeypatch, fresh_reductions):
     """Unit transfers and S-kernels are built from their formulas: no
-    from_mono, no scale_point."""
+    from_mono, no scale_point.  The ring's tables start empty, so every
+    unit here is built."""
     def refuse(*args):
         raise AssertionError("outside-input route")
 
@@ -1188,9 +1235,11 @@ def test_unit_builds_skip_the_outside_input_route(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [(1, 1, 0, 0), (0, 0, 2, 2), (2, 0, 1, 0)])
-def test_unit_transfers_refuse_a_witness_that_is_not_normal(monkeypatch, bad):
+def test_unit_transfers_refuse_a_witness_that_is_not_normal(monkeypatch, bad,
+                                                            fresh_reductions):
     """A basis that hands out a monomial the reducer rewrites (xi, zero,
-    or xi c_xw + e^2 zeta0) is a KernelError, not a wrong transfer."""
+    or xi c_xw + e^2 zeta0) is a KernelError, not a wrong transfer.  The
+    ring's tables start empty, so no unit another test built hides it."""
     monkeypatch.setattr(pj, "_basis_iter", lambda p, q, m: iter([bad] * (p + q)))
     with pytest.raises(pj.KernelError, match="witness .* is not normal"):
         pj._unit_tau(pj.Ambient(2, 2), 0, 0, 1)
@@ -1229,6 +1278,158 @@ def test_large_unit_transfer_needs_no_walk_and_no_basis(fresh_reductions):
     old._reduce_walk = no_walk
     with pytest.raises(AssertionError, match="walked"):
         _old_witness_tau(old, 0, -12, 24)
+
+
+def _unit_cases(rng, count):
+    """Seeded (kind, args, c, p, q) unit cases: S-kernels on raw, divided
+    and kernel-saturated monomials with defects 1-4, and transfers, where
+    c is the largest c-degree the unit's build reads."""
+    cases = []
+    while len(cases) < count:
+        p, q = rng.randint(0, 9), rng.randint(0, 9)
+        if p + q == 0:
+            continue
+        if rng.random() < 0.3:
+            k = rng.randint(0, p + q - 1)
+            cases.append(("tau", (2 * rng.randint(-3, 3), rng.randint(-9, 9), k), k, p, q))
+            continue
+        defect = rng.randint(1, 4)
+        cw, ccw = rng.randint(0, max(p, 1)), rng.randint(0, max(q, 1))
+        z0, z1 = rng.randint(0, 3), rng.randint(0, 3)
+        shape = rng.choice(("raw", "divided", "saturated"))
+        if shape == "divided" and p:       # zeta0^-z rides c_w^p
+            z0, z1, cw = -rng.randint(1, 3), 0, p
+        elif shape == "divided" and q:     # zeta1^-z rides c_xw^q
+            z0, z1, ccw = 0, -rng.randint(1, 3), q
+        elif shape == "saturated" and p:   # the kernel's c_w^k saturates, or is one short
+            z0, z1, cw = -rng.randint(1, 3), 0, max(p - defect - rng.randint(0, 1), 0)
+        elif shape == "saturated" and q:
+            z0, z1, ccw = 0, -rng.randint(1, 3), max(q - defect - rng.randint(0, 1), 0)
+        mono = (z0, z1, cw, ccw)
+        cases.append(("S", (mono, defect), cw + ccw + 2 * defect, p, q))
+    return cases
+
+
+def _unit(amb, kind, args):
+    if kind == "tau":   # zero when k >= p + q
+        pairs = pj.tau_pairs(amb, {args: 1})
+        return pairs[0][1] if pairs else pj.ProjClass.zero(amb)
+    return pj.s_kernel_pair(amb, *args, 2)[1]
+
+
+@pytest.mark.parametrize("ring", [pj.Ambient, vf._PerturbedAmbient])
+def test_shared_units_match_their_builds_on_the_clipped_space(ring, fresh_reductions):
+    """A unit transfer or S-kernel built on (p, q) alone has the terms of
+    the one built alone on (min(p, c + 1), min(q, c + 1)).  After another
+    space of the class built it first, (p, q) reads it from the ring's
+    table when that space has the same clipped key, and builds its own
+    terms when the space lies across the clip, on the real and on the
+    perturbed ring."""
+    rng = random.Random(20251)
+    shapes, read, refused = set(), 0, 0
+    for kind, args, c, p, q in _unit_cases(rng, 300):
+        clip = (min(p, c + 1), min(q, c + 1))
+        try:
+            want = _unit(_alone(ring(p, q)), kind, args).terms
+        except ValueError:       # a negative zeta the kernel leaves unsaturated
+            with pytest.raises(ValueError, match="outside the ring"):
+                _unit(_alone(ring(*clip)), kind, args)
+            refused += 1
+            continue
+        assert _unit(_alone(ring(*clip)), kind, args).terms == want, (kind, args, p, q)
+        same, other = _spaces_near_keys(rng, p, q, c)
+        # and spaces a few dimensions below the clip, where an unsound
+        # clip would show
+        other += [(a, b) for j in range(1, 4)
+                  for a, b in ((c - j, q), (p, c - j)) if min(a, b) >= 0 and a + b
+                  and (a, b) not in same + other]
+        for i, (a, b) in enumerate(same[1:] + other):
+            ring._ring_table.clear()
+            try:
+                _unit(ring(a, b), kind, args)
+            except ValueError:   # a divided monomial outside a neighbour's ring
+                assert i >= len(same) - 1
+            size = len(ring._ring_table)
+            got = _unit(ring(p, q), kind, args)
+            assert got.terms == want, (kind, args, p, q, a, b)
+            # read when the key is the same, built when it is not
+            if i < len(same) - 1:
+                assert len(ring._ring_table) == size, (kind, args, p, q, a, b)
+                read += 1
+            else:
+                assert len(ring._ring_table) > size, (kind, args, p, q, a, b)
+        shapes.add(kind if kind == "tau" else min(args[0][:2]) < 0)
+    assert shapes == {"tau", True, False} and read > 300 and refused > 5
+
+
+def test_units_built_on_the_perturbed_ring_first_leave_the_real_ring_alone(
+        fresh_reductions):
+    """Units, quadrics and line classes built first on perturbed spaces
+    leave no entry in the real ring's table, and every real class built
+    after them is the one a real space alone builds."""
+    rng = random.Random(20252)
+    cases = _unit_cases(rng, 200)
+    lines = [bd.parse_bundles(t)[0] for t in ("O(3)", "xO(5)", "O(-2)", "xO(-3)")]
+    spaces = sorted({(p, q) for _, _, _, p, q in cases})
+    for build in (vf._PerturbedAmbient, pj.Ambient):
+        for kind, args, _, p, q in cases:
+            try:
+                _unit(build(p, q), kind, args)
+            except ValueError:
+                continue
+        for p, q in spaces:
+            amb = build(p, q)
+            pj.class_Q(amb)
+            for spec in lines:
+                bd.euler_line(amb, spec)
+        if build is vf._PerturbedAmbient:
+            assert vf._PerturbedAmbient._ring_table and not pj.Ambient._ring_table
+    differ = 0
+    for kind, args, _, p, q in cases:
+        try:
+            want = _unit(_alone(pj.Ambient(p, q)), kind, args).terms
+        except ValueError:
+            continue
+        assert _unit(pj.Ambient(p, q), kind, args).terms == want, (kind, args, p, q)
+        differ += _unit(vf._PerturbedAmbient(p, q), kind, args).terms != want
+    for p, q in spaces:
+        real, alone = pj.Ambient(p, q), _alone(pj.Ambient(p, q))
+        assert pj.class_Q(real).terms == pj.class_Q(alone).terms
+        for spec in lines:
+            assert bd.euler_line(real, spec).terms == bd.euler_line(alone, spec).terms
+    assert differ > 20
+
+
+def test_stream_like_sums_do_not_depend_on_their_order(fresh_reductions):
+    """Seeded euler and bezout sums over many spaces, run in forward and
+    in reversed order, each on fresh spaces and an empty ring table, give
+    identical product, closed-form and expansion terms: what one space
+    leaves in the ring's table changes no later answer."""
+    rng = random.Random(20253)
+    sums = []
+    for _ in range(400):
+        p, q = rng.randint(0, 12), rng.randint(1, 12)
+        tokens = [f"{rng.choice(('O', 'xO'))}({rng.choice((-3, -2, -1, 1, 2, 3, 4, 5))})"
+                  for _ in range(rng.randint(1, min(p + q, 6)))]
+        sums.append((p, q, ",".join(tokens)))
+    runs = []
+    for order in (sums, sums[::-1]):
+        pj.Ambient._ring_table.clear()
+        spaces, got = {}, {}
+        for p, q, tokens in order:
+            amb = spaces.setdefault((p, q), pj.Ambient(p, q))
+            bs = bd.BundleSum((p, q), bd.parse_bundles(tokens))
+            inv = bd.bundle_invariants(bs)
+            out = [bd.euler_product(amb, bs).terms]
+            if inv.context_ok:
+                out.append(bd.euler_closed_form(amb, inv).terms)
+                out.append(sb.expansion_class(sb.bezout_expansion(inv), amb).terms)
+            got[p, q, tokens] = out
+        runs.append(got)
+        kinds = {key[0][0] for key in pj.Ambient._ring_table if type(key[0][0]) is str}
+        assert kinds == {"tau", "S"} and len(spaces) > 60
+    assert runs[0] == runs[1]
+    assert sum(len(out) == 3 for out in runs[0].values()) > 100
 
 
 def _random_classes(amb, rng, count):
