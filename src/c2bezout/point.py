@@ -34,13 +34,14 @@ Sym = tuple
 Coeff = tuple  # an element: ((symbol, coefficient), ...) in symbol order
 
 # entries per cache: the symbol-product and shared-value tables here, and
-# each ambient's reduction, basis and class caches in projective
+# each ring's table in projective, counted over all its sub-tables
 CACHE_LIMIT = int(os.environ.get("C2BEZOUT_CACHE_SIZE", "2000000"))
 
 
 def cache_insert(cache: dict, key, value):
     """cache[key] = value, emptying the cache first when it holds
-    CACHE_LIMIT entries: the one eviction policy of every cache."""
+    CACHE_LIMIT entries: the eviction policy of every cache, which a
+    ring's table in projective applies to all its sub-tables at once."""
     if len(cache) >= CACHE_LIMIT:
         cache.clear()
     cache[key] = value

@@ -22,6 +22,7 @@ confluence) is enforced by tests, not assumed.
 
 from __future__ import annotations
 
+import threading
 from itertools import islice
 
 from . import point as pt
@@ -92,50 +93,67 @@ def mono_rho(m: Mono) -> tuple:
 _MEMO_DAG_NODES = 8
 
 
+class _RingTable(dict):
+    """The cache of a ring class: clipped space (p, q) -> sub-table, and
+    `views`: space (p, q) -> the list of sub-tables it reads.  `size`, the
+    sum of the sub-tables' sizes, stays within `point.CACHE_LIMIT`: a full
+    ring empties every sub-table in place, so the lists that spaces hold
+    stay valid, and drops `views`.  Inserts hold a lock, reads take none."""
+
+    __slots__ = ("size", "views", "_lock")
+
+    def __init__(self):
+        super().__init__()
+        self.size = 0
+        self.views = {}
+        self._lock = threading.Lock()
+
+    def insert(self, table: dict, key, value):
+        """table[key] = value, for a sub-table of this ring."""
+        with self._lock:
+            if key not in table:
+                if self.size >= pt.CACHE_LIMIT:
+                    # a copy: a space may add a sub-table meanwhile
+                    for sub in list(self.values()):
+                        sub.clear()
+                    self.views.clear()
+                    self.size = 0
+                self.size += 1
+            table[key] = value
+        return value
+
+
 class Ambient:
     """The projective space of lines in C^p + (C^sigma)^q, p + q > 0.
 
-    Holds the per-space caches: reductions of raw monomials, bases of
-    cosets, and the memo of unit transfers, unit S-kernels, standard and
-    Schubert classes.  They hold terms, never classes, so no cycle keeps
-    an ambient alive: one built directly is freed as soon as it is
-    dropped.  One returned by `ambient()` is never freed, as that
-    registry keeps every space it returns for the life of the process.
-    Reads are safe from multiple threads; concurrent inserts are
-    idempotent (the value for a key is deterministic), so no locking is
-    needed around the dicts.  Two spaces of the same type and (p, q) are
-    equal, so classes on them compare and combine.
-
-    Behind a space's reduction cache and its memo of unit transfers and
-    unit S-kernels sits one table of the ring class, `_ring_table`, which
-    every space of the class reads on a miss of its own; each subclass
-    (another ring) gets a table of its own.  An entry is keyed by
-    `_ring_key`: its cache key with (p, q) clipped to the largest
-    c-degree its build reads, so spaces that differ only above it share
-    it.  A reduction is keyed by its monomial, a unit by its memo key,
-    which leads with "tau" or "S", so the two kinds never collide.  The
-    memo entries of `class_chi_Q` and of Schubert classes stay with their
-    space.  Like every cache, the table is bounded by `point.cache_insert`.
-    """
+    A space is a value: spaces of the same type and (p, q) are equal, so
+    classes on them compare and combine.  It holds p, q and `_tables`,
+    its views into `_ring_table`, filled on first use: the one cache of
+    its ring class (each subclass, another ring, gets its own).  Each
+    entry goes to the sub-table that `_table` names, so spaces that differ
+    only above the c-degrees its build reads share it.  Entries hold
+    terms, never classes, so no cycle keeps a space alive; concurrent
+    inserts are idempotent.  Keys never collide: a reduction's is its
+    monomial, a plain tuple of ints; the others are ("tau", a, b, k),
+    ("S", mono, k), "chi_Q", a Schubert term (a record, which equals no
+    plain tuple) and ("basis", m)."""
 
     TENSOR_E2 = 1   # the coefficient of e^2 in the tensor relation
-
-    # ring key -> reduction-cache entry or unit terms, for every space of
-    # this class
-    _ring_table: dict = {}
+    _e2 = pt.p_shared(pt.p_sym(("e", 2), TENSOR_E2))
+    _ring_table = _RingTable()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._ring_table = {}
+        cls._e2 = pt.p_shared(pt.p_sym(("e", 2), cls.TENSOR_E2))
+        cls._ring_table = _RingTable()
 
     def __init__(self, p: int, q: int):
-        _check_space(p, q)
+        # a bool is an int to Python, but not a dimension
+        if type(p) is not int or type(q) is not int or p < 0 or q < 0 or p + q <= 0:
+            raise ValueError(f"invalid ambient ({p!r},{q!r})")
         self.p = p
         self.q = q
-        self._e2 = pt.p_shared(pt.p_sym(("e", 2), self.TENSOR_E2))
-        self._reduce: dict = {}
-        self._basis: dict = {}
-        self._memo: dict = {}
+        self._tables: list = []   # c -> self._table(c), made on first use
 
     def __repr__(self) -> str:
         return f"Ambient({self.p},{self.q})"
@@ -148,20 +166,52 @@ class Ambient:
     def __hash__(self) -> int:
         return hash((self.__class__, self.p, self.q))
 
+    def _table(self, c: int) -> dict:
+        """The ring's sub-table for entries whose build reads no c-degree
+        above c: that of (min(p, c + 1), min(q, c + 1)), or a fresh dict
+        for a negative c.  A build that only compares c exponents of at
+        most c with p or q gives the same terms on (p, q) and on the
+        clipped space:
+        - a reduction of m, c = cw + ccw: no rule of `_rewrite` raises
+          cw + ccw (a peel and the zeta0^2 c_w rule move one c power or
+          drop it, the zeta rules keep both), so no monomial on its
+          rewrite DAG has a c exponent above c;
+        - chi_Q, c = 1: the sum of two reductions of c-degree 1;
+        - a unit transfer ("tau", a, b, k), c = k: its witness is the k-th
+          basis monomial, which reads only whether p and q exceed k;
+        - a unit S-kernel ("S", mono, k), c = cw + ccw + 2k, the c-degree
+          of its kappa monomial: its transfer part has c-degree
+          cw + ccw + k, and its domain check compares cw + k and ccw + k.
+        From c = max(p, q) - 1 on it is (p, q) itself, the home of Schubert
+        classes and bases.  The list of views, up to c = 2(p + q), past any
+        product of two normal monomials, comes from the ring's `views` on
+        first use; threads that race to make it make equal lists."""
+        tables = self._tables
+        if 0 <= c < len(tables):
+            return tables[c]
+        if c < 0:
+            return {}
+        if not tables:
+            p, q = self.p, self.q
+            ring = self._ring_table
+            tables = ring.views.get((p, q))
+            if tables is None:
+                tables = [ring.setdefault((min(p, k), min(q, k)), {}) for k in range(1, max(p, q))]
+                tables += [ring.setdefault((p, q), {})] * (2 * (p + q) + 1 - len(tables))
+                ring.views[p, q] = tables
+            self._tables = tables
+        return tables[c] if c < len(tables) else tables[-1]
+
     def memo(self, key, build, c: int | None = None) -> "ProjClass":
-        """The class memoised under key, made by build() on a miss.  Given
-        the largest c-degree c that build reads, a miss reads the ring's
-        shared table first, and a build is stored there too."""
-        terms = self._memo.get(key)
+        """The class under key in the ring's table, made by build() on a
+        miss; c is the largest c-degree build reads, None for all."""
+        if c is None:
+            c = self.p + self.q
+        tables = self._tables
+        table = tables[c] if 0 <= c < len(tables) else self._table(c)
+        terms = table.get(key)
         if terms is None:
-            if c is None:
-                terms = build().terms
-            else:
-                ring_key = self._ring_key(key, c)
-                terms = self._ring_table.get(ring_key)
-                if terms is None:
-                    terms = pt.cache_insert(self._ring_table, ring_key, build().terms)
-            pt.cache_insert(self._memo, key, terms)
+            terms = self._ring_table.insert(table, key, build().terms)
         return ProjClass(self, terms)
 
     # -- normal monomial predicate ---------------------------------------
@@ -196,18 +246,24 @@ class Ambient:
         a non-integer exponent, on a hit too: a float twin of a cached
         monomial would be read back with the float in its normal form."""
         _check_exponents(m)
-        cache = self._reduce
-        cached = cache.get(m)
+        return self._normal_form(m)
+
+    def _normal_form(self, m: Mono) -> tuple:
+        """reduce_mono for a monomial the kernel built from int parts."""
+        tables = self._tables
+        c = m[2] + m[3]
+        cached = tables[c].get(m) if 0 <= c < len(tables) else None
         if cached is None:
             self._check_domain(m)
-            cached = self._shared_entry(m)
+            cached = self._table(c).get(m)
         if cached is not None:
             return ((m, ONE),) if cached is _NORMAL else cached
         # most misses are one rewrite step: m is normal, vanishes, or its
         # rule leads only to cached monomials
         rule = self._rewrite(m)
         if rule:
-            children = [cache.get(child) for child, _ in rule]
+            children = [self._table(child[2] + child[3]).get(child)
+                        for child, _ in rule]
             if None in children:
                 return self._reduce_walk(m, rule)
             return self._settle(m, rule, children)
@@ -217,55 +273,15 @@ class Ambient:
         """Refuse a monomial outside the ring with a ValueError: a
         negative c exponent, or a negative zeta0 (zeta1) exponent without
         c_w^p (c_xw^q).  With saturating = k, the zeta test reads m times
-        c_w^k c_xw^k, the c powers that the kernel S_k adds.  A
-        non-integer exponent is a ValueError too, raised before a cache
-        sees the monomial."""
+        c_w^k c_xw^k, the c powers that the kernel S_k adds.  Exponents
+        are ints here: `_check_exponents` has seen them."""
         z0, z1, cw, ccw = m
-        if (type(z0) is not int or type(z1) is not int or type(cw) is not int
-                or type(ccw) is not int):
-            raise ValueError(f"non-integer exponent in monomial {m}")
         if (cw < 0 or ccw < 0 or (z0 < 0 and cw + saturating < self.p)
                 or (z1 < 0 and ccw + saturating < self.q)):
             raise ValueError(f"monomial {m} lies outside the ring of {self!r}")
 
-    def _ring_key(self, key, c: int) -> tuple:
-        """The key in the ring's shared table of the cache entry under key
-        whose build reads no c-degree above c: (key, min(p, c + 1),
-        min(q, c + 1)).
-
-        Each comparison of a c exponent of at most c with p or q answers
-        the same on (p, q) as on the clipped space, so a build that makes
-        only such comparisons gives the same terms on both:
-        - a reduction of a monomial m, keyed by m with c = cw + ccw: no
-          rule of `_rewrite` raises cw + ccw (a peel and the zeta0^2 c_w
-          rule move one c power or drop it, the zeta rules keep both), so
-          every monomial on m's rewrite DAG has cw and ccw at most c, in
-          the rules, in `is_normal_mono`, in `_measure` and in
-          `_check_domain`;
-        - a unit transfer ("tau", a, b, k) with c = k: its witness is the
-          k-th basis monomial, and the first k + 1 monomials of a basis
-          read only whether p and q are above k, and its check is the
-          reduction of that witness, of c-degree k;
-        - a unit S-kernel ("S", mono, k) with c = cw + ccw + 2k: that is
-          its kappa monomial, the domain check compares cw + k and ccw + k,
-          and its transfer part has c-degree cw + ccw + k."""
-        c += 1
-        p, q = self.p, self.q
-        return (key, p if p < c else c, q if q < c else c)
-
-    def _shared_entry(self, m: Mono):
-        """The ring's shared entry for m, copied into this space's cache
-        (the same object, so only a dict slot is added), or None."""
-        entry = self._ring_table.get(self._ring_key(m, m[2] + m[3]))
-        if entry is not None:
-            pt.cache_insert(self._reduce, m, entry)
-        return entry
-
     def _store(self, m: Mono, entry):
-        """Cache the reduction entry of m, in the ring's shared table and
-        in this space's cache."""
-        pt.cache_insert(self._ring_table, self._ring_key(m, m[2] + m[3]), entry)
-        return pt.cache_insert(self._reduce, m, entry)
+        return self._ring_table.insert(self._table(m[2] + m[3]), m, entry)
 
     def _settle(self, m: Mono, rule, children) -> tuple:
         """Cache and return the normal form of m, from its rule and the
@@ -289,16 +305,14 @@ class Ambient:
         rule.
 
         Walks the rewrite DAG below root with an explicit stack, stopping
-        at monomials in this space's cache or the ring's shared table, and
-        at normal ones; a monomial met again on its own
-        rewrite path, or a path longer than `_measure(root)`, is a
-        KernelError.
+        at monomials in the ring's table and at normal ones; a monomial
+        met again on its own rewrite path, or a path longer than
+        `_measure(root)`, is a KernelError.
         Terms read from the cache are kept in `known`, so a concurrent
         clear cannot lose them.  A small DAG is evaluated bottom-up and
         every monomial in it is memoised; a large one pushes coefficients
         top-down, one product per edge, and memoises the root alone.
         """
-        cache = self._reduce
         known: dict = {}    # monomial -> normal form, read or computed here
         edges: dict = {}    # new monomial -> its rewrite, None if normal
         done: set = set()
@@ -315,9 +329,7 @@ class Ambient:
                     continue
                 if child in known:
                     continue
-                terms = cache.get(child)
-                if terms is None:
-                    terms = self._shared_entry(child)
+                terms = self._table(child[2] + child[3]).get(child)
                 if terms is not None:
                     known[child] = ((child, ONE),) if terms is _NORMAL else terms
                     continue
@@ -419,10 +431,12 @@ class Ambient:
 
     def basis(self, m: int) -> tuple:
         """Ordered free basis of the coset m*omega + RO(C2)."""
-        got = self._basis.get(m)
+        c, tables = self.p + self.q, self._tables
+        table = tables[c] if c < len(tables) else self._table(c)
+        key = ("basis", m)
+        got = table.get(key)
         if got is None:
-            got = pt.cache_insert(self._basis, m,
-                                  tuple(_basis_iter(self.p, self.q, m)))
+            got = self._ring_table.insert(table, key, tuple(_basis_iter(self.p, self.q, m)))
         return got
 
 
@@ -483,24 +497,9 @@ def _check_exponents(m: Mono) -> None:
         raise ValueError(f"non-integer exponent in monomial {m}")
 
 
-def _check_space(p, q) -> None:
-    # a bool is an int to Python, but not a dimension
-    if type(p) is not int or type(q) is not int or p < 0 or q < 0 or p + q <= 0:
-        raise ValueError(f"invalid ambient ({p!r},{q!r})")
-
-
-_AMBIENTS: dict = {}
-
-
 def ambient(p: int, q: int) -> Ambient:
-    """The registered space (p, q), built on its first request."""
-    _check_space(p, q)   # True == 1 would find the space (1, q)
-    key = (p, q)
-    amb = _AMBIENTS.get(key)
-    if amb is None:
-        amb = Ambient(p, q)
-        _AMBIENTS[key] = amb
-    return amb
+    """The space (p, q), a value; `Ambient` refuses invalid dimensions."""
+    return Ambient(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +577,7 @@ class ProjClass:
 
     def __mul__(self, other: "ProjClass") -> "ProjClass":
         self._check(other)
-        reduce = self.amb.reduce_mono
+        reduce = self.amb._normal_form
         acc: dict = {}
         for ma, ca in self.terms:
             for mb, cb in other.terms:
@@ -736,8 +735,8 @@ def proj_tau(amb: Ambient, x: LTerms, target: PiBDegree | None = None) -> ProjCl
     Each monomial iota^a zeta^b c^k determines its own target degree; the
     optional argument is checked against it.  Odd iota exponents lie
     outside the supported subring.  The transfer of each monomial with
-    coefficient 1 is memoised per ambient, shared through the ring's
-    table, and scaled by the coefficient.
+    coefficient 1 is memoised in the ring's table and scaled by the
+    coefficient.
     """
     return linear_combination(amb, tau_pairs(amb, x, target))
 
@@ -776,7 +775,7 @@ def _unit_tau(amb: Ambient, a: int, b: int, k: int) -> ProjClass:
     read off the basis order without caching the coset's basis, and its
     reduction must be itself: the transfer is the one term (witness, h)."""
     witness = next(islice(_basis_iter(amb.p, amb.q, b), k, None))
-    if amb.reduce_mono(witness) != ((witness, ONE),):
+    if amb._normal_form(witness) != ((witness, ONE),):
         raise KernelError(f"transfer witness {witness} is not normal in {amb!r}")
     z0, _, _, ccw = witness
     return ProjClass(amb, ((witness, pt.p_tau_iota(a // 2 - z0 - ccw)),))
@@ -791,7 +790,7 @@ def class_Q(amb: Ambient) -> ProjClass:
 def class_chi_Q(amb: Ambient) -> ProjClass:
     """Euler class of the sign twist of that square."""
     return amb.memo("chi_Q", lambda: ProjClass.from_mono(amb, (1, 0, 1, 0))
-                    + ProjClass.from_mono(amb, (0, 1, 0, 1)))
+                    + ProjClass.from_mono(amb, (0, 1, 0, 1)), 1)
 
 
 def s_kernel_pair(amb: Ambient, mono: Mono, defect: int, numerator: int) -> tuple:
@@ -805,8 +804,8 @@ def s_kernel_pair(amb: Ambient, mono: Mono, defect: int, numerator: int) -> tupl
     fine, and the unit is the reduced monomial.  For positive defect the
     transfer part is folded through the Frobenius relation, which also
     makes this safe for divided monomials (negative zeta exponents riding
-    a saturated power), and the unit kernel mono * S_k is memoised per
-    ambient and shared through the ring's table.  A class is linear_combination(amb, [s_kernel_pair(...)]).
+    a saturated power), and the unit kernel mono * S_k is memoised in the
+    ring's table.  A class is linear_combination(amb, [s_kernel_pair(...)]).
     """
     if type(defect) is not int or type(numerator) is not int:
         raise ValueError(f"non-integer defect {defect!r} or numerator "
@@ -835,7 +834,7 @@ def _unit_s_kernel(amb: Ambient, mono: Mono, defect: int) -> ProjClass:
     pairs = tau_pairs(amb, {(a, b, k + defect): 1})
     kappa_mono = mono_mul(mono, (0, 0, defect, defect))
     kappa = pt.p_shared(pt.p_kappa(2 * defect))
-    pairs.append((1, ProjClass(amb, _scaled_terms(amb.reduce_mono(kappa_mono), kappa))))
+    pairs.append((1, ProjClass(amb, _scaled_terms(amb._normal_form(kappa_mono), kappa))))
     return linear_combination(amb, pairs)
 
 

@@ -138,8 +138,8 @@ GeometricTerm = (FreeOrbit, InvariantChain, BinatePair, FixedPoint)
 
 
 def class_of(term: GeometricTerm, amb: Ambient) -> ProjClass:
-    """The cohomology class a geometric term represents, memoised per
-    ambient."""
+    """The cohomology class a geometric term represents, memoised in the
+    ring's table for spaces of the same (p, q)."""
     return amb.memo(term, lambda: _class_of(term, amb))
 
 

@@ -632,11 +632,11 @@ def _saturated_quotient(amb: pj.Ambient, side: int, k: int, i: int) -> pj.ProjCl
 # ---------------------------------------------------------------------------
 # Euler classes
 
-_BLOCK_AMBIENTS = ((1, 1), (2, 2), (3, 2), (2, 3), (1, 4), (3, 0), (0, 3))
+_BLOCK_SPACES = ((1, 1), (2, 2), (3, 2), (2, 3), (1, 4), (3, 0), (0, 3))
 
 
 def check_base_case(rec: Recorder, cfg: SweepConfig) -> None:
-    for (p, q) in _BLOCK_AMBIENTS:
+    for (p, q) in _BLOCK_SPACES:
         amb = pj.ambient(p, q)
         params = {"p": p, "q": q}
         for k in range(-4, 5):
@@ -671,7 +671,7 @@ def _block_products(amb: pj.Ambient):
 def check_type_blocks(rec: Recorder, cfg: SweepConfig) -> None:
     deg_options = {fam: [2 * k + 1 if fam in ("I", "III") else 2 * k
                          for k in range(-4, 5)] for fam in bd.FAMILIES}
-    for (p, q) in _BLOCK_AMBIENTS:
+    for (p, q) in _BLOCK_SPACES:
         amb = pj.ambient(p, q)
         block_product = _block_products(amb)
         # the closed forms read only (size, degree product), which
@@ -1217,8 +1217,9 @@ def check_corollaries(rec: Recorder, cfg: SweepConfig) -> None:
 
 class _PerturbedAmbient(pj.Ambient):
     """A deliberately wrong ring: twice the e^2 term of the tensor
-    relation.  It equals no real space, and `pj.ambient()` never returns
-    one, so no registered ambient or cache ever sees it."""
+    relation.  It equals no real space, `pj.ambient()` never returns one,
+    and it has a ring table of its own, so no real space reads its
+    entries."""
 
     TENSOR_E2 = 2
 

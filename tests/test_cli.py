@@ -275,7 +275,7 @@ def test_verify_corrupted_rule_fails(capsys):
     out = vf.report_text(report)
     assert "FAIL" in out
     assert "lhs =" in out and "rhs =" in out
-    # the hidden CLI hook is gone, and the registered kernel never changed
+    # the hidden CLI hook is gone, and the real ring's kernel never changed
     code, _, _ = run(capsys, "verify", "--groups", "proj_relations",
                      "--corrupt-rule")
     assert code == 2
@@ -323,8 +323,8 @@ def test_cache_size_env_respected():
          "bs = bd.BundleSum((2, 2), bd.parse_bundles('O(3),O(2),xO(1)'))\n"
          "inv = bd.bundle_invariants(bs)\n"
          "assert bd.euler_closed_form(amb, inv) == bd.euler_product(amb, bs)\n"
-         "# the symbol and shared-value tables, the ring's shared\n"
-         "# reductions and each ambient's caches stay within the cap\n"
+         "# the symbol and shared-value tables and the ring's table\n"
+         "# (the sum of its sub-tables' sizes) stay within the cap\n"
          "from c2bezout import point as pt, verify as vf\n"
          "cfg = vf.SweepConfig(p_max=3, q_max=3, pq_sum_max=5)\n"
          "rep = vf.run_verify(cfg, groups=('point_axioms', 'euler_grid',\n"
@@ -335,16 +335,18 @@ def test_cache_size_env_respected():
          "                                 'lemma_suite', 'random_homs'))\n"
          "assert rep.passed and rep.summary()['cases'] > 10000\n"
          "amb = pj.ambient(3, 3)\n"
-         "sizes = [len(pt._PRODUCTS), len(pt._SHARED), len(amb._memo),\n"
-         "         len(amb._reduce), len(pj.Ambient._ring_table)]\n"
+         "ring = pj.Ambient._ring_table\n"
+         "sizes = [len(pt._PRODUCTS), len(pt._SHARED),\n"
+         "         sum(map(len, ring.values())), ring.size]\n"
          "assert max(sizes) <= 64, sizes\n"
-         "# unit transfers and kernels share the memo's bound, after every\n"
+         "# unit transfers and kernels share the ring's bound, after every\n"
          "# insert; the table holds frozen products\n"
          "kinds = set()\n"
          "def after_insert(d):\n"
-         "    kinds.update(k[0] for k in amb._memo if type(k) is tuple)\n"
-         "    sizes = [len(pt._PRODUCTS), len(pt._SHARED), len(amb._memo),\n"
-         "             len(amb._reduce), len(pj.Ambient._ring_table)]\n"
+         "    kinds.update(k[0] for t in ring.values() for k in t\n"
+         "                 if type(k) is tuple and type(k[0]) is str)\n"
+         "    sizes = [len(pt._PRODUCTS), len(pt._SHARED),\n"
+         "             sum(map(len, ring.values())), ring.size]\n"
          "    assert max(sizes) <= 64, (d, sizes)\n"
          "for d in range(1, 40):\n"
          "    pj.s_kernel_pair(amb, (0, 0, 1, 1), d % 3 + 1, 2 * d)\n"

@@ -104,8 +104,8 @@ def test_no_hand_built_records(path):
 
 
 # The classes that may define __eq__: the record base, and the two space
-# types, whose values are not records (a space owns its caches, a class
-# its space).
+# types, whose values are not records (a space holds views of its ring's
+# table, a class its space).
 EQUALITY_OWNERS = ["grading.FrozenRecord", "projective.Ambient", "projective.ProjClass"]
 
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import random
 import subprocess
@@ -29,21 +30,31 @@ def a22():
 
 @pytest.fixture
 def fresh_reductions(monkeypatch):
-    """Empty shared tables for both ring classes during the test, and the
-    old ones after it: a fresh or patched reducer or unit builder then
-    reads no reduction or unit that another test left, and leaves none
+    """Empty ring tables for both ring classes during the test, and the
+    old ones after it: a fresh or patched reducer, unit builder or class
+    builder then reads no entry that another test left, and leaves none
     behind."""
     for cls in (pj.Ambient, vf._PerturbedAmbient):
         # only a table the class owns: one read through its parent stays so
         if "_ring_table" in vars(cls):
-            monkeypatch.setattr(cls, "_ring_table", {})
+            monkeypatch.setattr(cls, "_ring_table", pj._RingTable())
 
 
 def _alone(amb):
-    """amb with a shared table of its own, so it reads no reduction and
-    no unit that another ambient made."""
-    amb._ring_table = {}
+    """amb with a ring table of its own, so it reads no entry that
+    another ambient made."""
+    amb._ring_table = pj._RingTable()
     return amb
+
+
+def _ring_keys(ring):
+    """Every key of every sub-table of a ring table."""
+    return [key for table in ring.values() for key in table]
+
+
+def _viewed_keys(amb):
+    """The keys of the ring's sub-tables that amb has read or filled."""
+    return {key for table in amb._tables for key in table}
 
 
 def xi_cls(amb, n=1):
@@ -218,13 +229,13 @@ def test_invalid_ambient():
 @pytest.mark.parametrize("p, q", [(2.0, 1), (2, 1.0), (True, 1), (1, False), ("2", 1)])
 def test_non_integer_ambients_are_refused(p, q):
     # a bool is an int to Python, but not a dimension; True == 1, so the
-    # registry would hand out the space (1, 1) for (True, 1)
+    # space (True, 1) would read the entries of (1, 1)
     pj.ambient(1, 1)
-    before = dict(pj._AMBIENTS)
+    before = set(pj.Ambient._ring_table)
     for build in (pj.Ambient, pj.ambient, vf._PerturbedAmbient):
         with pytest.raises(ValueError, match="invalid ambient"):
             build(p, q)
-    assert pj._AMBIENTS == before
+    assert set(pj.Ambient._ring_table) == before
 
 
 def test_ambients_compare_by_value():
@@ -270,9 +281,10 @@ def test_ring_domain_is_what_reduces():
 
 def test_non_integer_exponents_are_refused_before_any_cache(fresh_reductions):
     """A float or bool exponent is a ValueError on the miss path, and
-    leaves no entry in the space's cache or the ring's table: a float
-    twin of an int monomial hashes like it, so its float terms would be
-    read back by the int call, on every space that shares the key."""
+    leaves no entry in the ring's table, nor a view of it on the space: a
+    float twin of an int monomial hashes like it, so its float terms
+    would be read back by the int call, on every space that shares the
+    key."""
     amb = pj.Ambient(3, 3)
     for m in ((0, 1.0, 0, 1), (0, 0, 0.5, 0), (True, 0, 0, 0), (0, 0, 1, 2.0)):
         with pytest.raises(ValueError, match=r"non-integer exponent in monomial"):
@@ -281,7 +293,8 @@ def test_non_integer_exponents_are_refused_before_any_cache(fresh_reductions):
             pj.ProjClass.from_mono(amb, m)
     with pytest.raises(ValueError, match=r"non-integer exponent in monomial"):
         pj.divided(amb, 1.5, 0)
-    assert amb._reduce == {} and pj.Ambient._ring_table == {}
+    assert amb._tables == [] and pj.Ambient._ring_table == {}
+    assert pj.Ambient._ring_table.size == 0
     for m in ((0, 1, 0, 1), (0, 0, 0, 0), (1, 0, 0, 0)):
         terms = amb.reduce_mono(m)
         assert terms and all(type(x) is int for mono, _ in terms for x in mono)
@@ -291,15 +304,15 @@ def test_non_integer_exponents_are_refused_before_any_cache(fresh_reductions):
 def test_non_integer_exponents_are_refused_cold_warm_and_shared(fresh_reductions):
     """A float or bool twin of an int monomial hashes like it, so a cache
     or memo read would hand back the int monomial's entry: the refusal
-    must not depend on whether that entry is missing, cached on this
-    space, or left in the ring's table by another space."""
+    must not depend on whether that entry is missing, left in the ring's
+    table by this space, or left there by another space."""
     cases = [(lambda amb, m: amb.reduce_mono(m), (0, 0, 1, 0), (0, 0, 1.0, 0)),
              (lambda amb, m: amb.reduce_mono(m), (1, 0, 0, 0), (True, 0, 0, 0)),
              (lambda amb, m: pj.s_kernel_pair(amb, m, 1, 2), (0, 1, 0, 0), (0, 1.0, 0, 0)),
              (lambda amb, m: pj.s_kernel_pair(amb, m, 2, 4), (0, 0, 1, 1), (0, 0, True, 1))]
     for call, good, twin in cases:
         for how in ("cold", "warm", "shared"):
-            pj.Ambient._ring_table.clear()
+            pj.Ambient._ring_table = pj._RingTable()
             amb = pj.Ambient(4, 4)
             if how == "warm":
                 call(amb, good)
@@ -308,7 +321,9 @@ def test_non_integer_exponents_are_refused_cold_warm_and_shared(fresh_reductions
                 assert pj.Ambient._ring_table
             with pytest.raises(ValueError, match=r"non-integer exponent in monomial"):
                 call(amb, twin)
-            monos = list(amb._reduce) + [key[1] for key in amb._memo if key[0] == "S"]
+            keys = _ring_keys(pj.Ambient._ring_table)
+            monos = ([key for key in keys if type(key) is tuple and type(key[0]) is not str]
+                     + [key[1] for key in keys if key[0] == "S"])
             assert all(type(x) is int for m in monos for x in m), (how, twin)
 
 
@@ -317,7 +332,7 @@ def test_from_mono_refuses_a_number_that_is_not_an_int(coeff):
     amb = pj.Ambient(2, 2)
     with pytest.raises(ValueError, match="neither an int nor a point element"):
         pj.ProjClass.from_mono(amb, pj.MONO_CW, coeff)
-    assert amb._reduce == {}
+    assert amb._tables == []
 
 
 def test_s_kernels_refuse_a_non_integer_numerator_or_defect():
@@ -329,7 +344,7 @@ def test_s_kernels_refuse_a_non_integer_numerator_or_defect():
             with pytest.raises(ValueError,
                                match=r"non-integer defect .* or numerator .* in an S-kernel"):
                 pj.s_kernel_pair(amb, mono, defect, numerator)
-    assert amb._memo == {} and amb._reduce == {}
+    assert amb._tables == []
 
 
 def _raw_mono(p, q, z0, z1, cw, ccw, sat0, sat1):
@@ -444,12 +459,13 @@ def test_reducer_matches_recursive_reference(fresh_reductions):
                          rng.randint(0, 40), rng.randint(0, 40),
                          rng.random() < 0.2, rng.random() < 0.2)
         amb = pj.Ambient(p, q)
+        before = pj.Ambient._ring_table.size
         got = dict(amb.reduce_mono(mono))
         assert got == _reference_reduce(amb, mono, {}), (p, q, mono)
         if not amb.is_normal_mono(mono):
-            # a fresh space memoises the whole rewrite DAG of a small
-            # reduction, and only the root of a large one
-            regimes.add(len(amb._reduce) > 1)
+            # a miss memoises the whole rewrite DAG of a small reduction,
+            # and only the root of a large one
+            regimes.add(pj.Ambient._ring_table.size - before > 1)
     assert regimes == {False, True}
 
 
@@ -491,10 +507,10 @@ def test_spaces_share_reductions_by_clipped_key(fresh_reductions):
         same, other = _spaces_near_keys(rng, p, q, c)
         for i, (a, b) in enumerate(same + other):
             amb = pj.Ambient(a, b)
-            key = amb._ring_key(mono, c)
-            assert key == (mono, min(a, c + 1), min(b, c + 1))
+            table = amb._table(c)
+            assert table is pj.Ambient._ring_table[min(a, c + 1), min(b, c + 1)]
             # the first space leaves the normal form for the others
-            hit = key in pj.Ambient._ring_table
+            hit = mono in table
             assert hit or i == 0 or i >= len(same), (a, b, mono)
             try:
                 got = dict(amb.reduce_mono(mono))
@@ -523,7 +539,8 @@ def test_perturbed_ring_keeps_its_own_reductions(fresh_reductions):
                          rng.randint(0, 6), rng.randint(0, 6), False, False)
         real = pj.Ambient(p, q).reduce_mono(mono)
         bad = vf._PerturbedAmbient(p, q)
-        assert bad._ring_key(mono, mono[2] + mono[3]) in pj.Ambient._ring_table
+        c = mono[2] + mono[3]
+        assert mono in pj.Ambient._ring_table[min(p, c + 1), min(q, c + 1)]
         got = bad.reduce_mono(mono)
         assert dict(got) == _reference_reduce(bad, mono, {}), (p, q, mono)
         again = pj.Ambient(p, q)
@@ -637,14 +654,14 @@ def test_one_step_reductions_match_the_walker(p, q, draws):
     """reduce_mono settles a miss of one rewrite step itself and leaves
     the rest to _reduce_walk: on two fresh ambients fed the same
     monomials, it gives what the walker alone gives, and caches the same
-    normal forms.  Each has a shared table of its own, empty at every
+    normal forms.  Each has a ring table of its own, empty at every
     example, so neither stops at a reduction the other made."""
     if p + q == 0:
         return
     fast, walked = _alone(pj.Ambient(p, q)), _alone(pj.Ambient(p, q))
 
     def walk(m):
-        cached = walked._reduce.get(m)
+        cached = walked._table(m[2] + m[3]).get(m)
         if cached is None:
             return walked._reduce_walk(m, walked._rewrite(m))
         # a normal monomial's entry is the shared marker
@@ -653,7 +670,14 @@ def test_one_step_reductions_match_the_walker(p, q, draws):
     for draw in draws:
         for m in _drawn_monos(fast, *draw):
             assert fast.reduce_mono(m) == walk(m), (p, q, m)
-    assert fast._reduce == walked._reduce
+
+    def reductions(amb):
+        # the entries keyed by a monomial, a plain tuple of ints: a basis
+        # that _drawn_monos read is not one
+        return {(clip, m): entry for clip, table in amb._ring_table.items()
+                for m, entry in table.items() if type(m) is tuple and type(m[0]) is int}
+
+    assert reductions(fast) == reductions(walked)
 
 
 @settings(max_examples=300, deadline=None)
@@ -714,24 +738,33 @@ _THREADED_SCRIPT = textwrap.dedent("""
     want = {}
     for a, b, m in monos:
         alone = pj.Ambient(a, b)
-        alone._ring_table = {}   # no entry from another space
+        alone._ring_table = pj._RingTable()   # no entry from another space
         want[a, b, m] = alone.reduce_mono(m)
     for a, b, m, d in units:
         alone = pj.Ambient(a, b)
-        alone._ring_table = {}
+        alone._ring_table = pj._RingTable()
         want[a, b, m, d] = pj.s_kernel_pair(alone, m, d, 2)[1].terms
+    ring = pj.Ambient._ring_table
     shared = {(a, b): pj.Ambient(a, b) for a, b in spaces}
     errors = []
     hits = []
-    read = pj.Ambient._shared_entry
+    totals = []
+    reduce = pj.Ambient._normal_form
+    insert = pj._RingTable.insert
 
     def counted(self, m):
-        entry = read(self, m)
-        if entry is not None:
+        if m in self._table(m[2] + m[3]):
             hits.append(m)
-        return entry
+        return reduce(self, m)
 
-    pj.Ambient._shared_entry = counted
+    def bounded(self, table, key, value):
+        out = insert(self, table, key, value)
+        with self._lock:   # no insert is under way: the sum is exact
+            totals.append(sum(map(len, list(self.values()))))
+        return out
+
+    pj.Ambient._normal_form = counted
+    pj._RingTable.insert = bounded
 
     def work(k):
         try:
@@ -741,7 +774,8 @@ _THREADED_SCRIPT = textwrap.dedent("""
                     if shared[a, b].reduce_mono(m) != want[a, b, m]:
                         errors.append(("differs", k, a, b, m))
                 for a, b, m, d in units[::1 if (k + r) % 2 else -1]:
-                    # a fresh space of each, so every unit misses its memo
+                    # a fresh space of each, which reads the units of the
+                    # others through the ring's table
                     got = pj.s_kernel_pair(pj.Ambient(a, b), m, d, 2)[1].terms
                     if got != want[a, b, m, d]:
                         errors.append(("unit differs", k, a, b, m, d))
@@ -761,23 +795,161 @@ _THREADED_SCRIPT = textwrap.dedent("""
         sys.setswitchinterval(old)
     assert not errors, errors[:5]
     assert len(hits) > 100, len(hits)
-    sizes = [len(pj.Ambient._ring_table)]
-    sizes += [len(amb._reduce) for amb in shared.values()]
-    assert max(sizes) <= 64, sizes
+    # the sum of the sub-tables' sizes stayed within the cap after every
+    # insert, and the ring's count is that sum
+    assert len(totals) > 1000 and max(totals) <= 64, (len(totals), max(totals))
+    assert 64 in totals   # the ring filled up, so it was emptied
+    assert ring.size == sum(map(len, ring.values())) <= 64
     print(len(monos))
 """)
 
 
 def test_threads_share_one_ambient_under_a_tiny_cache():
     """README: classes and caches may be used from several threads.  With
-    64-entry caches every reduction and unit S-kernel races against
-    clears, of its space's caches and of the ring's shared table, which
-    the threads read across spaces."""
+    a 64-entry cap every reduction and unit S-kernel races against
+    ring-wide clears of the table that the threads read across spaces,
+    and the sum of its sub-tables' sizes never passes the cap."""
     env = dict(os.environ, C2BEZOUT_CACHE_SIZE="64")
     out = subprocess.run([sys.executable, "-c", _THREADED_SCRIPT],
                          env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) > 100
+
+
+def test_entries_of_every_kind_share_a_sub_table_without_colliding(fresh_reductions):
+    """On (2, 2) a reduction of c-degree 1, a Schubert class, a coset
+    basis and chi_Q (c-degree 1) all live in the space's own sub-table.
+    The term InvariantChain(2, 1, 1, 0) hashes like the monomial
+    (2, 1, 1, 0) but equals no plain tuple; each entry comes back right
+    whichever kind is stored first."""
+    term, mono = sb.InvariantChain(2, 1, 1, 0), (2, 1, 1, 0)
+    assert hash(term) == hash(mono) and term != mono and mono != term
+    builds = {"reduction": lambda amb: amb.reduce_mono(mono),
+              "schubert": lambda amb: sb.class_of(term, amb).terms,
+              "basis": lambda amb: amb.basis(0),
+              "chi_Q": lambda amb: pj.class_chi_Q(amb).terms}
+    want = {kind: build(_alone(pj.Ambient(2, 2))) for kind, build in builds.items()}
+    assert len(set(want.values())) == 4
+    for order in itertools.permutations(builds):
+        pj.Ambient._ring_table = pj._RingTable()
+        for kind in order + order:   # stored, then read back
+            assert builds[kind](pj.Ambient(2, 2)) == want[kind], (order, kind)
+        table = pj.Ambient._ring_table[2, 2]
+        assert {mono, term, ("basis", 0), "chi_Q"} <= set(table)
+        assert [key for key in table if key == mono] == [mono]
+        assert [key for key in table if key == term] == [term]
+
+
+def test_negative_c_exponents_reach_the_domain_check_without_a_sub_table(
+        fresh_reductions):
+    """A monomial with a negative c exponent is refused before any view
+    of the ring is made, and so is an S-kernel whose c-degree is
+    negative: no sub-table is keyed by a negative clip."""
+    amb = pj.Ambient(3, 3)
+    for m in ((0, 0, -1, 0), (0, 0, 0, -2), (0, 0, -1, 3), (1, 0, 4, -1)):
+        with pytest.raises(ValueError, match="outside the ring"):
+            amb.reduce_mono(m)
+    with pytest.raises(ValueError, match="outside the ring"):
+        pj.s_kernel_pair(amb, (0, 0, -5, 0), 1, 2)
+    assert amb._tables == [] and not pj.Ambient._ring_table
+    # a space with views already refuses them the same way
+    amb.reduce_mono((0, 0, 2, 2))
+    clips = set(pj.Ambient._ring_table)
+    with pytest.raises(ValueError, match="outside the ring"):
+        amb.reduce_mono((0, 0, -1, 3))
+    assert set(pj.Ambient._ring_table) == clips and all(min(clip) >= 1 for clip in clips)
+
+
+def test_a_class_held_across_a_ring_wide_clear_equals_a_fresh_one(
+        monkeypatch, fresh_reductions):
+    """With the ring capped at 40 entries, products, units, chi_Q and
+    Schubert classes over many spaces empty it over and over; the count
+    stays the sum of the sub-tables' sizes, and classes held from before
+    a clear equal, and multiply like, ones built on a space alone.  Equal
+    spaces share one list of views, which a clear drops from the ring."""
+    monkeypatch.setattr(pt, "CACHE_LIMIT", 40)
+    ring = pj.Ambient._ring_table
+
+    def classes(amb):
+        term = sb.InvariantChain(amb.p, amb.q, min(amb.q, 1), min(amb.p, 1))
+        return [pj.class_Q(amb), pj.class_chi_Q(amb),
+                pj.gen_cw(amb) ** 3 * pj.gen_zeta1(amb),
+                pj.proj_tau(amb, {(2, -1, 2): 3}), sb.class_of(term, amb)]
+
+    first = pj.Ambient(3, 3)
+    held = classes(first)
+    twin = pj.Ambient(3, 3)
+    classes(twin)
+    assert twin._tables is first._tables is ring.views[3, 3]
+    sizes, views = [], []
+    for p in range(1, 7):
+        for q in range(0, 7):
+            classes(pj.Ambient(p, q))
+            assert ring.size == sum(map(len, ring.values())) <= 40
+            sizes.append(ring.size)
+            views.append(len(ring.views))
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))   # it was emptied
+    assert any(b < a for a, b in zip(views, views[1:]))
+    alone = _alone(pj.Ambient(3, 3))
+    fresh = classes(alone)
+    assert [c.terms for c in held] == [c.terms for c in fresh]
+    for x, y in zip(held, fresh):
+        assert x * held[0] == pj.ProjClass(alone, (y * fresh[0]).terms)
+
+
+_STREAM_SCRIPT = textwrap.dedent("""
+    import gc
+    import random
+    import weakref
+    from c2bezout import point as pt, projective as pj
+
+    assert pt.CACHE_LIMIT == 1000
+    gc.disable()   # a space must be freed without the cycle collector
+    ring = pj.Ambient._ring_table
+    held = pj.class_Q(pj.ambient(3, 3)) * pj.class_chi_Q(pj.ambient(3, 3))
+    rng = random.Random(20260)
+    pairs = [(p, q) for p in range(48) for q in range(48) if p + q]
+    rng.shuffle(pairs)
+    spaces, peak, emptied = [], 0, 0
+    for p, q in pairs[:2100]:
+        amb = pj.ambient(p, q)
+        before = ring.size
+        # a transfer of c-degree p + q - 1 and a basis read (p, q) alone
+        x = (pj.class_Q(amb) * pj.gen_cw(amb) + pj.class_chi_Q(amb)
+             + pj.proj_tau(amb, {(0, p, p + q - 1): 1}))
+        assert x.terms == (pj.gen_cw(amb) * pj.class_Q(amb) + pj.class_chi_Q(amb)
+                           + pj.proj_tau(pj.Ambient(p, q), {(0, p, p + q - 1): 1})).terms
+        assert amb.basis(q)[-1] == pj.Ambient(p, q).basis(q)[-1]
+        emptied += ring.size < before
+        peak = max(peak, ring.size)
+        spaces.append(amb)
+    # each space keeps p, q and views of the ring's own sub-tables
+    owned = {id(table) for table in ring.values()}
+    for amb in spaces:
+        assert set(vars(amb)) == {"p", "q", "_tables"}, vars(amb)
+        assert all(id(table) in owned for table in amb._tables), amb
+    assert ring.size == sum(map(len, ring.values())) and peak <= pt.CACHE_LIMIT
+    assert held.terms == (pj.class_Q(pj.Ambient(3, 3))
+                          * pj.class_chi_Q(pj.Ambient(3, 3))).terms
+    refs = [weakref.ref(amb) for amb in spaces]
+    del spaces, amb, x
+    assert not any(ref() for ref in refs)
+    print(len(refs), emptied, peak)
+""")
+
+
+def test_a_long_stream_of_spaces_keeps_no_per_space_state():
+    """Over 2,100 distinct spaces in a fresh process, with the ring capped
+    at 1,000 entries: no space holds a dict of its own, the ring's entries
+    stay within the cap while it is emptied again and again, a class held
+    from the start equals a fresh one, and every space is freed once
+    dropped, as nothing registers it."""
+    env = dict(os.environ, C2BEZOUT_CACHE_SIZE="1000")
+    out = subprocess.run([sys.executable, "-c", _STREAM_SCRIPT],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    spaces, emptied, peak = map(int, out.stdout.split())
+    assert spaces == 2100 and emptied >= 3 and peak <= 1000
 
 
 def _tensor_sides(amb):
@@ -801,7 +973,7 @@ def test_perturbed_ambient_leaves_held_ambient_alone():
     want = render.proj_text(pj.gen_zeta1(held) * pj.gen_cxw(held))
     bad = vf._PerturbedAmbient(3, 3)
     assert render.proj_text(pj.gen_zeta1(bad) * pj.gen_cxw(bad)) != want
-    assert pj.ambient(3, 3) is held
+    assert pj.ambient(3, 3) == held
     assert render.proj_text(pj.gen_zeta1(held) * pj.gen_cxw(held)) == want
     assert "2 e^2" not in want and "e^2" in want
 
@@ -814,7 +986,7 @@ def test_held_ambient_survives_run_verify():
     assert rep.passed
     assert any(r.name == "harness_soundness" and r.status == "pass"
                for r in rep.records)
-    assert pj.ambient(3, 3) is held
+    assert pj.ambient(3, 3) == held
     assert pj.gen_zeta1(held) * pj.gen_cxw(held) == before
     assert pj.class_Q(held) * pj.class_chi_Q(held) == q_before
     fresh = pj.Ambient(3, 3)
@@ -889,39 +1061,13 @@ def test_ambients_share_no_memo_entries():
     assert good.memo("tensor", lambda: None) == got_good
     assert bad.memo("tensor", lambda: None) == got_bad
     assert got_good == _tensor_sides(good)[1]
-    # the registered space keeps its own memo too
+    # a space from ambient() reads the real ring's entries
     reg = pj.ambient(2, 2)
     assert pj.class_Q(reg).terms == pj.class_Q(good).terms
     assert pj.class_Q(reg).amb is reg
 
 
-def test_registered_memos_hold_no_string_key_but_chi_Q():
-    """Q and the line factors are S-kernel units: after a default sweep
-    and a query stream round in a fresh process, the only string key of
-    any registered space's memo is "chi_Q"."""
-    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
-    out = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent("""
-            import sys
-            sys.path.insert(0, sys.argv[1])
-            import queries, worker
-            import c2bezout as lib
-            from c2bezout import projective as pj, render
-            assert lib.run_verify().passed
-            for qry in queries.query_stream(11):
-                worker.answer(lib, render, qry)
-            keys = {k for amb in pj._AMBIENTS.values() for k in amb._memo
-                    if isinstance(k, str)}
-            print(len(pj._AMBIENTS), sorted(keys))
-        """), bench],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
-        capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    count, keys = out.stdout.split(" ", 1)
-    assert int(count) > 100 and keys.strip() == "['chi_Q']"
-
-
-def test_quadric_and_line_factors_are_unit_s_kernels():
+def test_quadric_and_line_factors_are_unit_s_kernels(fresh_reductions):
     for amb in (pj.Ambient(2, 2), pj.Ambient(3, 1), pj.Ambient(0, 3),
                 pj.Ambient(4, 0), vf._PerturbedAmbient(2, 2)):
         Q = pj.class_Q(amb)
@@ -929,11 +1075,11 @@ def test_quadric_and_line_factors_are_unit_s_kernels():
         want = pj.proj_tau(amb, {(0, 0, 1): 1}) + pj.ProjClass.from_mono(
             amb, (0, 0, 1, 1), pt.p_kappa(2))
         assert Q.terms == want.terms, amb
-        assert amb._memo[("S", pj.UNIT, 1)] is Q.terms
+        assert amb._table(2)[("S", pj.UNIT, 1)] is Q.terms
         for mono, zeta in ((pj.MONO_ZETA1, pj.gen_zeta1), (pj.MONO_ZETA0, pj.gen_zeta0)):
             n, unit = pj.s_kernel_pair(amb, mono, 1, 2)
             assert n == 1 and unit.terms == (zeta(amb) * Q).terms, (amb, mono)
-        assert not any(isinstance(k, str) for k in amb._memo)
+        assert not any(isinstance(k, str) for k in _ring_keys(amb._ring_table))
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1166,7 @@ def test_memoised_transfers_match_the_reference():
                     _reference_tau(amb, {mono: coeff}), (amb, mono, coeff)
             x = {m: rng.randint(-5, 5) for m in rng.sample(laurent, 4)}
             assert pj.proj_tau(amb, x) == _reference_tau(amb, x), (amb, x)
-        assert any(k[0] == "tau" for k in amb._memo if type(k) is tuple)
+        assert any(k[0] == "tau" for k in _viewed_keys(amb) if type(k) is tuple)
 
 
 def test_memoised_kernels_match_the_reference():
@@ -1046,7 +1192,7 @@ def test_memoised_kernels_match_the_reference():
                 odd = rng.choice([-3, 1, 5])
                 assert _s_kernel(amb, mono, 0, odd) == \
                     _reference_s_kernel(amb, mono, 0, odd)
-        assert any(k[0] == "S" for k in amb._memo if type(k) is tuple)
+        assert any(k[0] == "S" for k in _viewed_keys(amb) if type(k) is tuple)
     # the direct build against its old route, each on a fresh ambient
     cases = []
     for p, q in ((2, 2), (3, 1), (1, 3), (4, 3), (0, 3), (3, 0)):
@@ -1097,13 +1243,14 @@ def test_transfers_refuse_non_integer_exponents():
         pj.s_kernel_pair(amb, (0, 0, 1.0, 0), 1, 2)
     with pytest.raises(ValueError, match="non-integer defect 1.5"):
         pj.s_kernel_pair(amb, (0, 0, 1, 0), 1.5, 2)
-    assert amb._memo == {}
+    assert amb._tables == []
 
 
-def test_s_kernels_refuse_a_negative_defect():
+def test_s_kernels_refuse_a_negative_defect(fresh_reductions):
     amb = pj.Ambient(3, 3)
-    # a planted memo entry: the defect is refused before the memo is read
-    amb._memo[("S", (0, 0, 1, 1), -1)] = ((pj.UNIT, pj.ONE),)
+    # a planted entry where the memo would read it (c = 2 + 2 * -1): the
+    # defect is refused before the memo is read
+    amb._table(0)[("S", (0, 0, 1, 1), -1)] = ((pj.UNIT, pj.ONE),)
     for mono in ((0, 0, 1, 1), pj.UNIT):
         for numerator in (2, 3):
             with pytest.raises(ValueError, match="negative defect -1 in an S-kernel"):
@@ -1128,9 +1275,16 @@ def test_s_kernels_refuse_monomials_outside_their_domain():
 
 _SHARING_SCRIPT = textwrap.dedent("""
     import random
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    import queries, worker
+    import c2bezout as lib
     from c2bezout import bundles as bd, point as pt, projective as pj
-    from c2bezout import schubert as sb
+    from c2bezout import render, schubert as sb
 
+    assert lib.run_verify().passed
+    for qry in queries.query_stream(11):
+        worker.answer(lib, render, qry)
     rng = random.Random(2022)
     for _ in range(300):
         p, q = rng.randint(0, 7), rng.randint(1, 7)
@@ -1153,9 +1307,19 @@ _SHARING_SCRIPT = textwrap.dedent("""
         return pt._SHARED.get(c) is c
 
     assert all(k is v for k, v in pt._SHARED.items())
-    counts = [len(pj._AMBIENTS), 0, 0, 0]
-    for amb in pj._AMBIENTS.values():
-        for m, entry in amb._reduce.items():
+    ring = pj.Ambient._ring_table
+    strings = {key for table in ring.values() for key in table if isinstance(key, str)}
+    counts = [len(ring), 0, 0, 0]
+    for (a, b), table in list(ring.items()):
+        amb = pj.Ambient(a, b)   # the clipped space answers as every space under it
+        for key, entry in table.items():
+            if type(key) is not tuple or type(key[0]) is not int:
+                if key[0] == "tau":
+                    # a transfer's one term keeps the coefficient it was given
+                    assert all(shared(c) for _, c in entry), (amb, key)
+                    counts[3] += 1
+                continue
+            m = key
             # the marker is a normal monomial's entry, and only theirs
             assert (entry is pj._NORMAL) == amb.is_normal_mono(m), (amb, m)
             if entry is pj._NORMAL:
@@ -1167,28 +1331,30 @@ _SHARING_SCRIPT = textwrap.dedent("""
             # coefficients in the normal form as they are
             children = [child for child, _ in rule]
             if rule and len(set(children)) == len(children) and all(
-                    amb._reduce.get(child) is pj._NORMAL for child in children):
+                    amb._table(child[2] + child[3]).get(child) is pj._NORMAL
+                    for child in children):
                 assert all(shared(c) for _, c in entry), (amb, m, entry)
                 counts[2] += 1
-        for key, terms in amb._memo.items():
-            if key[0] == "tau":
-                # a transfer's one term keeps the coefficient it was given
-                assert all(shared(c) for _, c in terms), (amb, key)
-                counts[3] += 1
-    print(*counts)
+    print(sorted(strings), *counts)
 """)
 
 
 def test_caches_share_coefficients_and_mark_normal_monomials():
-    """After seeded euler and bezout queries, in a fresh process: every
-    rule coefficient and every unit-transfer coefficient is the point
-    ring's shared object for its value, and each normal monomial's
+    """After a default sweep, a query stream round and seeded euler and
+    bezout queries, in a fresh process: the only string key of the
+    ring's table is "chi_Q" (Q and the line factors are S-kernel units),
+    every rule coefficient and every unit-transfer coefficient is the
+    point ring's shared object for its value, and each normal monomial's
     reduction entry is the marker rather than a terms tuple."""
-    out = subprocess.run([sys.executable, "-c", _SHARING_SCRIPT],
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    out = subprocess.run([sys.executable, "-c", _SHARING_SCRIPT, bench],
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    spaces, normal, one_step, transfers = map(int, out.stdout.split())
-    assert spaces >= 40 and normal > 500 and one_step > 100 and transfers > 100
+    strings, counts = out.stdout.rsplit("]", 1)
+    assert strings + "]" == "['chi_Q']"
+    spaces, normal, one_step, transfers = map(int, counts.split())
+    assert spaces > 100 and normal > 500 and one_step > 100 and transfers > 100
 
 
 def test_unit_transfers_match_the_old_witness_route(fresh_reductions):
@@ -1231,7 +1397,7 @@ def test_unit_builds_skip_the_outside_input_route(monkeypatch, fresh_reductions)
     for mono, defect in ((pj.UNIT, 1), (pj.MONO_ZETA1, 1), ((0, -1, 1, 4), 2),
                          ((-2, 0, 3, 0), 3), ((0, 0, 2, 2), 1)):
         pj.s_kernel_pair(amb, mono, defect, 2)
-    assert sum(k[0] == "S" for k in amb._memo) == 5
+    assert sum(k[0] == "S" for k in _ring_keys(pj.Ambient._ring_table)) == 5
 
 
 @pytest.mark.parametrize("bad", [(1, 1, 0, 0), (0, 0, 2, 2), (2, 0, 1, 0)])
@@ -1271,7 +1437,7 @@ def test_large_unit_transfer_needs_no_walk_and_no_basis(fresh_reductions):
     amb = pj.Ambient(32, 64)
     amb._reduce_walk = no_walk
     got = pj.proj_tau(amb, {(0, -12, 24): 1})
-    assert amb._basis == {}
+    assert not any(k[0] == "basis" for k in _ring_keys(pj.Ambient._ring_table))
     assert got.terms == _old_witness_tau(pj.Ambient(32, 64), 0, -12, 24).terms
     # the old route again, on a space that cannot read the walk just made
     old = _alone(pj.Ambient(32, 64))
@@ -1344,20 +1510,20 @@ def test_shared_units_match_their_builds_on_the_clipped_space(ring, fresh_reduct
                   for a, b in ((c - j, q), (p, c - j)) if min(a, b) >= 0 and a + b
                   and (a, b) not in same + other]
         for i, (a, b) in enumerate(same[1:] + other):
-            ring._ring_table.clear()
+            ring._ring_table = pj._RingTable()
             try:
                 _unit(ring(a, b), kind, args)
             except ValueError:   # a divided monomial outside a neighbour's ring
                 assert i >= len(same) - 1
-            size = len(ring._ring_table)
+            size = ring._ring_table.size
             got = _unit(ring(p, q), kind, args)
             assert got.terms == want, (kind, args, p, q, a, b)
             # read when the key is the same, built when it is not
             if i < len(same) - 1:
-                assert len(ring._ring_table) == size, (kind, args, p, q, a, b)
+                assert ring._ring_table.size == size, (kind, args, p, q, a, b)
                 read += 1
             else:
-                assert len(ring._ring_table) > size, (kind, args, p, q, a, b)
+                assert ring._ring_table.size > size, (kind, args, p, q, a, b)
         shapes.add(kind if kind == "tau" else min(args[0][:2]) < 0)
     assert shapes == {"tau", True, False} and read > 300 and refused > 5
 
@@ -1414,7 +1580,7 @@ def test_stream_like_sums_do_not_depend_on_their_order(fresh_reductions):
         sums.append((p, q, ",".join(tokens)))
     runs = []
     for order in (sums, sums[::-1]):
-        pj.Ambient._ring_table.clear()
+        pj.Ambient._ring_table = pj._RingTable()
         spaces, got = {}, {}
         for p, q, tokens in order:
             amb = spaces.setdefault((p, q), pj.Ambient(p, q))
@@ -1426,7 +1592,8 @@ def test_stream_like_sums_do_not_depend_on_their_order(fresh_reductions):
                 out.append(sb.expansion_class(sb.bezout_expansion(inv), amb).terms)
             got[p, q, tokens] = out
         runs.append(got)
-        kinds = {key[0][0] for key in pj.Ambient._ring_table if type(key[0][0]) is str}
+        kinds = {key[0] for key in _ring_keys(pj.Ambient._ring_table)
+                 if type(key) is tuple and type(key[0]) is str}
         assert kinds == {"tau", "S"} and len(spaces) > 60
     assert runs[0] == runs[1]
     assert sum(len(out) == 3 for out in runs[0].values()) > 100

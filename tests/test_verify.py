@@ -226,7 +226,7 @@ def test_freeness_reduces_each_product_once_and_records_the_first_escape(monkeyp
     def planted(cls):
         key = (cls.amb.p, cls.amb.q)
         calls[key] = calls.get(key, 0) + 1
-        if cls.amb is target and cls.terms == normal[bad]:
+        if cls.amb == target and cls.terms == normal[bad]:
             raise pj.KernelError("planted escape")
         return reduce_to_basis(cls)
 
@@ -257,7 +257,7 @@ def test_type_block_failure_stops_at_the_first_multiset_with_the_degree(
 
     def faulty(amb, spec):
         out = euler_line(amb, spec)
-        if amb is target and (spec.family, spec.degree) == ("III", -3):
+        if amb == target and (spec.family, spec.degree) == ("III", -3):
             if fault == "raises":
                 raise pj.KernelError("planted line fault")
             out = out + pj.ProjClass.unit(amb)
@@ -367,7 +367,7 @@ def test_grid_line_fault_is_one_escape_record(monkeypatch):
     target = pj.ambient(2, 1)
 
     def faulty(amb, spec):
-        if amb is target and (spec.family, spec.degree) == ("III", 3):
+        if amb == target and (spec.family, spec.degree) == ("III", 3):
             raise pj.KernelError("planted line fault")
         return euler_line(amb, spec)
 
@@ -391,7 +391,7 @@ def test_broken_chi_q_decomposition_is_a_fail_record(monkeypatch):
 
     def broken(term, amb):
         cls = class_of(term, amb)
-        if amb is target and term == chain:
+        if amb == target and term == chain:
             return cls + pj.ProjClass.unit(amb)
         return cls
 
