@@ -1067,6 +1067,32 @@ def test_ambients_share_no_memo_entries():
     assert pj.class_Q(reg).amb is reg
 
 
+def test_registered_memos_hold_no_string_key_but_chi_Q():
+    """Q and the line factors are S-kernel units: after a default sweep
+    and a query stream round in a fresh process, the only string key of
+    any sub-table of the ring's table is "chi_Q"."""
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            import queries, worker
+            import c2bezout as lib
+            from c2bezout import projective as pj, render
+            assert lib.run_verify().passed
+            for qry in queries.query_stream(11):
+                worker.answer(lib, render, qry)
+            ring = pj.Ambient._ring_table
+            keys = {k for table in ring.values() for k in table if isinstance(k, str)}
+            print(len(ring), sorted(keys))
+        """), bench],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    count, keys = out.stdout.split(" ", 1)
+    assert int(count) > 100 and keys.strip() == "['chi_Q']"
+
+
 def test_quadric_and_line_factors_are_unit_s_kernels(fresh_reductions):
     for amb in (pj.Ambient(2, 2), pj.Ambient(3, 1), pj.Ambient(0, 3),
                 pj.Ambient(4, 0), vf._PerturbedAmbient(2, 2)):
